@@ -22,10 +22,10 @@ from p3bundles.atlas import (
 from p3bundles.engine import (
     AssertionNotEntailed,
     Contradiction,
+    ScriptError,
     ScriptReport,
     run_script,
 )
-from p3bundles.engine.script import OracleFactMismatch
 from p3bundles.jsonio import canonical_json, content_hash
 from p3bundles.monad import (
     MonadSpec,
@@ -34,6 +34,7 @@ from p3bundles.monad import (
     identity_report,
     spectrum,
 )
+from p3bundles.oracle import SamplingFailed
 from p3bundles.rng import child_seed
 
 # Wall-clock budgets per criterion, in seconds; enforced by the test suite.
@@ -72,7 +73,7 @@ class _Context:
         outcome = {"script": script, "params": params, "seed": seed}
         try:
             report = run_script(script, params=params, seed=seed)
-        except (AssertionNotEntailed, OracleFactMismatch, Contradiction) as exc:
+        except (AssertionNotEntailed, ScriptError, Contradiction, SamplingFailed) as exc:
             outcome["status"] = f"failed: {type(exc).__name__}"
             outcome["detail"] = str(exc)
         else:

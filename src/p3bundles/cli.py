@@ -44,7 +44,7 @@ from p3bundles.monad import (
     component_dimension,
     expected_dimension,
     format_spectrum,
-    h1_profile,
+    h1_intervals,
     middle_term_checks,
     spectrum,
     summand_character,
@@ -241,14 +241,9 @@ def _cmd_monad(args: argparse.Namespace, cfg: RunConfig) -> None:
         hi = args.hi if args.hi is not None else -1
         if lo > hi:
             raise UsageError("--lo must not exceed --hi")
-        profile: dict[str, int | None] = {}
-        unpinned: list[int] = []
-        for t in range(lo, hi + 1):
-            try:
-                profile[str(t)] = h1_profile(spec, t, t, seed=cfg.seed)[t]
-            except Unpinned:
-                profile[str(t)] = None
-                unpinned.append(t)
+        intervals = h1_intervals(spec, lo, hi, seed=cfg.seed)
+        profile = {str(t): iv.value if iv.pinned else None for t, iv in intervals.items()}
+        unpinned = [t for t, iv in intervals.items() if not iv.pinned]
         payload = {**base, "lo": lo, "hi": hi, "profile": profile,
                    "unpinned_twists": unpinned}
         lines = [_headline(spec)] + [

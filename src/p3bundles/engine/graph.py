@@ -34,22 +34,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Optional
 
 from p3bundles.chern import ChernCharacter
 from p3bundles.engine.intervals import EmptyInterval, Interval
 from p3bundles.tables import (
     CohomologyVector,
-    chi_disjoint_conics,
-    chi_disjoint_lines,
-    chi_p3_line_bundle,
-    chi_quadric,
     h_disjoint_conics,
     h_disjoint_lines,
     h_p3_line_bundle,
     h_points,
     h_quadric,
 )
+
+MAX_ROUNDS = 10000
 
 
 class EngineError(Exception):
@@ -74,7 +72,23 @@ class Kind(Enum):
     SHEAF = "sheaf"
 
 
-TABLE_KINDS = {Kind.LINE, Kind.QUADRIC, Kind.LINES, Kind.CONICS, Kind.POINTS}
+@dataclass(frozen=True)
+class Table:
+    """Closed-form shape: label format, which params move with the twist,
+    and the cohomology vector of the twisted params."""
+
+    label: str
+    moves: tuple[bool, ...]
+    vector: Callable[..., CohomologyVector]
+
+
+TABLES = {
+    Kind.LINE: Table("O({})", (True,), h_p3_line_bundle),
+    Kind.QUADRIC: Table("O_S({},{})", (True, True), h_quadric),
+    Kind.LINES: Table("O_lines[{}]({})", (False, True), h_disjoint_lines),
+    Kind.CONICS: Table("O_conics[{}]({})", (False, True), h_disjoint_conics),
+    Kind.POINTS: Table("O_points[{}]", (False,), h_points),
+}
 
 
 @dataclass
@@ -88,52 +102,17 @@ class Node:
     geom: Optional[str] = None  # geometry binding label, resolved elsewhere
 
 
-def _table_vector(kind: Kind, params: tuple[int, ...], t: int) -> tuple[CohomologyVector, int]:
-    if kind is Kind.LINE:
-        (d,) = params
-        return h_p3_line_bundle(d + t), chi_p3_line_bundle(d + t)
-    if kind is Kind.QUADRIC:
-        p, q = params
-        v = h_quadric(p + t, q + t)
-        return v, chi_quadric(p + t, q + t)
-    if kind is Kind.LINES:
-        k, d = params
-        return h_disjoint_lines(k, d + t), chi_disjoint_lines(k, d + t)
-    if kind is Kind.CONICS:
-        k, d = params
-        return h_disjoint_conics(k, d + t), chi_disjoint_conics(k, d + t)
-    if kind is Kind.POINTS:
-        (k,) = params
-        return h_points(k), k
-    raise GraphError(f"no table for kind {kind}")
-
-
 def instance_key(node: Node, t: int) -> tuple:
-    if node.kind is Kind.LINE:
-        return ("O", node.params[0] + t)
-    if node.kind is Kind.QUADRIC:
-        return ("Q", node.params[0] + t, node.params[1] + t)
-    if node.kind is Kind.LINES:
-        return ("L", node.params[0], node.params[1] + t)
-    if node.kind is Kind.CONICS:
-        return ("C", node.params[0], node.params[1] + t)
-    if node.kind is Kind.POINTS:
-        return ("P", node.params[0])
-    return (node.name, t)
+    """(kind, twisted params) for table shapes, (name, t) for sheaves."""
+    table = TABLES.get(node.kind)
+    if table is None:
+        return (node.name, t)
+    return (node.kind, *(p + t if mv else p for p, mv in zip(node.params, table.moves)))
 
 
 def key_label(key: tuple) -> str:
-    tag = key[0]
-    if tag == "O":
-        return f"O({key[1]})"
-    if tag == "Q":
-        return f"O_S({key[1]},{key[2]})"
-    if tag == "L":
-        return f"O_lines[{key[1]}]({key[2]})"
-    if tag == "C":
-        return f"O_conics[{key[1]}]({key[2]})"
-    if tag == "P":
-        return f"O_points[{key[1]}]"
+    if isinstance(key[0], Kind):
+        return TABLES[key[0]].label.format(*key[1:])
     return f"{key[0]}({key[1]:+d})" if key[1] else f"{key[0]}"
 
 
@@ -169,22 +148,6 @@ class TripleInstance:
                 (a, 2), (b, 2), (c, 2), (a, 3), (b, 3), (c, 3)]
 
 
-@dataclass
-class Diagram:
-    domain_row: tuple[str, int]
-    codomain_row: tuple[str, int]
-    col_a: tuple[str, int]
-    col_b: tuple[str, int]
-    col_c: tuple[str, int]
-
-
-@dataclass
-class Composition:
-    out: tuple[str, int]
-    first: tuple[str, int]
-    second: tuple[str, int]
-
-
 class DeductionGraph:
     def __init__(self) -> None:
         self.nodes: dict[str, Node] = {}
@@ -192,10 +155,10 @@ class DeductionGraph:
         self.triples: dict[str, list[tuple[str, int]]] = {}
         self.instances: dict[tuple, Instance] = {}
         self.tinsts: dict[tuple[str, int], TripleInstance] = {}
-        self.diagrams: list[Diagram] = []
-        self.compositions: list[Composition] = []
-        self.facts: list[dict] = []
-        self.events: dict[tuple, list[dict]] = {}
+        # R8: (conclusion, premises, origin); the conclusion triple's H0 map
+        # is surjective once every premise triple's is
+        self.implications: list[tuple[TripleInstance, tuple[TripleInstance, ...], str]] = []
+        self.events: dict[tuple, dict] = {}  # latest derivation of each slot
         self._order: list[tuple] = []  # instance keys in creation order
 
     # -- declarations --------------------------------------------------
@@ -203,13 +166,13 @@ class DeductionGraph:
     def add_node(self, node: Node) -> None:
         if node.name in self.nodes:
             raise GraphError(f"node {node.name} already declared")
-        if node.kind in TABLE_KINDS and node.chern is not None:
+        if node.kind in TABLES and node.chern is not None:
             raise GraphError("table nodes carry closed-form data, not characters")
         self.nodes[node.name] = node
 
     def set_chern(self, name: str, ch: ChernCharacter) -> None:
         node = self._node(name)
-        if node.kind in TABLE_KINDS:
+        if node.kind in TABLES:
             raise GraphError(f"{name}: table nodes do not take characters")
         node.chern = ch
         # retrofit chi on existing instances of this node
@@ -252,11 +215,9 @@ class DeductionGraph:
         return ti
 
     def add_diagram(self, domain_row, codomain_row, col_a, col_b, col_c) -> None:
-        dg = Diagram(tuple(domain_row), tuple(codomain_row),
-                     tuple(col_a), tuple(col_b), tuple(col_c))
-        dom = self._tinst(dg.domain_row)
-        cod = self._tinst(dg.codomain_row)
-        cols = [self._tinst(dg.col_a), self._tinst(dg.col_b), self._tinst(dg.col_c)]
+        dom = self._tinst(domain_row)
+        cod = self._tinst(codomain_row)
+        cols = [self._tinst(col_a), self._tinst(col_b), self._tinst(col_c)]
         for pos, col in enumerate(cols):
             if col.keys[1] != dom.keys[pos]:
                 raise GraphError(
@@ -266,40 +227,34 @@ class DeductionGraph:
                 raise GraphError(
                     f"diagram corner mismatch: column {pos} quotient "
                     f"{key_label(col.keys[2])} != codomain-row term {key_label(cod.keys[pos])}")
-        self.diagrams.append(dg)
+        self.implications.append((
+            cols[1], (dom, cols[0], cols[2]),
+            f"R8: diagram chase with H0-epi columns {cols[0].name}, {cols[2].name} "
+            f"and split domain row {dom.name}"))
 
     def add_composition(self, out, first, second) -> None:
-        comp = Composition(tuple(out), tuple(first), tuple(second))
-        t_out, t_first, t_second = self._tinst(comp.out), self._tinst(comp.first), self._tinst(comp.second)
+        t_out, t_first, t_second = self._tinst(out), self._tinst(first), self._tinst(second)
         if t_first.keys[1] != t_out.keys[1]:
             raise GraphError("composition: first factor must share the source term")
         if t_first.keys[2] != t_second.keys[1]:
             raise GraphError("composition: factors do not chain")
         if t_second.keys[2] != t_out.keys[2]:
             raise GraphError("composition: second factor must share the target term")
-        self.compositions.append(comp)
+        self.implications.append((
+            t_out, (t_first, t_second),
+            f"R8: composite of H0-surjections {t_first.name} then {t_second.name}"))
 
     # -- facts -----------------------------------------------------------
 
-    def add_value_fact(self, tag: str, node_name: str, t: int, degree: int, value: int,
-                       note: str = "") -> None:
+    def add_value_fact(self, tag: str, node_name: str, t: int, degree: int, value: int) -> None:
         inst = self._instance(self._node(node_name), t)
-        self.facts.append({"tag": tag, "what": "value", "target": inst.label,
-                           "degree": degree, "value": value, "note": note})
-        self._set(inst, degree, value, f"fact:{tag}", [], note)
+        self._set(inst, degree, value, f"fact:{tag}", [])
 
-    def add_epi_fact(self, tag: str, tname: str, t: int, note: str = "") -> None:
-        ti = self._tinst((tname, t))
-        self.facts.append({"tag": tag, "what": "epi", "target": ti.name, "note": note})
-        if 0 not in ti.conn:
-            ti.conn.add(0)
-            ti.conn_origin[0] = f"fact:{tag}"
-
-    def add_conn_fact(self, tag: str, tname: str, t: int, i: int, note: str = "") -> None:
+    def add_conn_fact(self, tag: str, tname: str, t: int, i: int) -> None:
+        """Kill the connecting map out of h^i; i = 0 is H0 surjectivity (epi)."""
         if i not in (0, 1, 2):
             raise GraphError("connecting maps are indexed 0..2")
         ti = self._tinst((tname, t))
-        self.facts.append({"tag": tag, "what": f"conn{i}", "target": ti.name, "note": note})
         if i not in ti.conn:
             ti.conn.add(i)
             ti.conn_origin[i] = f"fact:{tag}"
@@ -307,17 +262,12 @@ class DeductionGraph:
     # -- queries -----------------------------------------------------------
 
     def interval(self, node_name: str, t: int, degree: int) -> Interval:
-        node = self._node(node_name)
-        key = instance_key(node, t)
-        if key not in self.instances:
-            raise GraphError(f"no instance {key_label(key)}; twist a triple through it first")
-        return self.instances[key].h[degree]
+        return self.instance_for(node_name, t).h[degree]
 
     def instance_for(self, node_name: str, t: int) -> Instance:
-        node = self._node(node_name)
-        key = instance_key(node, t)
+        key = instance_key(self._node(node_name), t)
         if key not in self.instances:
-            raise GraphError(f"no instance {key_label(key)}")
+            raise GraphError(f"no instance {key_label(key)}; twist a triple through it first")
         return self.instances[key]
 
     def ensure_instance(self, node_name: str, t: int) -> Instance:
@@ -335,23 +285,20 @@ class DeductionGraph:
             if slot in seen:
                 continue
             seen.add(slot)
-            evs = self.events.get(slot)
-            if not evs:
+            ev = self.events.get(slot)
+            if ev is None:
                 continue
-            ev = evs[-1]
-            out.append(f"h{slot[1]}({key_label(slot[0])}) {ev['result']} via {ev['rule']}"
-                       + (f" [{ev['note']}]" if ev["note"] else ""))
-            for src in ev["sources"]:
-                stack.append(src)
+            out.append(f"h{slot[1]}({key_label(slot[0])}) {ev['result']} via {ev['rule']}")
+            stack.extend(ev["sources"])
         return out
 
     # -- propagation -------------------------------------------------------
 
-    def propagate(self, order: str = "forward", max_rounds: int = 10000) -> None:
+    def propagate(self, order: str = "forward") -> None:
         rounds = 0
         while True:
             rounds += 1
-            if rounds > max_rounds:
+            if rounds > MAX_ROUNDS:
                 raise EngineError("propagation did not stabilize")
             changed = False
             tlist = list(self.tinsts.values())
@@ -362,8 +309,7 @@ class DeductionGraph:
             for ti in tlist:
                 changed |= self._rule_chi_additivity(ti)
                 changed |= self._rule_connecting(ti)
-            changed |= self._rule_diagrams()
-            changed |= self._rule_compositions()
+            changed |= self._rule_implications()
             for ti in tlist:
                 changed |= self._rule_segments(ti)
                 changed |= self._rule_subadditivity(ti)
@@ -413,34 +359,12 @@ class DeductionGraph:
                 changed = True
         return changed
 
-    def _rule_diagrams(self) -> bool:
+    def _rule_implications(self) -> bool:
         changed = False
-        for dg in self.diagrams:
-            dom = self._tinst(dg.domain_row)
-            col_a = self._tinst(dg.col_a)
-            col_b = self._tinst(dg.col_b)
-            col_c = self._tinst(dg.col_c)
-            if 0 in col_b.conn:
-                continue
-            if 0 in dom.conn and 0 in col_a.conn and 0 in col_c.conn:
-                col_b.conn.add(0)
-                col_b.conn_origin[0] = (
-                    f"R8: diagram chase with H0-epi columns {col_a.name}, {col_c.name} "
-                    f"and split domain row {dom.name}")
-                changed = True
-        return changed
-
-    def _rule_compositions(self) -> bool:
-        changed = False
-        for comp in self.compositions:
-            t_out = self._tinst(comp.out)
-            if 0 in t_out.conn:
-                continue
-            if 0 in self._tinst(comp.first).conn and 0 in self._tinst(comp.second).conn:
-                t_out.conn.add(0)
-                t_out.conn_origin[0] = (
-                    f"R8: composite of H0-surjections {comp.first[0]}@{comp.first[1]} then "
-                    f"{comp.second[0]}@{comp.second[1]}")
+        for out, premises, origin in self.implications:
+            if 0 not in out.conn and all(0 in p.conn for p in premises):
+                out.conn.add(0)
+                out.conn_origin[0] = origin
                 changed = True
         return changed
 
@@ -583,14 +507,14 @@ class DeductionGraph:
                     continue
                 left, right = twists[t], twists[td]
                 for i in range(4):
-                    note = f"R5 Serre duality h{i}({left.label}) = h{3-i}({right.label})"
+                    rule = f"R5 Serre duality h{i}({left.label}) = h{3-i}({right.label})"
                     li, ri = left.h[i], right.h[3 - i]
                     if ri.hi is not None:
-                        changed |= self._tighten_hi(left.key, i, ri.hi, note, [(right.key, 3 - i)])
-                    changed |= self._tighten_lo(left.key, i, ri.lo, note, [(right.key, 3 - i)])
+                        changed |= self._tighten_hi(left.key, i, ri.hi, rule, [(right.key, 3 - i)])
+                    changed |= self._tighten_lo(left.key, i, ri.lo, rule, [(right.key, 3 - i)])
                     if li.hi is not None:
-                        changed |= self._tighten_hi(right.key, 3 - i, li.hi, note, [(left.key, i)])
-                    changed |= self._tighten_lo(right.key, 3 - i, li.lo, note, [(left.key, i)])
+                        changed |= self._tighten_hi(right.key, 3 - i, li.hi, rule, [(left.key, i)])
+                    changed |= self._tighten_lo(right.key, 3 - i, li.lo, rule, [(left.key, i)])
         return changed
 
     def _rule_sums(self) -> bool:
@@ -606,22 +530,22 @@ class DeductionGraph:
                 for deg in range(4):
                     lo_sum = sum(p.h[deg].lo for p in parts)
                     his = [p.h[deg].hi for p in parts]
-                    note = f"R6 direct sum {name} = {' + '.join(members)}"
+                    rule = f"R6 direct sum {name} = {' + '.join(members)}"
                     srcs = [(p.key, deg) for p in parts]
-                    changed |= self._tighten_lo(total.key, deg, lo_sum, note, srcs)
+                    changed |= self._tighten_lo(total.key, deg, lo_sum, rule, srcs)
                     if all(h is not None for h in his):
-                        changed |= self._tighten_hi(total.key, deg, sum(his), note, srcs)
+                        changed |= self._tighten_hi(total.key, deg, sum(his), rule, srcs)
                     for j, part in enumerate(parts):
                         others_lo = lo_sum - part.h[deg].lo
                         srcs_j = [(total.key, deg)] + [(p.key, deg) for p in parts if p is not part]
                         if total.h[deg].hi is not None:
                             changed |= self._tighten_hi(part.key, deg, total.h[deg].hi - others_lo,
-                                                        note, srcs_j)
+                                                        rule, srcs_j)
                         others_hi = [p.h[deg].hi for i2, p in enumerate(parts) if i2 != j]
                         if all(h is not None for h in others_hi):
                             changed |= self._tighten_lo(part.key, deg,
                                                         total.h[deg].lo - sum(others_hi),
-                                                        note, srcs_j)
+                                                        rule, srcs_j)
         return changed
 
     # -- internals -------------------------------------------------------
@@ -640,10 +564,10 @@ class DeductionGraph:
         key = instance_key(node, t)
         if key in self.instances:
             return self.instances[key]
-        if node.kind in TABLE_KINDS:
-            vec, chi = _table_vector(node.kind, node.params, t)
+        if node.kind in TABLES:
+            vec = TABLES[node.kind].vector(*key[1:])
             h = [Interval(v, v) for v in vec]
-            inst = Instance(key, node.name, t, h, chi, "closed form")
+            inst = Instance(key, node.name, t, h, vec.chi(), "closed form")
         else:
             h = [Interval() for _ in range(4)]
             if node.support_dim <= 1:
@@ -661,13 +585,12 @@ class DeductionGraph:
                 self._instance(self._node(m), t)
         return inst
 
-    def _record(self, key: tuple, degree: int, rule: str, sources: list[tuple], note: str) -> None:
+    def _record(self, key: tuple, degree: int, rule: str, sources: list[tuple]) -> None:
         iv = self.instances[key].h[degree]
-        self.events.setdefault((key, degree), []).append(
-            {"rule": rule, "sources": list(sources), "note": note, "result": repr(iv)})
+        self.events[(key, degree)] = {"rule": rule, "sources": list(sources), "result": repr(iv)}
 
     def _tighten_hi(self, key: tuple, degree: int, bound: int, rule: str,
-                    sources: list[tuple], note: str = "") -> bool:
+                    sources: list[tuple]) -> bool:
         inst = self.instances[key]
         try:
             changed = inst.h[degree].tighten_hi(bound)
@@ -676,11 +599,11 @@ class DeductionGraph:
                 f"h{degree}({inst.label}): upper bound {bound} from {rule} "
                 f"contradicts established range {inst.h[degree]} ({exc})") from exc
         if changed:
-            self._record(key, degree, rule, sources, note)
+            self._record(key, degree, rule, sources)
         return changed
 
     def _tighten_lo(self, key: tuple, degree: int, bound: int, rule: str,
-                    sources: list[tuple], note: str = "") -> bool:
+                    sources: list[tuple]) -> bool:
         inst = self.instances[key]
         try:
             changed = inst.h[degree].tighten_lo(bound)
@@ -689,11 +612,11 @@ class DeductionGraph:
                 f"h{degree}({inst.label}): lower bound {bound} from {rule} "
                 f"contradicts established range {inst.h[degree]} ({exc})") from exc
         if changed:
-            self._record(key, degree, rule, sources, note)
+            self._record(key, degree, rule, sources)
         return changed
 
     def _set(self, inst: Instance, degree: int, value: int, rule: str,
-             sources: list[tuple], note: str = "") -> bool:
+             sources: list[tuple]) -> bool:
         try:
             changed = inst.h[degree].pin(value)
         except EmptyInterval as exc:
@@ -701,7 +624,7 @@ class DeductionGraph:
                 f"h{degree}({inst.label}) = {value} from {rule} contradicts "
                 f"established range {inst.h[degree]} ({exc})") from exc
         if changed:
-            self._record(inst.key, degree, rule, sources, note)
+            self._record(inst.key, degree, rule, sources)
         return changed
 
     # -- reporting --------------------------------------------------------

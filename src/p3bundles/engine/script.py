@@ -42,6 +42,7 @@ from typing import Optional
 
 from p3bundles.chern import ChernCharacter
 from p3bundles.engine.graph import (
+    TABLES,
     Contradiction,
     DeductionGraph,
     GraphError,
@@ -195,18 +196,17 @@ class ScriptReport:
 
 class ScriptRunner:
     def __init__(self, name: str, text: str, params: dict[str, int], seed: int,
-                 order: str = "forward", check_agreement: bool = True):
+                 order: str = "forward"):
         self.name = name
         self.lines = text.splitlines()
         self.env = {k: int(v) for k, v in params.items()}
         self.seed = int(seed)
         self.order = order
-        self.check_agreement = check_agreement
         self.graph = DeductionGraph()
         self.configs: dict[str, GeometryConfig] = {}
         self.report = ScriptReport(name, dict(self.env), self.seed)
         self._dirty = False
-        self._declared_params: list[str] = []
+        self._declared_params: set[str] = set()
 
     # -- geometry ---------------------------------------------------------
 
@@ -245,8 +245,10 @@ class ScriptRunner:
                     self._command(line)
                 except (ScriptError, GraphError, Contradiction) as exc:
                     raise type(exc)(f"{self.name}:{lineno}: {exc}") from exc
-            if self.check_agreement:
-                self._agreement_sweep()
+            undeclared = sorted(set(self.env) - self._declared_params)
+            if undeclared:
+                raise ScriptError(f"{self.name}: undeclared parameter(s) {', '.join(undeclared)}")
+            self._agreement_sweep()
         except AssertionNotEntailed as exc:
             exc.report = self.report
             raise
@@ -274,7 +276,7 @@ class ScriptRunner:
         for name in args:
             if name not in self.env:
                 raise ScriptError(f"missing required parameter {name!r}")
-            self._declared_params.append(name)
+            self._declared_params.add(name)
 
     def _cmd_config(self, args: list[str]) -> None:
         if len(args) < 3:
@@ -323,14 +325,10 @@ class ScriptRunner:
         while rest and not rest[0].startswith(("lf", "dim", "geom=")):
             numeric.append(_as_int(rest[0], self.env))
             rest = rest[1:]
-        flags = rest
-        table = {"line": (Kind.LINE, 1), "quadric": (Kind.QUADRIC, 2),
-                 "lines": (Kind.LINES, 2), "conics": (Kind.CONICS, 2),
-                 "points": (Kind.POINTS, 1)}
         geom = None
         locally_free = False
         support_dim = 3
-        for fl in flags:
+        for fl in rest:
             if fl == "lf":
                 locally_free = True
             elif fl == "dim1":
@@ -341,18 +339,15 @@ class ScriptRunner:
                 geom = fl[len("geom="):]
             else:
                 raise ScriptError(f"unknown node flag {fl!r}")
-        if kind_tok in table:
-            kind, arity = table[kind_tok]
-            if len(numeric) != arity:
-                raise ScriptError(f"node {name}: {kind_tok} takes {arity} integer(s)")
-            self.graph.add_node(Node(name, kind, tuple(numeric), geom=geom))
-        elif kind_tok in ("sheaf", "ideal"):
-            if numeric:
-                raise ScriptError(f"node {name}: {kind_tok} takes no numeric args")
-            self.graph.add_node(Node(name, Kind.SHEAF, (), locally_free=locally_free,
-                                     support_dim=support_dim, geom=geom))
-        else:
-            raise ScriptError(f"unknown node kind {kind_tok!r}")
+        try:
+            kind = Kind.SHEAF if kind_tok == "ideal" else Kind(kind_tok)
+        except ValueError:
+            raise ScriptError(f"unknown node kind {kind_tok!r}") from None
+        arity = len(TABLES[kind].moves) if kind in TABLES else 0
+        if len(numeric) != arity:
+            raise ScriptError(f"node {name}: {kind_tok} takes {arity} integer(s)")
+        self.graph.add_node(Node(name, kind, tuple(numeric), locally_free=locally_free,
+                                 support_dim=support_dim, geom=geom))
 
     def _cmd_chern(self, args: list[str]) -> None:
         if len(args) != 5:
@@ -421,7 +416,7 @@ class ScriptRunner:
                 verified = self._verify_epi(tname, t)
                 if not verified:
                     raise OracleFactMismatch(f"fact epi {tname}@{t}: restriction not surjective")
-            self.graph.add_epi_fact(tag, tname, t)
+            self.graph.add_conn_fact(tag, tname, t, 0)
             self.report.facts.append({"tag": tag, "what": "epi", "triple": tname,
                                       "twist": t, "verified": verified})
             self._dirty = True
@@ -498,12 +493,12 @@ class ScriptRunner:
         if self._dirty:
             self.graph.propagate(order=self.order)
             self._dirty = False
-        iv = self.graph.interval(node_name, t, degree)
+        inst = self.graph.instance_for(node_name, t)
+        iv, label = inst.h[degree], inst.label
         if relation == "=":
             entailed = iv.pinned and iv.value == value
         else:
             entailed = iv.hi is not None and iv.hi <= value
-        label = self.graph.instance_for(node_name, t).label
         entry = {
             "target": f"h{degree}({label})",
             "relation": relation,
@@ -554,8 +549,8 @@ class ScriptRunner:
 
 
 def run_script_text(name: str, text: str, params: dict[str, int], seed: int = 0,
-                    order: str = "forward", check_agreement: bool = True) -> ScriptReport:
-    runner = ScriptRunner(name, text, params, seed, order, check_agreement)
+                    order: str = "forward") -> ScriptReport:
+    runner = ScriptRunner(name, text, params, seed, order)
     report = runner.run()
     report.report_hash = content_hash(report.to_dict())
     return report
@@ -567,6 +562,5 @@ def load_bundled_script(name: str) -> str:
 
 
 def run_script(name: str, params: dict[str, int], seed: int = 0,
-               order: str = "forward", check_agreement: bool = True) -> ScriptReport:
-    return run_script_text(name, load_bundled_script(name), params, seed,
-                           order, check_agreement)
+               order: str = "forward") -> ScriptReport:
+    return run_script_text(name, load_bundled_script(name), params, seed, order)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 from p3bundles.chern import ChernCharacter
 from p3bundles.engine.graph import DeductionGraph, Kind, Node
 from p3bundles.engine.script import AssertionNotEntailed, OracleFactMismatch, run_script
-from p3bundles.engine import Contradiction, EngineError
+from p3bundles.engine import Contradiction, EngineError, Interval
 from p3bundles.oracle import (
     GeometryConfig,
     sample_conics,
@@ -214,6 +214,15 @@ def _profile_graph(spec: MonadSpec, twists: Iterable[int],
     return graph
 
 
+def h1_intervals(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, Interval]:
+    """h^1 interval of the monad bundle at every twist in [lo, hi], from one graph."""
+    if lo > hi:
+        raise ValueError("empty twist interval")
+    twists = range(lo, hi + 1)
+    graph = _profile_graph(spec, twists, _summand_configs(spec, seed))
+    return {t: graph.interval("F", t, 1) for t in twists}
+
+
 def h1_profile(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, int]:
     """Pinned h^1 of the monad bundle for every twist in [lo, hi].
 
@@ -221,13 +230,8 @@ def h1_profile(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, in
     normal outcome for twists >= 1, where the rank of the evaluation map onto
     sections of the outer line bundle is not controlled by any fact.
     """
-    if lo > hi:
-        raise ValueError("empty twist interval")
-    twists = range(lo, hi + 1)
-    graph = _profile_graph(spec, twists, _summand_configs(spec, seed))
     profile: dict[int, int] = {}
-    for t in twists:
-        iv = graph.interval("F", t, 1)
+    for t, iv in h1_intervals(spec, lo, hi, seed).items():
         if not iv.pinned:
             raise Unpinned(t, iv)
         profile[t] = iv.value

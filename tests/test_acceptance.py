@@ -7,7 +7,11 @@ measured wall-clock stayed inside the budget the criteria pin down.
 
 import pytest
 
-from p3bundles.acceptance import BUDGETS, run_all
+from p3bundles.acceptance import BUDGETS, _Context, run_all
+
+# report_hash of run_all(seed=0), pinned with the golden corpus of
+# tests/test_golden.py; a refactor must leave it unchanged
+REPORT_HASH = "36699441249f46c5c9188a7066b756d9722df069797ef4fca0c7a1578d5519fb"
 
 TITLES = {
     1: "dimension table, c1 = 0 series, exact",
@@ -54,3 +58,18 @@ def test_report_is_canonical(acceptance_run):
     report, _ = acceptance_run
     canonical_json(report)  # floats or exotic types anywhere would raise
     assert report["report_hash"]
+
+
+def test_report_hash_is_pinned(acceptance_run):
+    report, _ = acceptance_run
+    assert report["report_hash"] == REPORT_HASH
+
+
+@pytest.mark.parametrize("params,error", [
+    ({"m": 19, "eps": 0, "a": 24}, "SamplingFailed"),       # beyond the sampler's pool
+    ({"m": 1, "eps": 0, "a": 5, "d": 3}, "ScriptError"),    # prop1 declares no d
+])
+def test_failed_runs_are_recorded_not_raised(params, error):
+    outcome = _Context(0).run("prop1", **params)
+    assert outcome["status"] == f"failed: {error}"
+    assert outcome["detail"]

@@ -4,12 +4,13 @@ import pytest
 
 from p3bundles.engine import (
     AssertionNotEntailed,
+    GraphError,
     ScriptError,
     load_bundled_script,
     run_script,
     run_script_text,
 )
-from p3bundles.engine.script import OracleFactMismatch
+from p3bundles.engine.script import OracleFactMismatch, ScriptRunner
 
 GOOD_RUNS = [
     ("prop1", {"m": 1, "eps": 0, "a": 5}),
@@ -76,6 +77,76 @@ def test_unknown_script_rejected():
 def test_missing_parameter_rejected():
     with pytest.raises((ScriptError, KeyError)):
         run_script("prop1", {"m": 1}, seed=0)
+
+
+def test_undeclared_parameter_rejected():
+    with pytest.raises(ScriptError, match="undeclared parameter.*zzz"):
+        run_script("prop1", {"m": 1, "eps": 0, "a": 5, "zzz": 7}, seed=0)
+
+
+@pytest.mark.parametrize("table_node,name,twist,label", [
+    ("line 0", "O", 2, "h0(O(+2))"),
+    ("points 3", "P", 3, "h0(P(+3))"),
+])
+def test_sheaf_names_do_not_alias_table_shapes(table_node, name, twist, label):
+    # a sheaf named like a table shape must not inherit that table's values
+    text = f"""node Z {table_node}
+node {name} sheaf
+node X sheaf
+triple T Z X {name}
+twist T {twist}
+assert h0 {name} {twist} = 10
+"""
+    with pytest.raises(AssertionNotEntailed) as exc_info:
+        run_script_text("alias", text, {}, seed=0)
+    entry = exc_info.value.report.asserts[-1]
+    assert entry["status"] == "not-entailed"
+    assert entry["target"] == label
+    assert entry["interval"] == [0, None]
+
+
+# 0 -> I_Y -> O -> O_Y -> 0 factors as O -> O_S -> O_Y through the quadric
+COMPOSE_BASE = """node O line 0
+node S quadric 0 0
+node Y lines 2 0
+node Z lines 3 0
+node IY sheaf
+node IS sheaf
+node K sheaf
+node KZ sheaf
+triple TY IY O Y
+triple TS IS O S
+triple TK K S Y
+triple TZ KZ S Z
+twist TY 1
+twist TS 1
+twist TK 1
+twist TZ 1
+fact ASSUMED epi TS 1
+fact ASSUMED epi TK 1
+"""
+
+
+def test_compose_makes_the_composite_surjective():
+    text = COMPOSE_BASE + "annotate compose TY 1 = TS 1 ; TK 1\nassert h1 IY 1 = 0\n"
+    runner = ScriptRunner("compose", text, {}, 0)
+    report = runner.run()
+    assert report.asserts[0]["status"] == "entailed"
+    assert runner.graph.tinsts[("TY", 1)].conn_origin[0] == (
+        "R8: composite of H0-surjections TS@1 then TK@1")
+    # without the annotation nothing forces the split
+    with pytest.raises(AssertionNotEntailed):
+        run_script_text("compose", COMPOSE_BASE + "assert h1 IY 1 = 0\n", {}, seed=0)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("annotate compose TY 1 = TK 1 ; TK 1", "first factor must share the source term"),
+    ("annotate compose TY 1 = TS 1 ; TS 1", "factors do not chain"),
+    ("annotate compose TY 1 = TS 1 ; TZ 1", "second factor must share the target term"),
+])
+def test_compose_corner_mismatch(line, message):
+    with pytest.raises(GraphError, match=message):
+        run_script_text("compose", COMPOSE_BASE + line + "\n", {}, seed=0)
 
 
 def test_bundled_sources_are_commented():
