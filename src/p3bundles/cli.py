@@ -1,9 +1,13 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 verification failure (an assertion not entailed, an
-oracle/engine mismatch, an inconsistent profile), 2 usage error.  Every JSON
-report embeds the seed and a hash of the resolved configuration; identical
-configuration and seed give byte-identical output.
+Exit codes (`main` alone decides them): 0 success; 1 a run that did not verify
+(an assertion not entailed, a refuted ORACLE fact, a Contradiction,
+SamplingFailed, an unpinned or inconsistent profile, a failed acceptance
+criterion); 2 a usage error (bad options, an invalid spec, an unreadable
+--script-file, a malformed script: ScriptError, GraphError).  Each ends in a
+one-line message on stderr, not a traceback.  Every JSON report embeds the
+seed and a hash of the resolved configuration; identical configuration and
+seed give byte-identical output.
 
 The only environment variable honoured is P3BUNDLES_OUT_DIR, the default
 directory for --out paths.
@@ -27,10 +31,11 @@ from p3bundles.atlas import (
     records_to_tsv,
 )
 from p3bundles.engine import (
+    RUN_FAILURES,
     AssertionNotEntailed,
-    Contradiction,
+    GraphError,
     ScriptError,
-    run_script,
+    load_bundled_script,
     run_script_text,
 )
 from p3bundles.jsonio import canonical_json_pretty, content_hash
@@ -50,7 +55,6 @@ from p3bundles.monad import (
     summand_character,
 )
 from p3bundles.oracle import (
-    SamplingFailed,
     config_hash,
     ideal_cohomology,
     marked_point_evaluation_surjective,
@@ -60,6 +64,7 @@ from p3bundles.oracle import (
     sample_ruling,
     serre_cohomology,
 )
+from p3bundles.oracle import configs as oracle_configs
 
 SCHEMA_VERSION = 1
 
@@ -86,12 +91,18 @@ class RunConfig:
         return content_hash(self.to_dict())
 
 
-class VerificationFailure(Exception):
-    """Wraps any failure that should exit 1, carrying printable detail."""
+class UsageError(Exception):
+    pass
 
-    def __init__(self, message: str, trace: list[str] | None = None):
-        super().__init__(message)
-        self.trace = trace or []
+
+class VerificationFailure(Exception):
+    """The acceptance suite ran and some criterion failed."""
+
+
+# Exit 2, then exit 1: tested in this order, so ScriptError and GraphError,
+# which are also RUN_FAILURES, exit 2.
+USAGE_FAILURES = (UsageError, InvalidSpec, ScriptError, GraphError)
+VERIFY_FAILURES = (*RUN_FAILURES, Unpinned, InconsistentProfile, VerificationFailure)
 
 
 def _series(value: str) -> Series:
@@ -133,22 +144,9 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> None:
     params = {k: v for k, v in
               (("m", args.m), ("eps", args.eps), ("a", args.a), ("d", args.d))
               if v is not None}
-    try:
-        if cfg.script_path:
-            with open(cfg.script_path, encoding="utf-8") as fh:
-                report = run_script_text(args.script, fh.read(), params,
-                                         seed=cfg.seed, order=args.order)
-        else:
-            report = run_script(args.script, params, seed=cfg.seed,
-                                order=args.order)
-    except AssertionNotEntailed as exc:
-        trace = []
-        for entry in getattr(exc.report, "asserts", []):
-            if entry.get("status") == "not-entailed":
-                trace = entry.get("chain", [])
-        raise VerificationFailure(f"assertion not entailed: {exc}", trace)
-    except (Contradiction, ScriptError, SamplingFailed) as exc:
-        raise VerificationFailure(f"{type(exc).__name__}: {exc}")
+    text = (_read_script_file(cfg.script_path) if cfg.script_path
+            else load_bundled_script(args.script))
+    report = run_script_text(args.script, text, params, seed=cfg.seed, order=args.order)
     agreement = report.agreement
     lines = [f"PASS {args.script} {params} seed={cfg.seed}",
              f"asserts entailed: {len(report.asserts)}",
@@ -156,6 +154,14 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> None:
              f"{len(agreement.get('mismatches', []))} mismatches",
              f"report hash: {report.report_hash}"]
     _emit({"verify": report.to_dict()}, cfg, lines)
+
+
+def _read_script_file(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read --script-file: {exc}") from exc
 
 
 # -- oracle ------------------------------------------------------------------
@@ -221,10 +227,11 @@ def _headline(spec: MonadSpec) -> str:
 
 
 def _cmd_monad(args: argparse.Namespace, cfg: RunConfig) -> None:
+    op = getattr(args, "monad_op", "spectrum")  # the `spectrum` shorthand has none
     spec = _spec_from(args)
     base = {"series": spec.series.value, "m": spec.m, "eps": spec.eps,
             "a": spec.a, "regime": spec.regime.value, "n": spec.n, "e": spec.e}
-    if args.monad_op == "chern":
+    if op == "chern":
         left, right = spec.outer_twists
         payload = {**base,
                    "cohomology_sheaf": _character_dict(cohomology_chern(spec)),
@@ -236,7 +243,7 @@ def _cmd_monad(args: argparse.Namespace, cfg: RunConfig) -> None:
         lines = [_headline(spec),
                  f"cohomology sheaf: rank 2, c = {tuple(cc)}",
                  f"outer line bundles: O({left}), O({right})"]
-    elif args.monad_op == "profile":
+    elif op == "profile":
         lo = args.lo if args.lo is not None else -(spec.a + 3)
         hi = args.hi if args.hi is not None else -1
         if lo > hi:
@@ -250,12 +257,12 @@ def _cmd_monad(args: argparse.Namespace, cfg: RunConfig) -> None:
             f"h1 at twist {t}: "
             f"{profile[str(t)] if profile[str(t)] is not None else 'unpinned'}"
             for t in range(lo, hi + 1)]
-    elif args.monad_op == "spectrum":
+    elif op == "spectrum":
         entries = spectrum(spec, seed=cfg.seed)
         payload = {**base, "spectrum": list(entries),
                    "display": format_spectrum(entries)}
         lines = [format_spectrum(entries)]
-    elif args.monad_op == "dims":
+    elif op == "dims":
         dim = component_dimension(spec)
         exp = expected_dimension(spec.e, spec.n)
         payload = {**base, "dimension": dim, "expected": exp,
@@ -337,10 +344,6 @@ def _cmd_accept(args: argparse.Namespace, cfg: RunConfig) -> None:
         raise VerificationFailure(f"acceptance criteria failed: {failing}")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="root seed for all derived randomness (default 0)")
@@ -381,9 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="rule application order (result is identical)")
     p_verify.add_argument("--script-file",
                           help="run this script text instead of the bundled one")
+    p_verify.set_defaults(run=_cmd_verify)
     _add_common(p_verify, "text")
 
     p_oracle = sub.add_parser("oracle", help="query the geometric oracle")
+    p_oracle.set_defaults(run=_cmd_oracle)
     sub_oracle = p_oracle.add_subparsers(dest="oracle_op", required=True)
     for name, blurb in (("ideal", "cohomology of a twisted ideal sheaf"),
                         ("restrict", "surjectivity of restriction maps"),
@@ -397,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(q, "text")
 
     p_monad = sub.add_parser("monad", help="family invariants and profiles")
+    p_monad.set_defaults(run=_cmd_monad)
     sub_monad = p_monad.add_subparsers(dest="monad_op", required=True)
     for name, blurb in (("chern", "characters of the display terms"),
                         ("profile", "pinned h1 values across twists"),
@@ -411,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(q, "text")
 
     p_series = sub.add_parser("series", help="enumeration and the catalogue")
+    p_series.set_defaults(run=_cmd_series)
     sub_series = p_series.add_subparsers(dest="series_op", required=True)
     q = sub_series.add_parser("enumerate", help="all strict-regime records")
     q.add_argument("--series", type=_series, required=True)
@@ -431,15 +438,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(q, "text")
 
     p_accept = sub.add_parser("accept", help="run the full acceptance suite")
+    p_accept.set_defaults(run=_cmd_accept)
     _add_common(p_accept, "text")
 
     p_spec = sub.add_parser("spectrum", help="shorthand for `monad spectrum`")
+    p_spec.set_defaults(run=_cmd_monad)
     _monad_params(p_spec)
     _add_common(p_spec, "text")
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> None:
+def _run_config(args: argparse.Namespace) -> RunConfig:
     bounds = {k: getattr(args, k) for k in
               ("m", "eps", "a", "d", "n_max", "n_lo", "n_hi", "r", "lo", "hi",
                "e", "n", "twist")
@@ -450,50 +459,36 @@ def _dispatch(args: argparse.Namespace) -> None:
     for attr in ("script", "oracle_op", "monad_op", "series_op"):
         if getattr(args, attr, None):
             command = f"{command} {getattr(args, attr)}"
-    cfg = RunConfig(command=command, seed=args.seed, format=args.format,
-                    out=args.out, retry_budget=args.retry_budget,
-                    script_path=getattr(args, "script_file", None),
-                    bounds=bounds)
-    if cfg.retry_budget != 64:
-        from p3bundles.oracle import configs
-        configs.RETRY_BUDGET = cfg.retry_budget
-    if args.command == "verify":
-        _cmd_verify(args, cfg)
-    elif args.command == "oracle":
-        _cmd_oracle(args, cfg)
-    elif args.command == "monad":
-        _cmd_monad(args, cfg)
-    elif args.command == "series":
-        _cmd_series(args, cfg)
-    elif args.command == "accept":
-        _cmd_accept(args, cfg)
-    else:
-        args.monad_op = "spectrum"
-        _cmd_monad(args, cfg)
+    return RunConfig(command=command, seed=args.seed, format=args.format,
+                     out=args.out, retry_budget=args.retry_budget,
+                     script_path=getattr(args, "script_file", None),
+                     bounds=bounds)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cfg = _run_config(args)
+    # the sampler reads a module global; later callers get it back unchanged
+    saved_budget = oracle_configs.RETRY_BUDGET
+    oracle_configs.RETRY_BUDGET = cfg.retry_budget
     try:
-        _dispatch(args)
-    except UsageError as exc:
+        args.run(args, cfg)
+    except USAGE_FAILURES as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvalidSpec as exc:
-        parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        for line in exc.trace:
-            print(f"  {line}", file=sys.stderr)
+    except VERIFY_FAILURES as exc:
+        if isinstance(exc, AssertionNotEntailed):
+            # the assert that failed is the last one in the report
+            print(f"verification failed: assertion not entailed: {exc}", file=sys.stderr)
+            for line in exc.report.asserts[-1]["chain"]:
+                print(f"  {line}", file=sys.stderr)
+        else:
+            print(f"verification failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (Unpinned, InconsistentProfile, Contradiction) as exc:
-        print(f"verification failed: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 1
+    finally:
+        oracle_configs.RETRY_BUDGET = saved_budget
     return 0
 
 

@@ -6,6 +6,7 @@ from p3bundles.engine.graph import (
     Interval,
 )
 from p3bundles.engine.script import (
+    RUN_FAILURES,
     AssertionNotEntailed,
     ScriptError,
     ScriptReport,
@@ -21,6 +22,7 @@ __all__ = [
     "EngineError",
     "GraphError",
     "Interval",
+    "RUN_FAILURES",
     "ScriptError",
     "ScriptReport",
     "load_bundled_script",

@@ -38,7 +38,6 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from math import comb
-from typing import Optional
 
 from p3bundles.chern import ChernCharacter
 from p3bundles.engine.graph import (
@@ -53,6 +52,7 @@ from p3bundles.engine.graph import (
 from p3bundles.jsonio import content_hash
 from p3bundles.oracle import (
     GeometryConfig,
+    SamplingFailed,
     config_hash,
     ideal_cohomology,
     join_configs,
@@ -73,14 +73,22 @@ class ScriptError(Exception):
     """Malformed script or parameters."""
 
 
-class OracleFactMismatch(ScriptError):
+class OracleFactMismatch(Exception):
     """A fact tagged ORACLE disagrees with the sampled geometry."""
 
 
 class AssertionNotEntailed(Exception):
-    def __init__(self, message: str, report: Optional["ScriptReport"] = None):
+    """An `assert` the rules do not entail; `report` ends with its chain."""
+
+    def __init__(self, message: str, report: "ScriptReport"):
         super().__init__(message)
         self.report = report
+
+
+# Everything a replay raises that is not a bug: malformed input (ScriptError,
+# GraphError) or a run that did not verify.
+RUN_FAILURES = (ScriptError, GraphError, AssertionNotEntailed, OracleFactMismatch,
+                Contradiction, SamplingFailed)
 
 
 _BRACE = re.compile(r"\{([^{}]+)\}")
@@ -90,10 +98,7 @@ _ALLOWED_CALLS = {"binom": lambda n, k: comb(n, k) if 0 <= k <= n else 0,
 
 
 def _safe_eval(expr: str, env: dict[str, int]) -> int:
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ScriptError(f"bad expression {expr!r}: {exc}") from exc
+    tree = ast.parse(expr, mode="eval")
 
     def ev(node):
         if isinstance(node, ast.Expression):
@@ -159,11 +164,7 @@ def _substitute(token: str, env: dict[str, int]) -> str:
 
 
 def _as_int(token: str, env: dict[str, int]) -> int:
-    tok = _substitute(token, env)
-    try:
-        return int(tok)
-    except ValueError as exc:
-        raise ScriptError(f"integer expected, got {token!r}") from exc
+    return int(_substitute(token, env))
 
 
 @dataclass
@@ -236,22 +237,21 @@ class ScriptRunner:
     # -- command handlers ---------------------------------------------------
 
     def run(self) -> ScriptReport:
-        try:
-            for lineno, raw in enumerate(self.lines, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    self._command(line)
-                except (ScriptError, GraphError, Contradiction) as exc:
-                    raise type(exc)(f"{self.name}:{lineno}: {exc}") from exc
-            undeclared = sorted(set(self.env) - self._declared_params)
-            if undeclared:
-                raise ScriptError(f"{self.name}: undeclared parameter(s) {', '.join(undeclared)}")
-            self._agreement_sweep()
-        except AssertionNotEntailed as exc:
-            exc.report = self.report
-            raise
+        for lineno, raw in enumerate(self.lines, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                self._command(line)
+            except (ScriptError, GraphError, OracleFactMismatch, Contradiction) as exc:
+                raise type(exc)(f"{self.name}:{lineno}: {exc}") from exc
+            except (IndexError, KeyError, ValueError, SyntaxError, ZeroDivisionError) as exc:
+                raise ScriptError(f"{self.name}:{lineno}: malformed line {line!r}: "
+                                  f"{type(exc).__name__}: {exc}") from exc
+        undeclared = sorted(set(self.env) - self._declared_params)
+        if undeclared:
+            raise ScriptError(f"{self.name}: undeclared parameter(s) {', '.join(undeclared)}")
+        self._agreement_sweep()
         return self.report
 
     def _command(self, line: str) -> None:
@@ -339,10 +339,7 @@ class ScriptRunner:
                 geom = fl[len("geom="):]
             else:
                 raise ScriptError(f"unknown node flag {fl!r}")
-        try:
-            kind = Kind.SHEAF if kind_tok == "ideal" else Kind(kind_tok)
-        except ValueError:
-            raise ScriptError(f"unknown node kind {kind_tok!r}") from None
+        kind = Kind.SHEAF if kind_tok == "ideal" else Kind(kind_tok)
         arity = len(TABLES[kind].moves) if kind in TABLES else 0
         if len(numeric) != arity:
             raise ScriptError(f"node {name}: {kind_tok} takes {arity} integer(s)")

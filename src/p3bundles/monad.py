@@ -18,8 +18,8 @@ from typing import Iterable, Mapping
 
 from p3bundles.chern import ChernCharacter
 from p3bundles.engine.graph import DeductionGraph, Kind, Node
-from p3bundles.engine.script import AssertionNotEntailed, OracleFactMismatch, run_script
-from p3bundles.engine import Contradiction, EngineError, Interval
+from p3bundles.engine.script import RUN_FAILURES, run_script
+from p3bundles.engine import EngineError, Interval
 from p3bundles.oracle import (
     GeometryConfig,
     sample_conics,
@@ -464,7 +464,7 @@ def middle_term_checks(spec: MonadSpec, seed: int = 0) -> dict:
         entry: dict = {"script": script, "params": params, "seed": run_seed}
         try:
             report = run_script(script, params=params, seed=run_seed)
-        except (AssertionNotEntailed, OracleFactMismatch, Contradiction) as exc:
+        except RUN_FAILURES as exc:
             entry["status"] = "failed"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         else:

@@ -70,6 +70,12 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
     return nullity_certified(_restriction_rows(cfg, k), n_cols, lower)
 
 
+def clear_caches() -> None:
+    """Forget every memoised h0 and line-restriction block."""
+    h0_ideal.cache_clear()
+    line_restriction_block.cache_clear()
+
+
 def ideal_cohomology(cfg: GeometryConfig, k: int) -> CohomologyVector:
     h0 = h0_ideal(cfg, k)
     ov = structure_cohomology(cfg, k)

@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from p3bundles.cli import main
+from p3bundles.oracle import configs, sample_ruling
 
 
 def run_cli(*argv):
@@ -77,11 +78,54 @@ def test_failed_verification_exits_1_with_trace():
 
 
 def test_usage_errors_exit_2():
-    assert run_cli("verify", "prop1", "--m", "1")[0] != 0          # missing params
+    assert run_cli("verify", "prop1", "--m", "1")[0] == 2          # missing params
     assert run_cli("series", "density")[0] == 2                    # missing --r
     assert run_cli("nonsense")[0] == 2
     assert run_cli("monad", "dims", "--series", "sigma0", "--m", "1",
                    "--eps", "0", "--a", "3")[0] == 2               # invalid spec
+
+
+SIGMA0_24 = ("--series", "sigma0", "--m", "19", "--eps", "0", "--a", "24")
+
+
+# argv ({tmp} is a scratch directory, and {tmp}/variant.les holds the script
+# text when one is given), script text, exit code, text stderr must contain
+@pytest.mark.parametrize("argv,text,code,message", [
+    pytest.param(("verify", "prop1", "--m", "1", "--eps", "0", "--a", "5", "--d", "2"),
+                 None, 2, "undeclared parameter(s) d", id="undeclared-param"),
+    pytest.param(("verify", "prop1", "--m", "1"),
+                 None, 2, "prop1:13: missing required parameter", id="missing-params"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\nconfig Y ruling\n", 2, "prop1:2: ", id="config-without-m"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\nnode\n", 2, "prop1:2: malformed line 'node'", id="malformed-line"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\nassert h0 NOPE 0 = 0\n", 2, "prop1:2: unknown node NOPE",
+                 id="unknown-node"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/missing.les"),
+                 None, 2, "cannot read --script-file", id="missing-script-file"),
+    pytest.param(("spectrum", *SIGMA0_24), None, 1, "SamplingFailed", id="spectrum-pool"),
+    pytest.param(("monad", "profile", *SIGMA0_24), None, 1, "SamplingFailed",
+                 id="profile-pool"),
+    pytest.param(("monad", "checks", *SIGMA0_24), None, 1, "SamplingFailed", id="checks-pool"),
+    pytest.param(("monad", "checks", "--series", "sigma0", "--m", "1", "--eps", "0",
+                  "--a", "5", "--retry-budget", "0"), None, 1, "SamplingFailed",
+                 id="checks-retry-budget-0"),
+])
+def test_exit_code_matrix(tmp_path, argv, text, code, message):
+    if text is not None:
+        (tmp_path / "variant.les").write_text(text)
+    got, _, err = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert got == code
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_retry_budget_is_restored_after_the_command():
+    assert run_cli("spectrum", "--series", "sigma0", "--m", "1", "--eps", "0",
+                   "--a", "5", "--retry-budget", "0")[0] == 1
+    assert configs.RETRY_BUDGET == 64
+    assert sample_ruling(1, 0).components == 2
 
 
 def test_oracle_subcommands():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p3bundles import monad
 from p3bundles.monad import (
     EXTENDED_SMALL_CASES,
     InconsistentProfile,
@@ -25,6 +26,7 @@ from p3bundles.monad import (
     spectrum,
     spectrum_h1,
 )
+from p3bundles.oracle import SamplingFailed
 
 
 # -- parameter validation ----------------------------------------------------
@@ -253,3 +255,14 @@ def test_middle_term_checks_odd_series():
     assert out["established"]
     assert out["readings"] is None
     assert [ev["script"] for ev in out["engine_evidence"]] == ["prop2"]
+
+
+def test_middle_term_checks_records_a_failed_evidence_run(monkeypatch):
+    def run_script(script, params, seed):
+        raise SamplingFailed("ruling configuration")
+
+    monkeypatch.setattr(monad, "run_script", run_script)
+    out = middle_term_checks(MonadSpec.create(Series.SIGMA0, 1, 0, 5))
+    assert [ev["status"] for ev in out["engine_evidence"]] == ["failed"]
+    assert out["engine_evidence"][0]["error"] == "SamplingFailed: ruling configuration"
+    assert not out["established"]
