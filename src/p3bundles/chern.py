@@ -156,8 +156,3 @@ class ChernCharacter:
 def rank2_character(c1: int, c2: int) -> ChernCharacter:
     """Rank-2 character with c3 = 0, the shape every bundle here has."""
     return ChernCharacter.from_classes(2, c1, c2, 0)
-
-
-def euler_characteristic_rank2(c1: int, c2: int, t: int) -> int:
-    """chi of a rank-2 bundle with classes (c1, c2), twisted by t."""
-    return rank2_character(c1, c2).twist(t).chi()

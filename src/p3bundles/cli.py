@@ -3,11 +3,11 @@
 Exit codes (`main` alone decides them): 0 success; 1 a run that did not verify
 (an assertion not entailed, a refuted ORACLE fact, a Contradiction,
 SamplingFailed, an unpinned or inconsistent profile, a failed acceptance
-criterion); 2 a usage error (bad options, an invalid spec, an unreadable
---script-file, a malformed script: ScriptError, GraphError).  Each ends in a
-one-line message on stderr, not a traceback.  Every JSON report embeds the
-seed and a hash of the resolved configuration; identical configuration and
-seed give byte-identical output.
+criterion); 2 a usage error (bad or out-of-range options, an invalid spec,
+an unreadable --script-file, an unwritable --out, a malformed script:
+ScriptError, GraphError).  Each ends in a one-line message on stderr, not a
+traceback.  Every JSON report embeds the seed and a hash of the resolved
+configuration; identical configuration and seed give byte-identical output.
 
 The only environment variable honoured is P3BUNDLES_OUT_DIR, the default
 directory for --out paths.
@@ -113,6 +113,22 @@ def _series(value: str) -> Series:
             f"unknown series {value!r}; expected sigma0 or sigma1")
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {value!r}")
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {number}")
+        return number
+    return parse
+
+
+_NONNEGATIVE, _POSITIVE = _at_least(0), _at_least(1)
+
+
 def _spec_from(args: argparse.Namespace) -> MonadSpec:
     return MonadSpec.create(args.series, args.m, args.eps, args.a)
 
@@ -132,8 +148,11 @@ def _emit(payload: dict, cfg: RunConfig, text_lines: list[str]) -> None:
     if cfg.out:
         base = os.environ.get("P3BUNDLES_OUT_DIR", "")
         path = cfg.out if os.path.isabs(cfg.out) else os.path.join(base, cfg.out)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(rendered)
 
@@ -396,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         q = sub_oracle.add_parser(name, help=blurb)
         q.add_argument("--kind", choices=("ruling", "conics", "modification"),
                        required=True)
-        q.add_argument("--m", type=int, help="charge (ruling/conics kinds)")
-        q.add_argument("--d", type=int, help="line count (modification kind)")
+        q.add_argument("--m", type=_NONNEGATIVE, help="charge (ruling/conics kinds)")
+        q.add_argument("--d", type=_POSITIVE, help="line count (modification kind)")
         q.add_argument("--twist", type=int, required=True)
         _add_common(q, "text")
 
@@ -421,20 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub_series = p_series.add_subparsers(dest="series_op", required=True)
     q = sub_series.add_parser("enumerate", help="all strict-regime records")
     q.add_argument("--series", type=_series, required=True)
-    q.add_argument("--n-max", type=int, required=True)
+    q.add_argument("--n-max", type=_POSITIVE, required=True)
     _add_common(q, "tsv")
     q = sub_series.add_parser("coverage", help="charges missed by the c1=0 series")
     q.add_argument("--n-lo", type=int, required=True)
-    q.add_argument("--n-hi", type=int, required=True)
+    q.add_argument("--n-hi", type=_POSITIVE, required=True)
     _add_common(q, "text")
     q = sub_series.add_parser("density", help="realized-charge density, exact")
-    q.add_argument("--r", type=int, required=True)
+    q.add_argument("--r", type=_POSITIVE, required=True)
     _add_common(q, "text")
     q = sub_series.add_parser("catalog", help="the twelve curated components")
     _add_common(q, "tsv")
     q = sub_series.add_parser("compare", help="known components at fixed (e, n)")
     q.add_argument("--e", type=int, choices=(0, -1), required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_POSITIVE, required=True)
     _add_common(q, "text")
 
     p_accept = sub.add_parser("accept", help="run the full acceptance suite")

@@ -99,7 +99,6 @@ class Node:
     locally_free: bool = False
     support_dim: int = 3
     chern: Optional[ChernCharacter] = None
-    geom: Optional[str] = None  # geometry binding label, resolved elsewhere
 
 
 def instance_key(node: Node, t: int) -> tuple:
@@ -132,20 +131,21 @@ class Instance:
 
 @dataclass
 class TripleInstance:
-    decl: str
-    t: int
-    keys: tuple[tuple, tuple, tuple]
-    conn: set[int] = field(default_factory=set)
-    conn_origin: dict = field(default_factory=dict)
+    """A short exact triple A -> B -> C at one twist.  `slots` lists the
+    twelve terms (instance, degree) of its long exact sequence in order;
+    `conn_origin` maps i to why the connecting map out of h^i(C) is zero."""
+
+    name: str
+    parts: tuple[Instance, Instance, Instance]
+    conn_origin: dict[int, str] = field(default_factory=dict)
+    slots: tuple[tuple[Instance, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.slots = tuple((inst, deg) for deg in range(4) for inst in self.parts)
 
     @property
-    def name(self) -> str:
-        return f"{self.decl}@{self.t}"
-
-    def les_slots(self) -> list[tuple[tuple, int]]:
-        a, b, c = self.keys
-        return [(a, 0), (b, 0), (c, 0), (a, 1), (b, 1), (c, 1),
-                (a, 2), (b, 2), (c, 2), (a, 3), (b, 3), (c, 3)]
+    def keys(self) -> tuple[tuple, tuple, tuple]:
+        return tuple(inst.key for inst in self.parts)
 
 
 class DeductionGraph:
@@ -153,13 +153,12 @@ class DeductionGraph:
         self.nodes: dict[str, Node] = {}
         self.sums: dict[str, list[str]] = {}
         self.triples: dict[str, list[tuple[str, int]]] = {}
-        self.instances: dict[tuple, Instance] = {}
+        self.instances: dict[tuple, Instance] = {}  # in creation order
         self.tinsts: dict[tuple[str, int], TripleInstance] = {}
         # R8: (conclusion, premises, origin); the conclusion triple's H0 map
         # is surjective once every premise triple's is
         self.implications: list[tuple[TripleInstance, tuple[TripleInstance, ...], str]] = []
         self.events: dict[tuple, dict] = {}  # latest derivation of each slot
-        self._order: list[tuple] = []  # instance keys in creation order
 
     # -- declarations --------------------------------------------------
 
@@ -176,7 +175,7 @@ class DeductionGraph:
             raise GraphError(f"{name}: table nodes do not take characters")
         node.chern = ch
         # retrofit chi on existing instances of this node
-        for t_key, inst in list(self.instances.items()):
+        for inst in self.instances.values():
             if inst.node_name == name and inst.chi is None:
                 inst.chi = ch.twist(inst.twist).chi()
                 inst.chi_origin = "character"
@@ -204,15 +203,11 @@ class DeductionGraph:
     def materialize(self, name: str, t: int) -> TripleInstance:
         if name not in self.triples:
             raise GraphError(f"unknown triple {name}")
-        if (name, t) in self.tinsts:
-            return self.tinsts[(name, t)]
-        keys = []
-        for node_name, off in self.triples[name]:
-            inst = self._instance(self._node(node_name), off + t)
-            keys.append(inst.key)
-        ti = TripleInstance(name, t, tuple(keys))
-        self.tinsts[(name, t)] = ti
-        return ti
+        if (name, t) not in self.tinsts:
+            parts = tuple(self._instance(self._node(node_name), off + t)
+                          for node_name, off in self.triples[name])
+            self.tinsts[(name, t)] = TripleInstance(f"{name}@{t}", parts)
+        return self.tinsts[(name, t)]
 
     def add_diagram(self, domain_row, codomain_row, col_a, col_b, col_c) -> None:
         dom = self._tinst(domain_row)
@@ -248,16 +243,13 @@ class DeductionGraph:
 
     def add_value_fact(self, tag: str, node_name: str, t: int, degree: int, value: int) -> None:
         inst = self._instance(self._node(node_name), t)
-        self._set(inst, degree, value, f"fact:{tag}", [])
+        self._narrow(inst, degree, value, value, f"fact:{tag}", [])
 
     def add_conn_fact(self, tag: str, tname: str, t: int, i: int) -> None:
         """Kill the connecting map out of h^i; i = 0 is H0 surjectivity (epi)."""
         if i not in (0, 1, 2):
             raise GraphError("connecting maps are indexed 0..2")
-        ti = self._tinst((tname, t))
-        if i not in ti.conn:
-            ti.conn.add(i)
-            ti.conn_origin[i] = f"fact:{tag}"
+        self._tinst((tname, t)).conn_origin.setdefault(i, f"fact:{tag}")
 
     # -- queries -----------------------------------------------------------
 
@@ -295,17 +287,17 @@ class DeductionGraph:
     # -- propagation -------------------------------------------------------
 
     def propagate(self, order: str = "forward") -> None:
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > MAX_ROUNDS:
-                raise EngineError("propagation did not stabilize")
+        # propagation creates no instance and changes no character, so the
+        # structure every round walks is resolved once
+        tlist = list(self.tinsts.values())
+        ilist = list(self.instances.values())
+        if order == "reverse":
+            tlist.reverse()
+            ilist.reverse()
+        pairs = self._duality_pairs()
+        groups = self._sum_groups()
+        for _ in range(MAX_ROUNDS):
             changed = False
-            tlist = list(self.tinsts.values())
-            ilist = [self.instances[k] for k in self._order]
-            if order == "reverse":
-                tlist = tlist[::-1]
-                ilist = ilist[::-1]
             for ti in tlist:
                 changed |= self._rule_chi_additivity(ti)
                 changed |= self._rule_connecting(ti)
@@ -315,16 +307,47 @@ class DeductionGraph:
                 changed |= self._rule_subadditivity(ti)
             for inst in ilist:
                 changed |= self._rule_chi(inst)
-            changed |= self._rule_duality()
-            changed |= self._rule_sums()
+            changed |= self._rule_duality(pairs)
+            changed |= self._rule_sums(groups)
             if not changed:
                 return
+        raise EngineError("propagation did not stabilize")
+
+    def _duality_pairs(self) -> list[tuple[Instance, Instance]]:
+        """R5 partners (F(t), F(-t-4-c1)) of rank-2 locally free nodes, by node
+        name, then twist, with the partner twist >= t."""
+        by_node: dict[str, dict[int, Instance]] = {}
+        for inst in self.instances.values():
+            node = self.nodes[inst.node_name]
+            if node.locally_free and node.chern is not None and node.chern.rank == 2:
+                by_node.setdefault(node.name, {})[inst.twist] = inst
+        pairs = []
+        for name in sorted(by_node):
+            c1 = int(self.nodes[name].chern.ch1)
+            twists = by_node[name]
+            for t in sorted(twists):
+                td = -t - 4 - c1
+                if td >= t and td in twists:
+                    pairs.append((twists[t], twists[td]))
+        return pairs
+
+    def _sum_groups(self) -> list[tuple[Instance, list[Instance], str]]:
+        """R6 (total, member instances, rule) by sum name, then creation order."""
+        groups = []
+        for name in sorted(self.sums):
+            members = [self.nodes[m] for m in self.sums[name]]
+            rule = f"R6 direct sum {name} = {' + '.join(self.sums[name])}"
+            for total in self.instances.values():
+                if total.node_name == name:
+                    parts = [self.instances[instance_key(m, total.twist)] for m in members]
+                    groups.append((total, parts, rule))
+        return groups
 
     # -- rule bodies ---------------------------------------------------
 
     def _rule_chi_additivity(self, ti: TripleInstance) -> bool:
-        a, b, c = (self.instances[k] for k in ti.keys)
-        known = [x.chi for x in (a, b, c)]
+        a, b, c = ti.parts
+        known = [x.chi for x in ti.parts]
         missing = [i for i, v in enumerate(known) if v is None]
         if not missing:
             if known[0] + known[2] != known[1]:
@@ -335,7 +358,7 @@ class DeductionGraph:
         if len(missing) > 1:
             return False
         i = missing[0]
-        inst = (a, b, c)[i]
+        inst = ti.parts[i]
         if i == 0:
             inst.chi = known[1] - known[2]
         elif i == 1:
@@ -347,14 +370,12 @@ class DeductionGraph:
 
     def _rule_connecting(self, ti: TripleInstance) -> bool:
         changed = False
-        a_key = ti.keys[0]
-        a = self.instances[a_key]
+        a = ti.parts[0]
         for i in (0, 1, 2):
-            if i in ti.conn:
+            if i in ti.conn_origin:
                 continue
             iv = a.h[i + 1]
             if iv.pinned and iv.value == 0:
-                ti.conn.add(i)
                 ti.conn_origin[i] = f"R7: h{i+1}({a.label}) = 0"
                 changed = True
         return changed
@@ -362,21 +383,18 @@ class DeductionGraph:
     def _rule_implications(self) -> bool:
         changed = False
         for out, premises, origin in self.implications:
-            if 0 not in out.conn and all(0 in p.conn for p in premises):
-                out.conn.add(0)
+            if 0 not in out.conn_origin and all(0 in p.conn_origin for p in premises):
                 out.conn_origin[0] = origin
                 changed = True
         return changed
 
     def _segments(self, ti: TripleInstance) -> list[list[int]]:
         """Maximal exact runs of slot indices (0..11), zero slots excluded."""
-        slots = ti.les_slots()
-        splits_after = {3 * i + 2 for i in ti.conn}  # conn_i kills delta_i
+        splits_after = {3 * i + 2 for i in ti.conn_origin}  # conn_i kills delta_i
         segments: list[list[int]] = []
         current: list[int] = []
-        for idx in range(12):
-            key, deg = slots[idx]
-            iv = self.instances[key].h[deg]
+        for idx, (inst, deg) in enumerate(ti.slots):
+            iv = inst.h[deg]
             if iv.pinned and iv.value == 0:
                 if current:
                     segments.append(current)
@@ -392,76 +410,53 @@ class DeductionGraph:
 
     def _rule_segments(self, ti: TripleInstance) -> bool:
         changed = False
-        slots = ti.les_slots()
         for seg in self._segments(ti):
-            ivs = []
-            for idx in seg:
-                key, deg = slots[idx]
-                ivs.append((idx, key, deg, self.instances[key].h[deg]))
+            run = [(inst, deg, inst.h[deg]) for inst, deg in (ti.slots[idx] for idx in seg)]
             # R2: term <= left + right within the run, boundaries are zero
-            for pos, (idx, key, deg, iv) in enumerate(ivs):
-                left = ivs[pos - 1][3].hi if pos > 0 else 0
-                right = ivs[pos + 1][3].hi if pos + 1 < len(ivs) else 0
+            for pos, (inst, deg, iv) in enumerate(run):
+                left = run[pos - 1][2].hi if pos > 0 else 0
+                right = run[pos + 1][2].hi if pos + 1 < len(run) else 0
                 if left is None or right is None:
                     continue
-                bound = left + right
-                src = []
-                if pos > 0:
-                    src.append((ivs[pos - 1][1], ivs[pos - 1][2]))
-                if pos + 1 < len(ivs):
-                    src.append((ivs[pos + 1][1], ivs[pos + 1][2]))
-                changed |= self._tighten_hi(key, deg, bound, f"R2 exactness bound in {ti.name}", src)
+                src = [(n.key, d) for n, d, _ in run[max(pos - 1, 0):pos] + run[pos + 1:pos + 2]]
+                changed |= self._narrow(inst, deg, 0, left + right,
+                                        f"R2 exactness bound in {ti.name}", src)
             # R4: alternating sum over the run is zero
-            unknown = [(idx, key, deg, iv) for idx, key, deg, iv in ivs if not iv.pinned]
+            unknown = [pos for pos, (_, _, iv) in enumerate(run) if not iv.pinned]
             if len(unknown) > 1:
                 continue
-            total = 0
-            sign = 1
-            target = None
-            target_sign = 1
-            for pos, (idx, key, deg, iv) in enumerate(ivs):
-                s = 1 if pos % 2 == 0 else -1
-                if iv.pinned:
-                    total += s * iv.value
-                else:
-                    target = (key, deg)
-                    target_sign = s
-            if target is None:
+            total = sum((-1) ** pos * iv.value for pos, (_, _, iv) in enumerate(run) if iv.pinned)
+            if not unknown:
                 if total != 0:
                     raise Contradiction(
                         f"{ti.name}: exact run {self._run_repr(ti, seg)} has alternating sum {total}")
                 continue
-            value = -total * target_sign
+            target, degree, target_iv = run[unknown[0]]
+            value = -total * (-1) ** unknown[0]
             if value < 0:
                 raise Contradiction(
-                    f"{ti.name}: exact run solves h{target[1]}({key_label(target[0])}) = {value} < 0")
-            srcs = [(k, d) for _, k, d, iv in ivs if (k, d) != target]
-            changed |= self._set(self.instances[target[0]], target[1], value,
-                                 f"R4 alternating sum in {ti.name}", srcs)
+                    f"{ti.name}: exact run solves h{degree}({target.label}) = {value} < 0")
+            srcs = [(n.key, d) for n, d, iv in run if iv is not target_iv]
+            changed |= self._narrow(target, degree, value, value,
+                                    f"R4 alternating sum in {ti.name}", srcs)
         return changed
 
     def _run_repr(self, ti: TripleInstance, seg: list[int]) -> str:
-        slots = ti.les_slots()
-        return " -> ".join(f"h{d}({key_label(k)})" for k, d in (slots[i] for i in seg))
+        return " -> ".join(f"h{d}({inst.label})" for inst, d in (ti.slots[i] for i in seg))
 
     def _rule_subadditivity(self, ti: TripleInstance) -> bool:
         changed = False
-        a, b, c = (self.instances[k] for k in ti.keys)
+        a, b, c = ti.parts
         for deg in range(4):
             if a.h[deg].hi is not None and c.h[deg].hi is not None:
-                changed |= self._tighten_hi(b.key, deg, a.h[deg].hi + c.h[deg].hi,
-                                            f"R3 subadditivity in {ti.name}",
-                                            [(a.key, deg), (c.key, deg)])
-        if b.h[0].hi is not None:
-            changed |= self._tighten_hi(a.key, 0, b.h[0].hi, f"R3 h0 injects in {ti.name}",
-                                        [(b.key, 0)])
-        changed |= self._tighten_lo(b.key, 0, a.h[0].lo, f"R3 h0 injects in {ti.name}",
-                                    [(a.key, 0)])
-        if b.h[3].hi is not None:
-            changed |= self._tighten_hi(c.key, 3, b.h[3].hi, f"R3 h3 surjects in {ti.name}",
-                                        [(b.key, 3)])
-        changed |= self._tighten_lo(b.key, 3, c.h[3].lo, f"R3 h3 surjects in {ti.name}",
-                                    [(c.key, 3)])
+                changed |= self._narrow(b, deg, 0, a.h[deg].hi + c.h[deg].hi,
+                                        f"R3 subadditivity in {ti.name}",
+                                        [(a.key, deg), (c.key, deg)])
+        injects, surjects = f"R3 h0 injects in {ti.name}", f"R3 h3 surjects in {ti.name}"
+        changed |= self._narrow(a, 0, 0, b.h[0].hi, injects, [(b.key, 0)])
+        changed |= self._narrow(b, 0, a.h[0].lo, None, injects, [(a.key, 0)])
+        changed |= self._narrow(c, 3, 0, b.h[3].hi, surjects, [(b.key, 3)])
+        changed |= self._narrow(b, 3, c.h[3].lo, None, surjects, [(c.key, 3)])
         return changed
 
     def _rule_chi(self, inst: Instance) -> bool:
@@ -484,68 +479,38 @@ class DeductionGraph:
         if value < 0:
             raise Contradiction(f"{inst.label}: chi solve gives h{i} = {value} < 0")
         srcs = [(inst.key, j) for j in range(4) if j != i]
-        return self._set(inst, i, value, f"R1 chi solve (chi = {inst.chi}, {inst.chi_origin})", srcs)
+        return self._narrow(inst, i, value, value,
+                            f"R1 chi solve (chi = {inst.chi}, {inst.chi_origin})", srcs)
 
-    def _rule_duality(self) -> bool:
+    def _rule_duality(self, pairs: list[tuple[Instance, Instance]]) -> bool:
         changed = False
-        by_node: dict[str, dict[int, Instance]] = {}
-        for key in self._order:
-            inst = self.instances[key]
-            node = self.nodes.get(inst.node_name)
-            if node is None or not node.locally_free or node.chern is None:
-                continue
-            if node.chern.rank != 2:
-                continue
-            by_node.setdefault(node.name, {})[inst.twist] = inst
-        for name in sorted(by_node):
-            node = self.nodes[name]
-            c1 = int(node.chern.ch1)
-            twists = by_node[name]
-            for t in sorted(twists):
-                td = -t - 4 - c1
-                if td not in twists or td < t:
-                    continue
-                left, right = twists[t], twists[td]
-                for i in range(4):
-                    rule = f"R5 Serre duality h{i}({left.label}) = h{3-i}({right.label})"
-                    li, ri = left.h[i], right.h[3 - i]
-                    if ri.hi is not None:
-                        changed |= self._tighten_hi(left.key, i, ri.hi, rule, [(right.key, 3 - i)])
-                    changed |= self._tighten_lo(left.key, i, ri.lo, rule, [(right.key, 3 - i)])
-                    if li.hi is not None:
-                        changed |= self._tighten_hi(right.key, 3 - i, li.hi, rule, [(left.key, i)])
-                    changed |= self._tighten_lo(right.key, 3 - i, li.lo, rule, [(left.key, i)])
+        for left, right in pairs:
+            for i in range(4):
+                rule = f"R5 Serre duality h{i}({left.label}) = h{3-i}({right.label})"
+                li, ri = left.h[i], right.h[3 - i]
+                changed |= self._narrow(left, i, ri.lo, ri.hi, rule, [(right.key, 3 - i)])
+                changed |= self._narrow(right, 3 - i, li.lo, li.hi, rule, [(left.key, i)])
         return changed
 
-    def _rule_sums(self) -> bool:
+    def _rule_sums(self, groups: list[tuple[Instance, list[Instance], str]]) -> bool:
         changed = False
-        for name in sorted(self.sums):
-            members = self.sums[name]
-            node = self.nodes[name]
-            twists = [inst.twist for key in list(self._order)
-                      if (inst := self.instances[key]).node_name == name]
-            for t in twists:
-                total = self.instances[instance_key(node, t)]
-                parts = [self._instance(self._node(m), t) for m in members]
-                for deg in range(4):
-                    lo_sum = sum(p.h[deg].lo for p in parts)
-                    his = [p.h[deg].hi for p in parts]
-                    rule = f"R6 direct sum {name} = {' + '.join(members)}"
-                    srcs = [(p.key, deg) for p in parts]
-                    changed |= self._tighten_lo(total.key, deg, lo_sum, rule, srcs)
-                    if all(h is not None for h in his):
-                        changed |= self._tighten_hi(total.key, deg, sum(his), rule, srcs)
-                    for j, part in enumerate(parts):
-                        others_lo = lo_sum - part.h[deg].lo
-                        srcs_j = [(total.key, deg)] + [(p.key, deg) for p in parts if p is not part]
-                        if total.h[deg].hi is not None:
-                            changed |= self._tighten_hi(part.key, deg, total.h[deg].hi - others_lo,
-                                                        rule, srcs_j)
-                        others_hi = [p.h[deg].hi for i2, p in enumerate(parts) if i2 != j]
-                        if all(h is not None for h in others_hi):
-                            changed |= self._tighten_lo(part.key, deg,
-                                                        total.h[deg].lo - sum(others_hi),
-                                                        rule, srcs_j)
+        for total, parts, rule in groups:
+            for deg in range(4):
+                lo_sum = sum(p.h[deg].lo for p in parts)
+                his = [p.h[deg].hi for p in parts]
+                srcs = [(p.key, deg) for p in parts]
+                hi_sum = sum(his) if None not in his else None
+                changed |= self._narrow(total, deg, lo_sum, hi_sum, rule, srcs)
+                for j, part in enumerate(parts):
+                    others_lo = lo_sum - part.h[deg].lo
+                    srcs_j = [(total.key, deg)] + [(p.key, deg) for p in parts if p is not part]
+                    if total.h[deg].hi is not None:
+                        changed |= self._narrow(part, deg, 0, total.h[deg].hi - others_lo,
+                                                rule, srcs_j)
+                    others_hi = [p.h[deg].hi for i2, p in enumerate(parts) if i2 != j]
+                    if None not in others_hi:
+                        changed |= self._narrow(part, deg, total.h[deg].lo - sum(others_hi),
+                                                None, rule, srcs_j)
         return changed
 
     # -- internals -------------------------------------------------------
@@ -578,53 +543,28 @@ class DeductionGraph:
             chi = node.chern.twist(t).chi() if node.chern is not None else None
             inst = Instance(key, node.name, t, h, chi, "character" if chi is not None else "")
         self.instances[key] = inst
-        self._order.append(key)
         # creating a member instance of a sum keeps R6 complete
         if node.name in self.sums:
             for m in self.sums[node.name]:
                 self._instance(self._node(m), t)
         return inst
 
-    def _record(self, key: tuple, degree: int, rule: str, sources: list[tuple]) -> None:
-        iv = self.instances[key].h[degree]
-        self.events[(key, degree)] = {"rule": rule, "sources": list(sources), "result": repr(iv)}
-
-    def _tighten_hi(self, key: tuple, degree: int, bound: int, rule: str,
-                    sources: list[tuple]) -> bool:
-        inst = self.instances[key]
+    def _narrow(self, inst: Instance, degree: int, lo: int, hi: Optional[int], rule: str,
+                sources: list[tuple]) -> bool:
+        """Intersect h^degree(inst) with [lo, hi] (hi None: no upper bound),
+        lo first as Interval.pin does; record one event if it shrank."""
+        iv = inst.h[degree]
         try:
-            changed = inst.h[degree].tighten_hi(bound)
+            changed = iv.tighten_lo(lo)
+            if hi is not None:
+                changed = iv.tighten_hi(hi) or changed
         except EmptyInterval as exc:
             raise Contradiction(
-                f"h{degree}({inst.label}): upper bound {bound} from {rule} "
-                f"contradicts established range {inst.h[degree]} ({exc})") from exc
+                f"h{degree}({inst.label}) in [{lo}, {'inf' if hi is None else hi}] "
+                f"from {rule} contradicts the established range ({exc})") from exc
         if changed:
-            self._record(key, degree, rule, sources)
-        return changed
-
-    def _tighten_lo(self, key: tuple, degree: int, bound: int, rule: str,
-                    sources: list[tuple]) -> bool:
-        inst = self.instances[key]
-        try:
-            changed = inst.h[degree].tighten_lo(bound)
-        except EmptyInterval as exc:
-            raise Contradiction(
-                f"h{degree}({inst.label}): lower bound {bound} from {rule} "
-                f"contradicts established range {inst.h[degree]} ({exc})") from exc
-        if changed:
-            self._record(key, degree, rule, sources)
-        return changed
-
-    def _set(self, inst: Instance, degree: int, value: int, rule: str,
-             sources: list[tuple]) -> bool:
-        try:
-            changed = inst.h[degree].pin(value)
-        except EmptyInterval as exc:
-            raise Contradiction(
-                f"h{degree}({inst.label}) = {value} from {rule} contradicts "
-                f"established range {inst.h[degree]} ({exc})") from exc
-        if changed:
-            self._record(inst.key, degree, rule, sources)
+            self.events[(inst.key, degree)] = {"rule": rule, "sources": sources,
+                                               "result": repr(iv)}
         return changed
 
     # -- reporting --------------------------------------------------------

@@ -28,7 +28,7 @@ arithmetic over the declared params, with binom/max/min):
     if {COND} :: COMMAND
 
 geom bindings: ideal:CFG, ideal-ruling:CFG, ideal-partner:CFG, serre:CFG,
-points:CFG.
+points:CFG.  Each is checked at its node line, so CFG is declared above it.
 """
 
 from __future__ import annotations
@@ -205,34 +205,37 @@ class ScriptRunner:
         self.order = order
         self.graph = DeductionGraph()
         self.configs: dict[str, GeometryConfig] = {}
+        # node name -> (oracle kind: ideal, serre or points, config it reads)
+        self.bindings: dict[str, tuple[str, GeometryConfig]] = {}
         self.report = ScriptReport(name, dict(self.env), self.seed)
         self._dirty = False
         self._declared_params: set[str] = set()
 
     # -- geometry ---------------------------------------------------------
 
-    def _resolve_geom(self, geom: str) -> tuple[str, GeometryConfig]:
+    def _binding(self, geom: str) -> tuple[str, GeometryConfig]:
         kind, _, label = geom.partition(":")
         if label not in self.configs:
             raise ScriptError(f"geometry binding {geom!r}: unknown config {label!r}")
         cfg = self.configs[label]
-        if kind == "ideal-ruling":
-            return "ideal", ruling_part(cfg)
-        if kind == "ideal-partner":
-            return "ideal", partner_part(cfg)
+        if kind in ("ideal-ruling", "ideal-partner"):
+            if cfg.curve != "conics":
+                raise ScriptError(f"geometry binding {geom!r}: config {label!r} "
+                                  f"is not a conic configuration")
+            return "ideal", ruling_part(cfg) if kind == "ideal-ruling" else partner_part(cfg)
+        if kind == "serre" and cfg.serre_shift is None:
+            raise ScriptError(f"geometry binding {geom!r}: config {label!r} has no extension data")
         if kind in ("ideal", "serre", "points"):
             return kind, cfg
         raise ScriptError(f"unknown geometry binding kind {kind!r}")
 
-    def _oracle_vector(self, geom: str, t: int):
-        kind, cfg = self._resolve_geom(geom)
+    def _oracle_vector(self, node_name: str, t: int):
+        kind, cfg = self.bindings[node_name]
         if kind == "ideal":
             return ideal_cohomology(cfg, t)
         if kind == "serre":
             return serre_cohomology(cfg, t)
-        if kind == "points":
-            return h_points(len(cfg.marked))
-        raise ScriptError(f"no oracle values for binding {geom!r}")
+        return h_points(len(cfg.marked))
 
     # -- command handlers ---------------------------------------------------
 
@@ -325,7 +328,7 @@ class ScriptRunner:
         while rest and not rest[0].startswith(("lf", "dim", "geom=")):
             numeric.append(_as_int(rest[0], self.env))
             rest = rest[1:]
-        geom = None
+        binding = None
         locally_free = False
         support_dim = 3
         for fl in rest:
@@ -336,7 +339,7 @@ class ScriptRunner:
             elif fl == "dim0":
                 support_dim = 0
             elif fl.startswith("geom="):
-                geom = fl[len("geom="):]
+                binding = self._binding(fl[len("geom="):])
             else:
                 raise ScriptError(f"unknown node flag {fl!r}")
         kind = Kind.SHEAF if kind_tok == "ideal" else Kind(kind_tok)
@@ -344,7 +347,9 @@ class ScriptRunner:
         if len(numeric) != arity:
             raise ScriptError(f"node {name}: {kind_tok} takes {arity} integer(s)")
         self.graph.add_node(Node(name, kind, tuple(numeric), locally_free=locally_free,
-                                 support_dim=support_dim, geom=geom))
+                                 support_dim=support_dim))
+        if binding is not None:
+            self.bindings[name] = binding
 
     def _cmd_chern(self, args: list[str]) -> None:
         if len(args) != 5:
@@ -389,13 +394,12 @@ class ScriptRunner:
             if eq != "=":
                 raise ScriptError("value facts use '='")
             verified = None
-            node = self.graph.nodes.get(node_name)
-            if node is None:
+            if node_name not in self.graph.nodes:
                 raise ScriptError(f"fact names unknown node {node_name!r}")
             if tag == "ORACLE":
-                if node.geom is None:
+                if node_name not in self.bindings:
                     raise ScriptError(f"ORACLE fact on {node_name} needs a geometry binding")
-                actual = self._oracle_vector(node.geom, t)[degree]
+                actual = self._oracle_vector(node_name, t)[degree]
                 if actual != value:
                     raise OracleFactMismatch(
                         f"fact h{degree}({node_name}@{t}) = {value} but oracle computes {actual}")
@@ -432,14 +436,13 @@ class ScriptRunner:
 
     def _verify_epi(self, tname: str, t: int) -> bool:
         """H0(B) -> H0(C) surjectivity for evaluation-onto-marked-points triples."""
-        ti = self.graph.materialize(tname, t)
+        self.graph.materialize(tname, t)
         slots = self.graph.triples[tname]
         b_node = self.graph.nodes[slots[1][0]]
         c_node = self.graph.nodes[slots[2][0]]
-        if c_node.kind is not Kind.POINTS or c_node.geom is None:
+        if c_node.kind is not Kind.POINTS or c_node.name not in self.bindings:
             raise ScriptError(f"epi fact on {tname}: quotient must be bound marked points")
-        _, cfg = self._resolve_geom(c_node.geom)
-        points = cfg.marked
+        points = self.bindings[c_node.name][1].marked
         if len(points) != c_node.params[0]:
             raise ScriptError(f"epi fact on {tname}: {len(points)} marked points bound, "
                               f"node expects {c_node.params[0]}")
@@ -522,13 +525,11 @@ class ScriptRunner:
         mismatches = []
         for key in sorted(self.graph.instances, key=lambda k: (str(k[0]), k[1:])):
             inst = self.graph.instances[key]
-            node = self.graph.nodes.get(inst.node_name)
-            if node is None or node.geom is None or node.kind is not Kind.SHEAF:
+            kind, _ = self.bindings.get(inst.node_name, ("", None))
+            node = self.graph.nodes[inst.node_name]
+            if kind not in ("ideal", "serre") or node.kind is not Kind.SHEAF:
                 continue
-            kind = node.geom.split(":", 1)[0]
-            if kind not in ("ideal", "ideal-ruling", "ideal-partner", "serre"):
-                continue
-            vec = self._oracle_vector(node.geom, inst.twist)
+            vec = self._oracle_vector(inst.node_name, inst.twist)
             for degree in range(4):
                 iv = inst.h[degree]
                 actual = vec[degree]

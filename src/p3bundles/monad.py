@@ -188,8 +188,8 @@ def _summand_configs(spec: MonadSpec, seed: int) -> list[GeometryConfig]:
 
 def _profile_graph(spec: MonadSpec, twists: Iterable[int],
                    configs: list[GeometryConfig]) -> DeductionGraph:
-    """One graph per sweep: 0 -> K -> E1+E2 -> O(right) -> 0 stacked on
-    0 -> O(left) -> K -> F -> 0, with oracle pins on the summands."""
+    """One unpropagated graph per sweep: 0 -> K -> E1+E2 -> O(right) -> 0
+    stacked on 0 -> O(left) -> K -> F -> 0, with oracle pins on the summands."""
     graph = DeductionGraph()
     graph.add_node(Node("O", Kind.LINE, params=(0,)))
     for i, mi in enumerate(spec.summand_params, start=1):
@@ -210,7 +210,6 @@ def _profile_graph(spec: MonadSpec, twists: Iterable[int],
             vec = serre_cohomology(cfg, t)
             for degree in range(4):
                 graph.add_value_fact("ORACLE", f"E{i}", t, degree, vec[degree])
-    graph.propagate()
     return graph
 
 
@@ -220,6 +219,7 @@ def h1_intervals(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, 
         raise ValueError("empty twist interval")
     twists = range(lo, hi + 1)
     graph = _profile_graph(spec, twists, _summand_configs(spec, seed))
+    graph.propagate()
     return {t: graph.interval("F", t, 1) for t in twists}
 
 

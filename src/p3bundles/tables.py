@@ -80,15 +80,3 @@ def h_disjoint_conics(k: int, d: int) -> CohomologyVector:
 def h_points(k: int) -> CohomologyVector:
     """Structure sheaf of k reduced points (twisting is invisible)."""
     return CohomologyVector(k, 0, 0, 0)
-
-
-def chi_disjoint_lines(k: int, d: int) -> int:
-    return k * (d + 1)
-
-
-def chi_disjoint_conics(k: int, d: int) -> int:
-    return k * (2 * d + 1)
-
-
-def chi_quadric(p: int, q: int) -> int:
-    return (p + 1) * (q + 1)

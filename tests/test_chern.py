@@ -11,7 +11,6 @@ from p3bundles.chern import (
     NonIntegerChi,
     NonIntegralClasses,
     RankUnsupported,
-    euler_characteristic_rank2,
     rank2_character,
 )
 
@@ -31,8 +30,8 @@ def test_rank2_chi_matches_closed_form(c1, c2, t):
     c1 c2 must be even or no bundle has these classes and chi is fractional.
     """
     assume(c1 * c2 % 2 == 0)
-    twisted_classes = euler_characteristic_rank2(c1 + 2 * t, c2 + c1 * t + t * t, 0)
-    assert euler_characteristic_rank2(c1, c2, t) == twisted_classes
+    twisted_classes = rank2_character(c1 + 2 * t, c2 + c1 * t + t * t).chi()
+    assert rank2_character(c1, c2).twist(t).chi() == twisted_classes
 
 
 def test_from_classes_round_trips():

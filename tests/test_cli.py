@@ -111,6 +111,29 @@ SIGMA0_24 = ("--series", "sigma0", "--m", "19", "--eps", "0", "--a", "24")
     pytest.param(("monad", "checks", "--series", "sigma0", "--m", "1", "--eps", "0",
                   "--a", "5", "--retry-budget", "0"), None, 1, "SamplingFailed",
                  id="checks-retry-budget-0"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\nconfig Y ruling m={m}\nconfig Z modification d=1 avoid=Y\n"
+                 "node O line 0\nnode E sheaf lf geom=serre:Z\ntriple T O E O\n", 2,
+                 "prop1:5: geometry binding 'serre:Z': config 'Z' has no extension data",
+                 id="serre-binding-without-extension"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\nconfig Y ruling m={m}\nnode I ideal geom=ideal-ruling:Y\n", 2,
+                 "prop1:3: geometry binding 'ideal-ruling:Y': config 'Y' is not a conic",
+                 id="ruling-view-of-ruling-config"),
+    pytest.param(("series", "density", "--r", "17", "--out", "{tmp}/missing/x.json"),
+                 None, 2, "cannot write --out", id="unwritable-out"),
+    pytest.param(("oracle", "ideal", "--kind", "ruling", "--m", "-1", "--twist", "0"),
+                 None, 2, "argument --m: must be at least 0", id="oracle-m-negative"),
+    pytest.param(("oracle", "restrict", "--kind", "modification", "--d", "-1", "--twist", "0"),
+                 None, 2, "argument --d: must be at least 1", id="oracle-d-negative"),
+    pytest.param(("series", "density", "--r", "0"),
+                 None, 2, "argument --r: must be at least 1", id="density-r-0"),
+    pytest.param(("series", "enumerate", "--series", "sigma0", "--n-max", "0"),
+                 None, 2, "argument --n-max: must be at least 1", id="enumerate-n-max-0"),
+    pytest.param(("series", "coverage", "--n-lo", "1", "--n-hi", "0"),
+                 None, 2, "argument --n-hi: must be at least 1", id="coverage-n-hi-0"),
+    pytest.param(("series", "compare", "--e", "0", "--n", "0"),
+                 None, 2, "argument --n: must be at least 1", id="compare-n-0"),
 ])
 def test_exit_code_matrix(tmp_path, argv, text, code, message):
     if text is not None:

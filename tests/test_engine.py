@@ -11,10 +11,11 @@ from p3bundles.engine import Contradiction, DeductionGraph
 from p3bundles.engine.graph import GraphError, Kind, Node
 from p3bundles.engine.intervals import EmptyInterval, Interval
 from p3bundles.jsonio import content_hash
+from p3bundles.monad import MonadSpec, Series, _profile_graph, _summand_configs
 from p3bundles.oracle import h0_ideal, ideal_cohomology, sample_ruling
 
 
-def ideal_graph(k: int, twists, facts=True, seed=0):
+def ideal_graph(k: int, twists, facts=True, seed=0, propagate=True):
     """LES bookkeeping for k disjoint lines, seeded with oracle h0 facts."""
     cfg = sample_ruling(k - 1, seed)
     g = DeductionGraph()
@@ -27,8 +28,20 @@ def ideal_graph(k: int, twists, facts=True, seed=0):
     if facts:
         for t in twists:
             g.add_value_fact("ORACLE", "I", t, 0, h0_ideal(cfg, t))
-    g.propagate()
+    if propagate:
+        g.propagate()
     return g, cfg
+
+
+def monad_graph():
+    """The sigma0 (1, 0, 5) display graph of `monad profile` at twists -8..-1,
+    unpropagated, plus both triples at twist 0, where no summand is pinned:
+    R5 pins E1(0) and E2(0) from twist -4, and R6 carries them into the sum."""
+    spec = MonadSpec.create(Series.SIGMA0, 1, 0, 5)
+    g = _profile_graph(spec, range(-8, 0), _summand_configs(spec, 0))
+    g.materialize("TK", 0)
+    g.materialize("TE", 0)
+    return g
 
 
 def test_ideal_sequence_pins_everything():
@@ -49,14 +62,16 @@ def test_tables_alone_bound_but_do_not_pin():
     assert iv.lo == 0 and iv.hi is not None
 
 
-def test_propagation_order_is_irrelevant():
-    twists = range(-2, 7)
-    forward, _ = ideal_graph(4, twists)
-    reverse_g, cfg = ideal_graph(4, twists, facts=False)
-    for t in twists:
-        reverse_g.add_value_fact("ORACLE", "I", t, 0, h0_ideal(cfg, t))
-    reverse_g.propagate(order="reverse")
-    assert content_hash(forward.table()) == content_hash(reverse_g.table())
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ideal_graph(4, range(-2, 7), propagate=False)[0], id="ideal-lines"),
+    pytest.param(monad_graph, id="monad-sum-duality"),
+])
+def test_propagation_order_is_irrelevant(build):
+    forward, reverse = build(), build()
+    forward.propagate()
+    reverse.propagate(order="reverse")
+    assert content_hash(forward.table()) == content_hash(reverse.table())
+    assert content_hash(forward.table()) != content_hash(build().table())  # rules fired
 
 
 def test_wrong_fact_contradicts():

@@ -6,10 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from p3bundles.tables import (
-    chi_disjoint_conics,
-    chi_disjoint_lines,
     chi_p3_line_bundle,
-    chi_quadric,
     h_disjoint_conics,
     h_disjoint_lines,
     h_p1,
@@ -44,7 +41,7 @@ def test_p3_serre_duality(d):
 
 @given(degrees, degrees)
 def test_quadric_chi_and_symmetry(p, q):
-    assert h_quadric(p, q).chi() == chi_quadric(p, q)
+    assert h_quadric(p, q).chi() == (p + 1) * (q + 1)
     assert h_quadric(p, q) == h_quadric(q, p)
 
 
@@ -60,14 +57,14 @@ def test_quadric_mixed_signs():
 @given(counts, degrees)
 def test_disjoint_lines_chi(k, d):
     v = h_disjoint_lines(k, d)
-    assert v.chi() == chi_disjoint_lines(k, d) == k * (d + 1)
+    assert v.chi() == k * (d + 1)
     assert v.h2 == 0 and v.h3 == 0
 
 
 @given(counts, degrees)
 def test_disjoint_conics_chi(k, d):
     v = h_disjoint_conics(k, d)
-    assert v.chi() == chi_disjoint_conics(k, d) == k * (2 * d + 1)
+    assert v.chi() == k * (2 * d + 1)
 
 
 @given(counts, degrees)
