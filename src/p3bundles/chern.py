@@ -151,8 +151,3 @@ class ChernCharacter:
 
     def __repr__(self) -> str:
         return f"ch(rank={self.rank}, {self.ch1}, {self.ch2}, {self.ch3})"
-
-
-def rank2_character(c1: int, c2: int) -> ChernCharacter:
-    """Rank-2 character with c3 = 0, the shape every bundle here has."""
-    return ChernCharacter.from_classes(2, c1, c2, 0)

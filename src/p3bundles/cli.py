@@ -139,9 +139,6 @@ def _emit(payload: dict, cfg: RunConfig, text_lines: list[str]) -> None:
     if cfg.format == "json":
         rendered = canonical_json_pretty(payload) + "\n"
     elif cfg.format == "tsv":
-        if "tsv" not in payload:
-            raise UsageError("tsv output is only defined for record tables "
-                             "(series enumerate, series catalog)")
         rendered = payload["tsv"]
     else:
         rendered = "\n".join(text_lines) + "\n"
@@ -364,14 +361,17 @@ def _cmd_accept(args: argparse.Namespace, cfg: RunConfig) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
+    """--seed, --format, --out, --retry-budget; tsv is offered only by the
+    record tables (series enumerate, series catalog), whose default it is."""
     parser.add_argument("--seed", type=int, default=0,
                         help="root seed for all derived randomness (default 0)")
-    parser.add_argument("--format", choices=("json", "tsv", "text"),
-                        default=default_format,
+    parser.add_argument("--format", default=default_format,
+                        choices=("json", "tsv", "text") if default_format == "tsv"
+                        else ("json", "text"),
                         help=f"output format (default {default_format})")
     parser.add_argument("--out", help="output file; relative paths resolve "
                         "against $P3BUNDLES_OUT_DIR")
-    parser.add_argument("--retry-budget", type=int, default=64,
+    parser.add_argument("--retry-budget", type=_NONNEGATIVE, default=64,
                         help="sampling attempts per geometric object (default 64)")
 
 

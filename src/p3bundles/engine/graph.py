@@ -12,10 +12,12 @@ and the rule set then shrinks the dimension intervals monotonically:
       and chi-additivity across a triple solves or cross-checks instance chi.
   R2  exactness bound: each term is at most the sum of its two neighbours
       inside an exact run (boundaries count as zero).
-  R3  subadditivity h(B) <= h(A) + h(C), plus the one-sided monotonicities
-      h0(A) <= h0(B) and h3(C) <= h3(B).
-  R4  alternating sums over maximal exact runs: solve a single unknown, or
-      verify when fully pinned; negative solutions are contradictions.
+  R3  H0(A) -> H0(B) injects and H3(B) -> H3(C) surjects, so h0(B) >= h0(A)
+      and h3(B) >= h3(C).  The upper bounds h(B) <= h(A) + h(C),
+      h0(A) <= h0(B) and h3(C) <= h3(B) are R2's at the same slots.
+  R4  alternating sums over maximal exact runs are zero.  R1 and R4 share one
+      solver: it solves a single unknown, or verifies when fully pinned;
+      negative solutions are contradictions.
   R5  Serre duality h^i(F(t)) = h^{3-i}(F(-t - 4 - c1)) for rank-2 locally
       free nodes, applied whenever both twists exist.
   R6  direct sums: interval arithmetic between a sum node and its members.
@@ -28,6 +30,9 @@ and the rule set then shrinks the dimension intervals monotonically:
 Exact runs are delimited by pinned zero slots, by zero connecting maps,
 and by the two ends of the sequence.  A contradiction anywhere raises;
 nothing is ever reported as both proved and failed.
+
+The graph settles itself: every change that could let a rule fire marks it
+off its fixpoint, and the query `instance` propagates first when it is.
 """
 
 from __future__ import annotations
@@ -149,7 +154,8 @@ class TripleInstance:
 
 
 class DeductionGraph:
-    def __init__(self) -> None:
+    def __init__(self, order: str = "forward") -> None:
+        self.order = order  # "reverse" walks triples and instances backwards
         self.nodes: dict[str, Node] = {}
         self.sums: dict[str, list[str]] = {}
         self.triples: dict[str, list[tuple[str, int]]] = {}
@@ -159,6 +165,7 @@ class DeductionGraph:
         # is surjective once every premise triple's is
         self.implications: list[tuple[TripleInstance, tuple[TripleInstance, ...], str]] = []
         self.events: dict[tuple, dict] = {}  # latest derivation of each slot
+        self._settled = True  # at the rules' fixpoint; only propagate sets it
 
     # -- declarations --------------------------------------------------
 
@@ -174,6 +181,7 @@ class DeductionGraph:
         if node.kind in TABLES:
             raise GraphError(f"{name}: table nodes do not take characters")
         node.chern = ch
+        self._settled = False
         # retrofit chi on existing instances of this node
         for inst in self.instances.values():
             if inst.node_name == name and inst.chi is None:
@@ -207,6 +215,7 @@ class DeductionGraph:
             parts = tuple(self._instance(self._node(node_name), off + t)
                           for node_name, off in self.triples[name])
             self.tinsts[(name, t)] = TripleInstance(f"{name}@{t}", parts)
+            self._settled = False
         return self.tinsts[(name, t)]
 
     def add_diagram(self, domain_row, codomain_row, col_a, col_b, col_c) -> None:
@@ -222,6 +231,7 @@ class DeductionGraph:
                 raise GraphError(
                     f"diagram corner mismatch: column {pos} quotient "
                     f"{key_label(col.keys[2])} != codomain-row term {key_label(cod.keys[pos])}")
+        self._settled = False
         self.implications.append((
             cols[1], (dom, cols[0], cols[2]),
             f"R8: diagram chase with H0-epi columns {cols[0].name}, {cols[2].name} "
@@ -235,6 +245,7 @@ class DeductionGraph:
             raise GraphError("composition: factors do not chain")
         if t_second.keys[2] != t_out.keys[2]:
             raise GraphError("composition: second factor must share the target term")
+        self._settled = False
         self.implications.append((
             t_out, (t_first, t_second),
             f"R8: composite of H0-surjections {t_first.name} then {t_second.name}"))
@@ -250,20 +261,20 @@ class DeductionGraph:
         if i not in (0, 1, 2):
             raise GraphError("connecting maps are indexed 0..2")
         self._tinst((tname, t)).conn_origin.setdefault(i, f"fact:{tag}")
+        self._settled = False
 
     # -- queries -----------------------------------------------------------
 
+    def instance(self, node_name: str, t: int) -> Instance:
+        """The instance of a node at twist t, created if missing, at the
+        rules' fixpoint: the graph propagates first if it is off it."""
+        inst = self._instance(self._node(node_name), t)
+        if not self._settled:
+            self.propagate()
+        return inst
+
     def interval(self, node_name: str, t: int, degree: int) -> Interval:
-        return self.instance_for(node_name, t).h[degree]
-
-    def instance_for(self, node_name: str, t: int) -> Instance:
-        key = instance_key(self._node(node_name), t)
-        if key not in self.instances:
-            raise GraphError(f"no instance {key_label(key)}; twist a triple through it first")
-        return self.instances[key]
-
-    def ensure_instance(self, node_name: str, t: int) -> Instance:
-        return self._instance(self._node(node_name), t)
+        return self.instance(node_name, t).h[degree]
 
     def explain(self, node_name: str, t: int, degree: int, max_lines: int = 40) -> list[str]:
         """Flattened derivation chain for one slot, most recent rule first."""
@@ -286,12 +297,12 @@ class DeductionGraph:
 
     # -- propagation -------------------------------------------------------
 
-    def propagate(self, order: str = "forward") -> None:
+    def propagate(self) -> None:
         # propagation creates no instance and changes no character, so the
         # structure every round walks is resolved once
         tlist = list(self.tinsts.values())
         ilist = list(self.instances.values())
-        if order == "reverse":
+        if self.order == "reverse":
             tlist.reverse()
             ilist.reverse()
         pairs = self._duality_pairs()
@@ -304,12 +315,13 @@ class DeductionGraph:
             changed |= self._rule_implications()
             for ti in tlist:
                 changed |= self._rule_segments(ti)
-                changed |= self._rule_subadditivity(ti)
+                changed |= self._rule_monotone(ti)
             for inst in ilist:
                 changed |= self._rule_chi(inst)
             changed |= self._rule_duality(pairs)
             changed |= self._rule_sums(groups)
             if not changed:
+                self._settled = True
                 return
         raise EngineError("propagation did not stabilize")
 
@@ -388,11 +400,11 @@ class DeductionGraph:
                 changed = True
         return changed
 
-    def _segments(self, ti: TripleInstance) -> list[list[int]]:
-        """Maximal exact runs of slot indices (0..11), zero slots excluded."""
+    def _segments(self, ti: TripleInstance) -> list[list[tuple[Instance, int]]]:
+        """Maximal exact runs of LES slots, zero slots excluded."""
         splits_after = {3 * i + 2 for i in ti.conn_origin}  # conn_i kills delta_i
-        segments: list[list[int]] = []
-        current: list[int] = []
+        segments: list[list[tuple[Instance, int]]] = []
+        current: list[tuple[Instance, int]] = []
         for idx, (inst, deg) in enumerate(ti.slots):
             iv = inst.h[deg]
             if iv.pinned and iv.value == 0:
@@ -400,7 +412,7 @@ class DeductionGraph:
                     segments.append(current)
                 current = []
             else:
-                current.append(idx)
+                current.append((inst, deg))
             if idx in splits_after and current:
                 segments.append(current)
                 current = []
@@ -410,77 +422,52 @@ class DeductionGraph:
 
     def _rule_segments(self, ti: TripleInstance) -> bool:
         changed = False
-        for seg in self._segments(ti):
-            run = [(inst, deg, inst.h[deg]) for inst, deg in (ti.slots[idx] for idx in seg)]
+        bound, alternating = f"R2 exactness bound in {ti.name}", f"R4 alternating sum in {ti.name}"
+        for run in self._segments(ti):
             # R2: term <= left + right within the run, boundaries are zero
-            for pos, (inst, deg, iv) in enumerate(run):
-                left = run[pos - 1][2].hi if pos > 0 else 0
-                right = run[pos + 1][2].hi if pos + 1 < len(run) else 0
-                if left is None or right is None:
-                    continue
-                src = [(n.key, d) for n, d, _ in run[max(pos - 1, 0):pos] + run[pos + 1:pos + 2]]
-                changed |= self._narrow(inst, deg, 0, left + right,
-                                        f"R2 exactness bound in {ti.name}", src)
-            # R4: alternating sum over the run is zero
-            unknown = [pos for pos, (_, _, iv) in enumerate(run) if not iv.pinned]
-            if len(unknown) > 1:
-                continue
-            total = sum((-1) ** pos * iv.value for pos, (_, _, iv) in enumerate(run) if iv.pinned)
-            if not unknown:
-                if total != 0:
-                    raise Contradiction(
-                        f"{ti.name}: exact run {self._run_repr(ti, seg)} has alternating sum {total}")
-                continue
-            target, degree, target_iv = run[unknown[0]]
-            value = -total * (-1) ** unknown[0]
-            if value < 0:
-                raise Contradiction(
-                    f"{ti.name}: exact run solves h{degree}({target.label}) = {value} < 0")
-            srcs = [(n.key, d) for n, d, iv in run if iv is not target_iv]
-            changed |= self._narrow(target, degree, value, value,
-                                    f"R4 alternating sum in {ti.name}", srcs)
+            for pos, (inst, deg) in enumerate(run):
+                neighbours = run[max(pos - 1, 0):pos] + run[pos + 1:pos + 2]
+                his = [n.h[d].hi for n, d in neighbours]
+                if None not in his:
+                    changed |= self._narrow(inst, deg, 0, sum(his), bound,
+                                            [(n.key, d) for n, d in neighbours])
+            changed |= self._solve_alternating(run, 0, alternating)
         return changed
 
-    def _run_repr(self, ti: TripleInstance, seg: list[int]) -> str:
-        return " -> ".join(f"h{d}({inst.label})" for inst, d in (ti.slots[i] for i in seg))
-
-    def _rule_subadditivity(self, ti: TripleInstance) -> bool:
-        changed = False
+    def _rule_monotone(self, ti: TripleInstance) -> bool:
         a, b, c = ti.parts
-        for deg in range(4):
-            if a.h[deg].hi is not None and c.h[deg].hi is not None:
-                changed |= self._narrow(b, deg, 0, a.h[deg].hi + c.h[deg].hi,
-                                        f"R3 subadditivity in {ti.name}",
-                                        [(a.key, deg), (c.key, deg)])
-        injects, surjects = f"R3 h0 injects in {ti.name}", f"R3 h3 surjects in {ti.name}"
-        changed |= self._narrow(a, 0, 0, b.h[0].hi, injects, [(b.key, 0)])
-        changed |= self._narrow(b, 0, a.h[0].lo, None, injects, [(a.key, 0)])
-        changed |= self._narrow(c, 3, 0, b.h[3].hi, surjects, [(b.key, 3)])
-        changed |= self._narrow(b, 3, c.h[3].lo, None, surjects, [(c.key, 3)])
-        return changed
+        return (self._narrow(b, 0, a.h[0].lo, None, f"R3 h0 injects in {ti.name}", [(a.key, 0)])
+                | self._narrow(b, 3, c.h[3].lo, None, f"R3 h3 surjects in {ti.name}",
+                               [(c.key, 3)]))
 
     def _rule_chi(self, inst: Instance) -> bool:
         if inst.chi is None:
             return False
-        signs = (1, -1, 1, -1)
-        unknown = [i for i in range(4) if not inst.h[i].pinned]
-        if not unknown:
-            total = sum(s * iv.value for s, iv in zip(signs, inst.h))
-            if total != inst.chi:
-                raise Contradiction(
-                    f"{inst.label}: pinned vector {[iv.value for iv in inst.h]} "
-                    f"has chi {total}, expected {inst.chi}")
-            return False
+        return self._solve_alternating([(inst, deg) for deg in range(4)], inst.chi,
+                                       f"R1 chi solve (chi = {inst.chi}, {inst.chi_origin})")
+
+    def _solve_alternating(self, slots: list[tuple[Instance, int]], total: int,
+                           rule: str) -> bool:
+        """h(slot 0) - h(slot 1) + h(slot 2) - ... = total: verify it when every
+        slot is pinned, solve it when exactly one is not."""
+        ivs = [inst.h[deg] for inst, deg in slots]
+        unknown = [pos for pos, iv in enumerate(ivs) if not iv.pinned]
         if len(unknown) > 1:
             return False
-        i = unknown[0]
-        rest = sum(signs[j] * inst.h[j].value for j in range(4) if j != i)
-        value = (inst.chi - rest) * signs[i]
+        rest = sum((-1) ** pos * iv.value for pos, iv in enumerate(ivs) if iv.pinned)
+        if not unknown:
+            if rest != total:
+                terms = ", ".join(f"h{deg}({inst.label})" for inst, deg in slots)
+                raise Contradiction(f"{rule}: pinned values {[iv.value for iv in ivs]} of "
+                                    f"{terms} have alternating sum {rest}, expected {total}")
+            return False
+        pos = unknown[0]
+        target, degree = slots[pos]
+        value = (total - rest) * (-1) ** pos
         if value < 0:
-            raise Contradiction(f"{inst.label}: chi solve gives h{i} = {value} < 0")
-        srcs = [(inst.key, j) for j in range(4) if j != i]
-        return self._narrow(inst, i, value, value,
-                            f"R1 chi solve (chi = {inst.chi}, {inst.chi_origin})", srcs)
+            raise Contradiction(f"{rule} gives h{degree}({target.label}) = {value} < 0")
+        return self._narrow(target, degree, value, value, rule,
+                            [(inst.key, deg) for p, (inst, deg) in enumerate(slots) if p != pos])
 
     def _rule_duality(self, pairs: list[tuple[Instance, Instance]]) -> bool:
         changed = False
@@ -543,6 +530,7 @@ class DeductionGraph:
             chi = node.chern.twist(t).chi() if node.chern is not None else None
             inst = Instance(key, node.name, t, h, chi, "character" if chi is not None else "")
         self.instances[key] = inst
+        self._settled = False
         # creating a member instance of a sum keeps R6 complete
         if node.name in self.sums:
             for m in self.sums[node.name]:
@@ -565,6 +553,7 @@ class DeductionGraph:
         if changed:
             self.events[(inst.key, degree)] = {"rule": rule, "sources": sources,
                                                "result": repr(iv)}
+            self._settled = False
         return changed
 
     # -- reporting --------------------------------------------------------

@@ -47,7 +47,6 @@ from p3bundles.engine.graph import (
     GraphError,
     Kind,
     Node,
-    instance_key,
 )
 from p3bundles.jsonio import content_hash
 from p3bundles.oracle import (
@@ -202,13 +201,11 @@ class ScriptRunner:
         self.lines = text.splitlines()
         self.env = {k: int(v) for k, v in params.items()}
         self.seed = int(seed)
-        self.order = order
-        self.graph = DeductionGraph()
+        self.graph = DeductionGraph(order)
         self.configs: dict[str, GeometryConfig] = {}
         # node name -> (oracle kind: ideal, serre or points, config it reads)
         self.bindings: dict[str, tuple[str, GeometryConfig]] = {}
         self.report = ScriptReport(name, dict(self.env), self.seed)
-        self._dirty = False
         self._declared_params: set[str] = set()
 
     # -- geometry ---------------------------------------------------------
@@ -357,14 +354,12 @@ class ScriptRunner:
         name = args[0]
         rank, c1, c2, c3 = (_as_int(a, self.env) for a in args[1:])
         self.graph.set_chern(name, ChernCharacter.from_classes(rank, c1, c2, c3))
-        self._dirty = True
 
     def _cmd_sum(self, args: list[str]) -> None:
         if len(args) < 4 or args[1] != "=":
             raise ScriptError("sum NAME = A + B [+ ...]")
         members = [a for a in args[2:] if a != "+"]
         self.graph.add_sum(args[0], members)
-        self._dirty = True
 
     def _slot(self, token: str) -> tuple[str, int]:
         name, _, off = token.partition("@")
@@ -379,7 +374,6 @@ class ScriptRunner:
         if len(args) != 2:
             raise ScriptError("twist TRIPLE T")
         self.graph.materialize(args[0], _as_int(args[1], self.env))
-        self._dirty = True
 
     def _cmd_fact(self, args: list[str]) -> None:
         tag = args[0]
@@ -408,7 +402,6 @@ class ScriptRunner:
             self.report.facts.append({"tag": tag, "what": f"h{degree}",
                                       "node": node_name, "twist": t, "value": value,
                                       "verified": verified})
-            self._dirty = True
         elif what == "epi":
             tname, t_tok = args[2], args[3]
             t = _as_int(t_tok, self.env)
@@ -420,7 +413,6 @@ class ScriptRunner:
             self.graph.add_conn_fact(tag, tname, t, 0)
             self.report.facts.append({"tag": tag, "what": "epi", "triple": tname,
                                       "twist": t, "verified": verified})
-            self._dirty = True
         elif what == "conn":
             tname, t_tok, i_tok = args[2], args[3], args[4]
             if tag == "ORACLE":
@@ -430,29 +422,24 @@ class ScriptRunner:
             self.report.facts.append({"tag": tag, "what": "conn", "triple": tname,
                                       "twist": _as_int(t_tok, self.env),
                                       "verified": None})
-            self._dirty = True
         else:
             raise ScriptError(f"unknown fact form {what!r}")
 
     def _verify_epi(self, tname: str, t: int) -> bool:
         """H0(B) -> H0(C) surjectivity for evaluation-onto-marked-points triples."""
-        self.graph.materialize(tname, t)
-        slots = self.graph.triples[tname]
-        b_node = self.graph.nodes[slots[1][0]]
-        c_node = self.graph.nodes[slots[2][0]]
+        ti = self.graph.materialize(tname, t)
+        b_node, c_node = (self.graph.nodes[name] for name, _ in self.graph.triples[tname][1:])
         if c_node.kind is not Kind.POINTS or c_node.name not in self.bindings:
             raise ScriptError(f"epi fact on {tname}: quotient must be bound marked points")
         points = self.bindings[c_node.name][1].marked
         if len(points) != c_node.params[0]:
             raise ScriptError(f"epi fact on {tname}: {len(points)} marked points bound, "
                               f"node expects {c_node.params[0]}")
-        b_twist = slots[1][1] + t
+        b_params = ti.parts[1].key[1:]  # B's params, twisted
         if b_node.kind is Kind.QUADRIC:
-            p, q = b_node.params[0] + b_twist, b_node.params[1] + b_twist
-            return quadric_restriction_onto_points_surjective(points, p, q)
+            return quadric_restriction_onto_points_surjective(points, *b_params)
         if b_node.kind is Kind.LINE:
-            k = b_node.params[0] + b_twist
-            return restriction_onto_points_surjective([mp.point for mp in points], k)
+            return restriction_onto_points_surjective([mp.point for mp in points], *b_params)
         raise ScriptError(f"epi fact on {tname}: unsupported source kind {b_node.kind}")
 
     def _cmd_annotate(self, args: list[str]) -> None:
@@ -461,7 +448,6 @@ class ScriptRunner:
                 raise ScriptError("annotate diagram DOM T COD T COLA T COLB T COLC T")
             refs = [(args[i], _as_int(args[i + 1], self.env)) for i in range(1, 11, 2)]
             self.graph.add_diagram(*refs)
-            self._dirty = True
         elif args[0] == "compose":
             rest = " ".join(args[1:])
             m = re.match(r"(\S+)\s+(\S+)\s*=\s*(\S+)\s+(\S+)\s*;\s*(\S+)\s+(\S+)$", rest)
@@ -472,7 +458,6 @@ class ScriptRunner:
             first = (g[2], _as_int(g[3], self.env))
             second = (g[4], _as_int(g[5], self.env))
             self.graph.add_composition(out, first, second)
-            self._dirty = True
         else:
             raise ScriptError(f"unknown annotate form {args[0]!r}")
 
@@ -486,14 +471,7 @@ class ScriptRunner:
         value = _as_int(args[4], self.env)
         if relation not in ("=", "<="):
             raise ScriptError("assert relation must be = or <=")
-        node = self.graph._node(node_name)
-        if instance_key(node, t) not in self.graph.instances:
-            self.graph.ensure_instance(node_name, t)
-            self._dirty = True
-        if self._dirty:
-            self.graph.propagate(order=self.order)
-            self._dirty = False
-        inst = self.graph.instance_for(node_name, t)
+        inst = self.graph.instance(node_name, t)
         iv, label = inst.h[degree], inst.label
         if relation == "=":
             entailed = iv.pinned and iv.value == value
@@ -518,13 +496,12 @@ class ScriptRunner:
     # -- agreement sweep ---------------------------------------------------
 
     def _agreement_sweep(self) -> None:
-        if self._dirty:
-            self.graph.propagate(order=self.order)
-            self._dirty = False
         checked = 0
         mismatches = []
         for key in sorted(self.graph.instances, key=lambda k: (str(k[0]), k[1:])):
-            inst = self.graph.instances[key]
+            stored = self.graph.instances[key]
+            # the first query settles the graph
+            inst = self.graph.instance(stored.node_name, stored.twist)
             kind, _ = self.bindings.get(inst.node_name, ("", None))
             node = self.graph.nodes[inst.node_name]
             if kind not in ("ideal", "serre") or node.kind is not Kind.SHEAF:

@@ -219,7 +219,6 @@ def h1_intervals(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, 
         raise ValueError("empty twist interval")
     twists = range(lo, hi + 1)
     graph = _profile_graph(spec, twists, _summand_configs(spec, seed))
-    graph.propagate()
     return {t: graph.interval("F", t, 1) for t in twists}
 
 
@@ -373,10 +372,6 @@ def identity_report(series: Series, m: int, eps: int, a: int) -> list[dict]:
             ["h0(End bbE)=2: identity endomorphisms of two non-isomorphic "
              "stable summands", "h2,h3 vanish"]))
     return out
-
-
-def intermediate_dims(spec: MonadSpec) -> list[dict]:
-    return identity_report(spec.series, spec.m, spec.eps, spec.a)
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,6 @@ def ideal_cohomology(cfg: GeometryConfig, k: int) -> CohomologyVector:
     return CohomologyVector(h0, h1, h2, h3)
 
 
-def h1_ideal(cfg: GeometryConfig, k: int) -> int:
-    return ideal_cohomology(cfg, k).h1
-
-
 def serre_cohomology(cfg: GeometryConfig, l: int) -> CohomologyVector:
     """Full vector of the rank-2 extension bundle twisted by l."""
     if cfg.serre_shift is None:

@@ -11,7 +11,6 @@ from p3bundles.chern import (
     NonIntegerChi,
     NonIntegralClasses,
     RankUnsupported,
-    rank2_character,
 )
 
 twists = st.integers(min_value=-20, max_value=20)
@@ -30,8 +29,8 @@ def test_rank2_chi_matches_closed_form(c1, c2, t):
     c1 c2 must be even or no bundle has these classes and chi is fractional.
     """
     assume(c1 * c2 % 2 == 0)
-    twisted_classes = rank2_character(c1 + 2 * t, c2 + c1 * t + t * t).chi()
-    assert rank2_character(c1, c2).twist(t).chi() == twisted_classes
+    twisted_classes = ChernCharacter.from_classes(2, c1 + 2 * t, c2 + c1 * t + t * t, 0).chi()
+    assert ChernCharacter.from_classes(2, c1, c2, 0).twist(t).chi() == twisted_classes
 
 
 def test_from_classes_round_trips():
@@ -42,13 +41,13 @@ def test_from_classes_round_trips():
 
 @given(small, small, twists, twists)
 def test_twist_composes(c1, c2, s, t):
-    ch = rank2_character(c1, c2)
+    ch = ChernCharacter.from_classes(2, c1, c2, 0)
     assert ch.twist(s).twist(t) == ch.twist(s + t)
 
 
 @given(small, small)
 def test_dual_is_an_involution(c1, c2):
-    ch = rank2_character(c1, c2)
+    ch = ChernCharacter.from_classes(2, c1, c2, 0)
     assert ch.dual().dual() == ch
 
 
@@ -60,14 +59,14 @@ def test_dual_negates_odd_components():
 @given(small, small)
 def test_square_splits_into_sym_and_wedge(c1, c2):
     """ch(E (x) E) = ch(S^2 E) + ch(/\\^2 E), checked componentwise."""
-    ch = rank2_character(c1, c2)
+    ch = ChernCharacter.from_classes(2, c1, c2, 0)
     square = ch * ch
     split = ch.sym2() + ch.wedge2()
     assert square == split
 
 
 def test_sum_and_difference_are_inverse():
-    a = rank2_character(0, 5)
+    a = ChernCharacter.from_classes(2, 0, 5, 0)
     b = ChernCharacter.of_line_bundle(-2)
     assert (a + b) - b == a
 
@@ -94,10 +93,10 @@ def test_monad_middle_term_characters():
     even = ChernCharacter.from_classes(2, 0, 3, 0)
     assert even.chi() == 2 - 2 * 3          # chi(E) = 2 - 2 c2 at c1 = 0
     # the sampled charge-1 extension bundle has h(E(-1)) = (0, 1, 0, 0)
-    assert rank2_character(0, 1).twist(-1).chi() == -1
+    assert ChernCharacter.from_classes(2, 0, 1, 0).twist(-1).chi() == -1
 
 
 def test_endomorphism_character_chi():
     # chi(E (x) E^dual) = 4 - 8 c2 for c1 = 0: rank 4, ch2 = -4 c2, odd parts cancel
-    ch = rank2_character(0, 2)
+    ch = ChernCharacter.from_classes(2, 0, 2, 0)
     assert (ch * ch.dual()).chi() == 4 - 8 * 2

@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from p3bundles import cli
 from p3bundles.cli import main
 from p3bundles.oracle import configs, sample_ruling
 
@@ -134,6 +135,10 @@ SIGMA0_24 = ("--series", "sigma0", "--m", "19", "--eps", "0", "--a", "24")
                  None, 2, "argument --n-hi: must be at least 1", id="coverage-n-hi-0"),
     pytest.param(("series", "compare", "--e", "0", "--n", "0"),
                  None, 2, "argument --n: must be at least 1", id="compare-n-0"),
+    pytest.param(("oracle", "serre", "--kind", "ruling", "--m", "1", "--twist", "0",
+                  "--retry-budget", "-1"),
+                 None, 2, "argument --retry-budget: must be at least 0",
+                 id="retry-budget-negative"),
 ])
 def test_exit_code_matrix(tmp_path, argv, text, code, message):
     if text is not None:
@@ -142,6 +147,19 @@ def test_exit_code_matrix(tmp_path, argv, text, code, message):
     assert got == code
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("op", ["profile", "checks"])
+def test_tsv_is_rejected_before_any_work(monkeypatch, op):
+    def fail(*args, **kwargs):
+        raise AssertionError("the command ran before its --format was checked")
+
+    monkeypatch.setattr(cli, "h1_intervals", fail)
+    monkeypatch.setattr(cli, "middle_term_checks", fail)
+    code, _, err = run_cli("monad", op, "--series", "sigma0", "--m", "1", "--eps", "0",
+                           "--a", "5", "--format", "tsv")
+    assert code == 2
+    assert "argument --format: invalid choice: 'tsv'" in err
 
 
 def test_retry_budget_is_restored_after_the_command():

@@ -20,7 +20,6 @@ from p3bundles.monad import (
     h1_profile,
     identity_report,
     in_strict_range,
-    intermediate_dims,
     middle_term_checks,
     recover_spectrum,
     spectrum,
@@ -221,11 +220,6 @@ def test_identity_report_examples():
 def test_identity_routes_always_agree(m, eps, a):
     for series in (Series.SIGMA0, Series.SIGMA1):
         assert all(r["equal"] for r in identity_report(series, m, eps, a))
-
-
-def test_intermediate_dims_wraps_identity_report():
-    spec = MonadSpec.create(Series.SIGMA0, 1, 0, 5)
-    assert intermediate_dims(spec) == identity_report(Series.SIGMA0, 1, 0, 5)
 
 
 # -- middle-term report ----------------------------------------------------------

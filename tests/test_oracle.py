@@ -13,7 +13,6 @@ from p3bundles.oracle import (
     SamplingFailed,
     config_hash,
     h0_ideal,
-    h1_ideal,
     ideal_cohomology,
     join_configs,
     marked_point_evaluation_surjective,
@@ -95,7 +94,6 @@ def test_ideal_chi_identity(m, seed, k):
     vec = ideal_cohomology(cfg, k)
     assert vec.chi() == chi_p3_line_bundle(k) - structure_cohomology(cfg, k).chi()
     assert vec.h0 == h0_ideal(cfg, k)
-    assert vec.h1 == h1_ideal(cfg, k)
     assert min(vec.as_tuple()) >= 0
 
 
@@ -112,7 +110,7 @@ def test_h0_ideal_monotone_in_degree(m, seed):
 def test_restriction_surjectivity_matches_h1(m, seed):
     cfg = sample_ruling(m, seed)
     for k in range(0, 5):
-        assert restriction_onto_lines_surjective(cfg, k) == (h1_ideal(cfg, k) == 0)
+        assert restriction_onto_lines_surjective(cfg, k) == (ideal_cohomology(cfg, k).h1 == 0)
 
 
 def test_forms_through_ruling_lines():
@@ -120,13 +118,13 @@ def test_forms_through_ruling_lines():
     cfg = sample_ruling(1, 0)
     assert h0_ideal(cfg, 1) == 0
     assert h0_ideal(cfg, 2) == 4
-    assert h1_ideal(cfg, 0) == 1
+    assert ideal_cohomology(cfg, 0).h1 == 1
     # five ruling lines: only the quadric in degree 2, only its multiples in
     # degree 3, and the four missed cubic conditions reappear as h^1
     big = sample_ruling(4, 0)
     assert h0_ideal(big, 2) == 1
     assert h0_ideal(big, 3) == 4
-    assert h1_ideal(big, 3) == 4
+    assert ideal_cohomology(big, 3).h1 == 4
 
 
 @given(charges, seeds, st.integers(min_value=-6, max_value=6))
