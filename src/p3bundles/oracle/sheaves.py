@@ -12,6 +12,10 @@ valid for every k because the ambient middle cohomology of line bundles on
 P^3 vanishes identically.  Rank-2 bundles arriving through an extension
 0 -> O(s) -> E -> I_Y(t) -> 0 inherit h^0 and h^1 from the ideal side the
 same way, and the top half of their vector comes from Serre duality.
+
+The restriction matrix is stacked from int64 blocks of residues mod p, which
+give the modular rank; its exact integer rows are built only when that rank
+does not certify the answer (see ``linalg``).
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from p3bundles.oracle.configs import GeometryConfig, MarkedPoint, Point4
 from p3bundles.oracle.linalg import (
     bidegree_evaluation_row,
+    exact_restriction_rows,
     full_row_rank,
     line_restriction_block,
     nullity_certified,
@@ -52,11 +59,9 @@ def chi_ideal(cfg: GeometryConfig, k: int) -> int:
     return chi_p3_line_bundle(k) - structure_cohomology(cfg, k).chi()
 
 
-def _restriction_rows(cfg: GeometryConfig, k: int) -> list[tuple[int, ...]]:
-    rows: list[tuple[int, ...]] = []
-    for line in cfg.lines:
-        rows.extend(line_restriction_block(line, k))
-    return rows
+def _restriction_rows(cfg: GeometryConfig, k: int) -> list[np.ndarray]:
+    """The int64 rows (residues mod p) of the stacked restriction matrix."""
+    return [row for line in cfg.lines for row in line_restriction_block(line, k)]
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +72,8 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
     n_cols = comb(k + 3, 3)
     ov = structure_cohomology(cfg, k)
     lower = chi_ideal(cfg, k) - ov.h1  # h^1(I) >= 0 rearranged; h^3(O(k)) = 0 here
-    return nullity_certified(_restriction_rows(cfg, k), n_cols, lower)
+    return nullity_certified(_restriction_rows(cfg, k), n_cols, lower,
+                             lambda: exact_restriction_rows(cfg.lines, k))
 
 
 def clear_caches() -> None:
@@ -127,8 +133,8 @@ def restriction_onto_lines_surjective(cfg: GeometryConfig, k: int) -> bool:
     """
     if k < 0:
         return not cfg.lines
-    rows = _restriction_rows(cfg, k)
-    return full_row_rank(rows)
+    return full_row_rank(_restriction_rows(cfg, k),
+                         lambda: exact_restriction_rows(cfg.lines, k))
 
 
 def marked_point_evaluation_surjective(cfg: GeometryConfig, k: int) -> bool:
