@@ -1,6 +1,7 @@
 """The summarising half of tools/bench_snapshot.py, on made-up run results."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,30 @@ def test_compare_counts_wins_in_each_metric_direction():
     assert c["runs_per_s"] == {"median_ratio": 8.0 / 5.0, "second_wins": 2, "pairs": 3}
     assert c["peak_rss_mb"] == {"median_ratio": 0.95, "second_wins": 2, "pairs": 3}
     assert "setup_s" not in c
+
+
+def test_pairs_alternate_which_tree_runs_first():
+    labels = ["parent", "change"]
+    orders = [bench_snapshot.pair_order(labels, i) for i in range(4)]
+    assert orders == [labels, labels[::-1], labels, labels[::-1]]
+    assert labels == ["parent", "change"]
+
+
+def test_snapshots_append_to_the_out_file(tmp_path):
+    out = tmp_path / "BENCH.json"
+    bench_snapshot.append_snapshot(out, {"seed": 0})
+    doc = bench_snapshot.append_snapshot(out, {"seed": 7})
+    assert doc == {"snapshots": [{"seed": 0}, {"seed": 7}]}
+    assert json.loads(out.read_text("utf-8")) == doc
+
+
+def test_workloads_come_from_the_trees_benchmark_spec(tmp_path, capsys):
+    root = _PATH.parents[1]
+    with pytest.raises(SystemExit) as exc:
+        bench_snapshot.main(["--tree", f"here={root}", "--workload", "no-such-sweep",
+                             "--out", str(tmp_path / "BENCH.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    spec = json.loads((root / "BENCHMARK.json").read_text("utf-8"))
+    assert all(w["name"] in err for w in spec["workloads"])
+    assert not (tmp_path / "BENCH.json").exists()

@@ -5,19 +5,24 @@
         --runs 10 --workload conic-sweep --acceptance --out BENCH.json
 
 For each tree (a checkout with ``perfbench/run.py`` and ``src/``) and each
-workload, it runs ``python3 perfbench/run.py --workload W --seed S --seconds
-T --trace 0`` ``--runs`` times, then once with ``--trace 1``, and reads the
-JSON object on the last line of each invocation's standard output.  With
-several trees the invocations alternate between them, run by run, so slow
-drifts of the machine fall on every tree alike.  ``--acceptance`` also runs
-``acceptance.run_all`` once per tree in a fresh process and records its
-per-criterion wall times (11 is the cold second pass) and peak RSS.
+workload, it runs ``python3 perfbench/run.py --workload W --seed S --trace 0``
+``--runs`` times, then once with ``--trace 1``, and reads the JSON object on
+the last line of each invocation's standard output.  The run length is the
+benchmark's own default.  With two trees the runs come in pairs, one run of
+each tree, and the tree that runs first alternates from pair to pair, so
+neither slow drifts of the machine nor the position in a pair favour one
+tree.  ``--acceptance`` also runs ``acceptance.run_all`` once per tree in a
+fresh process and records its per-criterion wall times (11 is the cold
+second pass) and peak RSS.
 
-The output holds, per tree and workload: every run's end-to-end metrics,
-their medians and min-max ranges, the traced per-layer metrics, and how many
-runs were attempted and failed.  With two trees it adds, per metric, the
-ratio of the medians (second over first) and how many of the run pairs the
-second tree won.
+The workloads and each metric's better direction come from the first tree's
+``BENCHMARK.json``.  The snapshot holds, per tree and workload: every run's
+end-to-end metrics, their medians and min-max ranges, the traced per-layer
+metrics, and how many runs were attempted and failed.  With two trees it
+records which tree ran first in each pair and adds, per metric, the ratio of
+the medians (second over first) and how many of the pairs the second tree
+won.  The snapshot is appended to the ``snapshots`` list of ``--out``, which
+is created if it does not exist.
 """
 
 from __future__ import annotations
@@ -25,12 +30,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
-
-WORKLOADS = ("pair-sweep", "conic-sweep", "spectrum-sweep")
 
 ACCEPTANCE = """\
 import json, resource, time
@@ -51,10 +56,10 @@ def last_json_line(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def bench_run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One invocation of the tree's own benchmark command; its result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-           str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
@@ -102,32 +107,53 @@ def compare(first: list[dict], second: list[dict], better: dict[str, str]) -> di
     return out
 
 
-def snapshot(trees: dict[str, Path], workloads: list[str], runs: int, seed: int,
-             seconds: int, acceptance: bool) -> dict:
+def pair_order(labels: list[str], i: int) -> list[str]:
+    """The order in which pair ``i`` runs the trees: reversed on odd pairs."""
+    return labels if i % 2 == 0 else labels[::-1]
+
+
+def machine() -> dict:
+    return {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+            "numpy": metadata.version("numpy")}
+
+
+def snapshot(trees: dict[str, Path], spec: dict, workloads: list[str], runs: int,
+             seed: int, acceptance: bool) -> dict:
     labels = list(trees)
-    out: dict = {"seed": seed, "seconds": seconds, "runs": runs,
+    out: dict = {"machine": machine(), "seed": seed, "runs": runs, "workloads": workloads,
                  "trees": {label: {"workloads": {}} for label in labels}}
     for workload in workloads:
         timed: dict[str, list[dict]] = {label: [] for label in labels}
+        firsts = []
         for i in range(runs):
-            for label in labels:
-                timed[label].append(bench_run(trees[label], workload, seed, seconds, 0))
+            order = pair_order(labels, i)
+            firsts.append(order[0])
+            for label in order:
+                timed[label].append(bench_run(trees[label], workload, seed, 0))
                 print(f"{workload} run {i + 1}/{runs} {label}: {timed[label][-1]}",
                       file=sys.stderr)
         for label in labels:
-            traced = bench_run(trees[label], workload, seed, seconds, 1)
+            traced = bench_run(trees[label], workload, seed, 1)
             out["trees"][label]["workloads"][workload] = {
                 "runs": timed[label], **summarize(timed[label]),
                 "traced": traced}
         if len(labels) == 2:
-            spec = json.loads((trees[labels[0]] / "BENCHMARK.json").read_text("utf-8"))
             better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+            out.setdefault("first_in_pair", {})[workload] = firsts
             out.setdefault("compare", {})[workload] = compare(
                 timed[labels[0]], timed[labels[1]], better)
     if acceptance:
         for label in labels:
             out["trees"][label]["acceptance"] = acceptance_run(trees[label])
     return out
+
+
+def append_snapshot(path: Path, snap: dict) -> dict:
+    """``path``'s snapshot file with ``snap`` appended to its ``snapshots``."""
+    doc = json.loads(path.read_text("utf-8")) if path.exists() else {"snapshots": []}
+    doc["snapshots"].append(snap)
+    path.write_text(json.dumps(doc, indent=1) + "\n", "utf-8")
+    return doc
 
 
 def _tree(arg: str) -> tuple[str, Path]:
@@ -144,19 +170,24 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", type=_tree, action="append", required=True,
                     help="LABEL=PATH of a checkout; give two to compare them")
-    ap.add_argument("--workload", choices=WORKLOADS, action="append")
+    ap.add_argument("--workload", action="append",
+                    help="a workload of the first tree's BENCHMARK.json (default: all)")
     ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=int, default=40)
     ap.add_argument("--acceptance", action="store_true")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     trees = dict(args.tree)
     if len(trees) != len(args.tree):
         ap.error("tree labels must be distinct")
-    result = snapshot(trees, args.workload or list(WORKLOADS), args.runs, args.seed,
-                      args.seconds, args.acceptance)
-    args.out.write_text(json.dumps(result, indent=1) + "\n", "utf-8")
+    spec = json.loads((args.tree[0][1] / "BENCHMARK.json").read_text("utf-8"))
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(known))
+    if unknown:
+        ap.error(f"unknown workload {', '.join(unknown)}; choose from {', '.join(known)}")
+    snap = snapshot(trees, spec, args.workload or known, args.runs, args.seed,
+                    args.acceptance)
+    append_snapshot(args.out, snap)
     return 0
 
 
