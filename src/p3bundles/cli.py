@@ -55,6 +55,7 @@ from p3bundles.monad import (
     summand_character,
 )
 from p3bundles.oracle import (
+    DEFAULT_RETRY_BUDGET,
     config_hash,
     ideal_cohomology,
     marked_point_evaluation_surjective,
@@ -64,7 +65,6 @@ from p3bundles.oracle import (
     sample_ruling,
     serre_cohomology,
 )
-from p3bundles.oracle import configs as oracle_configs
 
 SCHEMA_VERSION = 1
 
@@ -77,7 +77,7 @@ class RunConfig:
     seed: int = 0
     format: str = "json"
     out: str | None = None
-    retry_budget: int = 64
+    retry_budget: int = DEFAULT_RETRY_BUDGET
     script_path: str | None = None
     bounds: dict = field(default_factory=dict)
 
@@ -162,7 +162,8 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> None:
               if v is not None}
     text = (_read_script_file(cfg.script_path) if cfg.script_path
             else load_bundled_script(args.script))
-    report = run_script_text(args.script, text, params, seed=cfg.seed, order=args.order)
+    report = run_script_text(args.script, text, params, seed=cfg.seed, order=args.order,
+                             retry_budget=cfg.retry_budget)
     agreement = report.agreement
     lines = [f"PASS {args.script} {params} seed={cfg.seed}",
              f"asserts entailed: {len(report.asserts)}",
@@ -184,10 +185,10 @@ def _read_script_file(path: str) -> str:
 
 def _sampled_config(args: argparse.Namespace, cfg: RunConfig):
     if args.kind == "ruling":
-        return sample_ruling(args.m, cfg.seed)
+        return sample_ruling(args.m, cfg.seed, retry_budget=cfg.retry_budget)
     if args.kind == "conics":
-        return sample_conics(args.m, cfg.seed)
-    return sample_modification(args.d, cfg.seed)
+        return sample_conics(args.m, cfg.seed, retry_budget=cfg.retry_budget)
+    return sample_modification(args.d, cfg.seed, retry_budget=cfg.retry_budget)
 
 
 def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> None:
@@ -264,7 +265,8 @@ def _cmd_monad(args: argparse.Namespace, cfg: RunConfig) -> None:
         hi = args.hi if args.hi is not None else -1
         if lo > hi:
             raise UsageError("--lo must not exceed --hi")
-        intervals = h1_intervals(spec, lo, hi, seed=cfg.seed)
+        intervals = h1_intervals(spec, lo, hi, seed=cfg.seed,
+                                 retry_budget=cfg.retry_budget)
         profile = {str(t): iv.value if iv.pinned else None for t, iv in intervals.items()}
         unpinned = [t for t, iv in intervals.items() if not iv.pinned]
         payload = {**base, "lo": lo, "hi": hi, "profile": profile,
@@ -274,7 +276,7 @@ def _cmd_monad(args: argparse.Namespace, cfg: RunConfig) -> None:
             f"{profile[str(t)] if profile[str(t)] is not None else 'unpinned'}"
             for t in range(lo, hi + 1)]
     elif op == "spectrum":
-        entries = spectrum(spec, seed=cfg.seed)
+        entries = spectrum(spec, seed=cfg.seed, retry_budget=cfg.retry_budget)
         payload = {**base, "spectrum": list(entries),
                    "display": format_spectrum(entries)}
         lines = [format_spectrum(entries)]
@@ -286,7 +288,7 @@ def _cmd_monad(args: argparse.Namespace, cfg: RunConfig) -> None:
         lines = [_headline(spec),
                  f"dimension {dim}, expected {exp}, excess {dim - exp}"]
     else:
-        checks = middle_term_checks(spec, seed=cfg.seed)
+        checks = middle_term_checks(spec, seed=cfg.seed, retry_budget=cfg.retry_budget)
         payload = {**base, "checks": checks}
         lines = [_headline(spec),
                  f"established: {checks['established']}"]
@@ -350,7 +352,7 @@ def _cmd_series(args: argparse.Namespace, cfg: RunConfig) -> None:
 # -- accept ------------------------------------------------------------------
 
 def _cmd_accept(args: argparse.Namespace, cfg: RunConfig) -> None:
-    report, timings = acceptance.run_all(seed=cfg.seed)
+    report, timings = acceptance.run_all(seed=cfg.seed, retry_budget=cfg.retry_budget)
     for cid in sorted(timings):
         print(f"criterion {cid:>2}: {timings[cid]:7.2f}s "
               f"(budget {acceptance.BUDGETS[cid]}s)", file=sys.stderr)
@@ -371,8 +373,9 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
                         help=f"output format (default {default_format})")
     parser.add_argument("--out", help="output file; relative paths resolve "
                         "against $P3BUNDLES_OUT_DIR")
-    parser.add_argument("--retry-budget", type=_NONNEGATIVE, default=64,
-                        help="sampling attempts per geometric object (default 64)")
+    parser.add_argument("--retry-budget", type=_NONNEGATIVE, default=DEFAULT_RETRY_BUDGET,
+                        help="sampling attempts per geometric object "
+                             f"(default {DEFAULT_RETRY_BUDGET})")
 
 
 def _monad_params(parser: argparse.ArgumentParser) -> None:
@@ -488,9 +491,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _run_config(args)
-    # the sampler reads a module global; later callers get it back unchanged
-    saved_budget = oracle_configs.RETRY_BUDGET
-    oracle_configs.RETRY_BUDGET = cfg.retry_budget
     try:
         args.run(args, cfg)
     except USAGE_FAILURES as exc:
@@ -506,8 +506,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"verification failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    finally:
-        oracle_configs.RETRY_BUDGET = saved_budget
     return 0
 
 

@@ -50,6 +50,7 @@ from p3bundles.engine.graph import (
 )
 from p3bundles.jsonio import content_hash
 from p3bundles.oracle import (
+    DEFAULT_RETRY_BUDGET,
     GeometryConfig,
     SamplingFailed,
     config_hash,
@@ -196,8 +197,9 @@ class ScriptReport:
 
 class ScriptRunner:
     def __init__(self, name: str, text: str, params: dict[str, int], seed: int,
-                 order: str = "forward"):
+                 order: str = "forward", retry_budget: int = DEFAULT_RETRY_BUDGET):
         self.name = name
+        self.retry_budget = retry_budget
         self.lines = text.splitlines()
         self.env = {k: int(v) for k, v in params.items()}
         self.seed = int(seed)
@@ -290,16 +292,19 @@ class ScriptRunner:
             kv[k] = v
         seed = child_seed(self.seed, f"config:{label}")
         if kind == "ruling":
-            cfg = sample_ruling(_as_int(kv["m"], self.env), seed)
+            cfg = sample_ruling(_as_int(kv["m"], self.env), seed,
+                               retry_budget=self.retry_budget)
         elif kind == "conics":
-            cfg = sample_conics(_as_int(kv["m"], self.env), seed)
+            cfg = sample_conics(_as_int(kv["m"], self.env), seed,
+                               retry_budget=self.retry_budget)
         elif kind == "modification":
             avoid = None
             if "avoid" in kv:
                 if kv["avoid"] not in self.configs:
                     raise ScriptError(f"avoid={kv['avoid']}: unknown config")
                 avoid = self.configs[kv["avoid"]]
-            cfg = sample_modification(_as_int(kv["d"], self.env), seed, avoid=avoid)
+            cfg = sample_modification(_as_int(kv["d"], self.env), seed, avoid=avoid,
+                                      retry_budget=self.retry_budget)
         elif kind == "join":
             parts = args[2:]
             if len(parts) != 2:
@@ -524,8 +529,9 @@ class ScriptRunner:
 
 
 def run_script_text(name: str, text: str, params: dict[str, int], seed: int = 0,
-                    order: str = "forward") -> ScriptReport:
-    runner = ScriptRunner(name, text, params, seed, order)
+                    order: str = "forward",
+                    retry_budget: int = DEFAULT_RETRY_BUDGET) -> ScriptReport:
+    runner = ScriptRunner(name, text, params, seed, order, retry_budget)
     report = runner.run()
     report.report_hash = content_hash(report.to_dict())
     return report
@@ -537,5 +543,7 @@ def load_bundled_script(name: str) -> str:
 
 
 def run_script(name: str, params: dict[str, int], seed: int = 0,
-               order: str = "forward") -> ScriptReport:
-    return run_script_text(name, load_bundled_script(name), params, seed, order)
+               order: str = "forward",
+               retry_budget: int = DEFAULT_RETRY_BUDGET) -> ScriptReport:
+    return run_script_text(name, load_bundled_script(name), params, seed, order,
+                           retry_budget)

@@ -21,6 +21,7 @@ from p3bundles.engine.graph import DeductionGraph, Kind, Node
 from p3bundles.engine.script import RUN_FAILURES, run_script
 from p3bundles.engine import EngineError, Interval
 from p3bundles.oracle import (
+    DEFAULT_RETRY_BUDGET,
     GeometryConfig,
     sample_conics,
     sample_ruling,
@@ -180,9 +181,10 @@ def expected_dimension(e: int, n: int) -> int:
 # h^1 profiles through the deduction engine
 
 
-def _summand_configs(spec: MonadSpec, seed: int) -> list[GeometryConfig]:
+def _summand_configs(spec: MonadSpec, seed: int,
+                     retry_budget: int = DEFAULT_RETRY_BUDGET) -> list[GeometryConfig]:
     sampler = sample_ruling if spec.series is Series.SIGMA0 else sample_conics
-    return [sampler(mi, child_seed(seed, f"summand:{i}"))
+    return [sampler(mi, child_seed(seed, f"summand:{i}"), retry_budget=retry_budget)
             for i, mi in enumerate(spec.summand_params, start=1)]
 
 
@@ -213,16 +215,18 @@ def _profile_graph(spec: MonadSpec, twists: Iterable[int],
     return graph
 
 
-def h1_intervals(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, Interval]:
+def h1_intervals(spec: MonadSpec, lo: int, hi: int, seed: int = 0,
+                 retry_budget: int = DEFAULT_RETRY_BUDGET) -> dict[int, Interval]:
     """h^1 interval of the monad bundle at every twist in [lo, hi], from one graph."""
     if lo > hi:
         raise ValueError("empty twist interval")
     twists = range(lo, hi + 1)
-    graph = _profile_graph(spec, twists, _summand_configs(spec, seed))
+    graph = _profile_graph(spec, twists, _summand_configs(spec, seed, retry_budget))
     return {t: graph.interval("F", t, 1) for t in twists}
 
 
-def h1_profile(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, int]:
+def h1_profile(spec: MonadSpec, lo: int, hi: int, seed: int = 0,
+               retry_budget: int = DEFAULT_RETRY_BUDGET) -> dict[int, int]:
     """Pinned h^1 of the monad bundle for every twist in [lo, hi].
 
     Raises Unpinned where the engine cannot close the interval; that is the
@@ -230,7 +234,7 @@ def h1_profile(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, in
     sections of the outer line bundle is not controlled by any fact.
     """
     profile: dict[int, int] = {}
-    for t, iv in h1_intervals(spec, lo, hi, seed).items():
+    for t, iv in h1_intervals(spec, lo, hi, seed, retry_budget).items():
         if not iv.pinned:
             raise Unpinned(t, iv)
         profile[t] = iv.value
@@ -286,9 +290,10 @@ def recover_spectrum(profile: Mapping[int, int], e: int, expected_len: int) -> t
     return tuple(entries)
 
 
-def spectrum(spec: MonadSpec, seed: int = 0) -> tuple[int, ...]:
+def spectrum(spec: MonadSpec, seed: int = 0,
+             retry_budget: int = DEFAULT_RETRY_BUDGET) -> tuple[int, ...]:
     depth = spec.a + 3
-    profile = h1_profile(spec, -depth, -1, seed=seed)
+    profile = h1_profile(spec, -depth, -1, seed=seed, retry_budget=retry_budget)
     return recover_spectrum(profile, spec.e, spec.n)
 
 
@@ -402,7 +407,8 @@ def _script_plan(spec: MonadSpec) -> list[tuple[str, dict[str, int]]]:
     return [("prop1", {"m": m, "eps": eps, "a": a})]
 
 
-def middle_term_checks(spec: MonadSpec, seed: int = 0) -> dict:
+def middle_term_checks(spec: MonadSpec, seed: int = 0,
+                       retry_budget: int = DEFAULT_RETRY_BUDGET) -> dict:
     """Vanishing report for the monad middle term bbE = E1 + E2.
 
     The c1 = 0 series is checked against the four instanton-style conditions
@@ -413,7 +419,7 @@ def middle_term_checks(spec: MonadSpec, seed: int = 0) -> dict:
     Every value is measured on sampled witness configurations, and the bundled
     proof scripts are replayed as engine evidence with full derivation chains.
     """
-    configs = _summand_configs(spec, seed)
+    configs = _summand_configs(spec, seed, retry_budget)
 
     def total(t: int, degree: int) -> int:
         return sum(serre_cohomology(cfg, t)[degree] for cfg in configs)
@@ -458,7 +464,8 @@ def middle_term_checks(spec: MonadSpec, seed: int = 0) -> dict:
         run_seed = child_seed(seed, f"evidence:{idx}") % (2 ** 31)
         entry: dict = {"script": script, "params": params, "seed": run_seed}
         try:
-            report = run_script(script, params=params, seed=run_seed)
+            report = run_script(script, params=params, seed=run_seed,
+                                retry_budget=retry_budget)
         except RUN_FAILURES as exc:
             entry["status"] = "failed"
             entry["error"] = f"{type(exc).__name__}: {exc}"

@@ -4,7 +4,7 @@ Everything lives on S: x0*x3 = x1*x2, parametrized by
 ((u0:u1), (v0:v1)) -> (u0*v0, u0*v1, u1*v0, u1*v1); the first factor indexes
 one ruling.  Coordinates are small integers so all downstream linear algebra
 is exact.  Sampling draws from a deterministic child stream of the given
-seed and re-draws (bounded retries) until the configuration passes explicit
+seed and re-draws (at most ``retry_budget`` draws per object) until the configuration passes explicit
 incidence certificates; the certificates, not the sampling distribution,
 carry the correctness burden.
 
@@ -31,7 +31,7 @@ Point4 = tuple[int, int, int, int]
 Proj1 = tuple[int, int]
 
 COORD_POOL = tuple(range(-9, 10))
-RETRY_BUDGET = 64
+DEFAULT_RETRY_BUDGET = 64  # draws per sampled object
 
 
 class SamplingFailed(RuntimeError):
@@ -150,12 +150,13 @@ def _draw_distinct(rng, pool, count, forbidden=()):
     return rng.sample(choices, count)
 
 
-def sample_ruling(m: int, seed: int) -> GeometryConfig:
+def sample_ruling(m: int, seed: int, *,
+                  retry_budget: int = DEFAULT_RETRY_BUDGET) -> GeometryConfig:
     """m+1 disjoint lines of the first ruling."""
     if m < 0:
         raise ValueError("need m >= 0")
     rng = child_rng(seed, f"ruling:{m}")
-    for _ in range(RETRY_BUDGET):
+    for _ in range(retry_budget):
         us = _draw_distinct(rng, COORD_POOL, m + 1)
         lines = tuple(ruling_line((u, 1)) for u in sorted(us))
         if all(lines_disjoint(a, b) for i, a in enumerate(lines) for b in lines[i + 1:]):
@@ -163,14 +164,15 @@ def sample_ruling(m: int, seed: int) -> GeometryConfig:
     raise SamplingFailed("ruling configuration")
 
 
-def sample_conics(m: int, seed: int) -> GeometryConfig:
+def sample_conics(m: int, seed: int, *,
+                  retry_budget: int = DEFAULT_RETRY_BUDGET) -> GeometryConfig:
     """m+1 disjoint nodal conics; marked points are the partner lines' second
     quadric intersections, with pairwise distinct first-ruling coordinates."""
     if m < 0:
         raise ValueError("need m >= 0")
     rng = child_rng(seed, f"conics:{m}")
     k = m + 1
-    for _ in range(RETRY_BUDGET):
+    for _ in range(retry_budget):
         coords = _draw_distinct(rng, COORD_POOL, 2 * k)
         ruling_us, partner_us = coords[:k], coords[k:]
         node_vs = [rng.choice(COORD_POOL) for _ in range(k)]
@@ -210,7 +212,8 @@ def sample_conics(m: int, seed: int) -> GeometryConfig:
 
 
 def sample_modification(d: int, seed: int,
-                        avoid: Optional[GeometryConfig] = None) -> GeometryConfig:
+                        avoid: Optional[GeometryConfig] = None, *,
+                        retry_budget: int = DEFAULT_RETRY_BUDGET) -> GeometryConfig:
     """d lines secant to the quadric; marked points are their 2d quadric
     intersections, with pairwise distinct second-ruling coordinates.
 
@@ -226,7 +229,7 @@ def sample_modification(d: int, seed: int,
     marks: list[MarkedPoint] = []
     used_vs: set[int] = set()
     for _ in range(d):
-        for _ in range(RETRY_BUDGET):
+        for _ in range(retry_budget):
             va, vb = _draw_distinct(rng, COORD_POOL, 2, forbidden=used_vs)
             ua = rng.choice(COORD_POOL)
             ub = rng.choice([x for x in COORD_POOL if x != ua])

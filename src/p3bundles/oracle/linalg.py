@@ -1,10 +1,11 @@
 """Exact integer linear algebra for evaluation/restriction matrices.
 
-Ranks are computed twice over: a single-prime modular elimination (fast,
-vectorized) gives a certified *lower* bound on the rational rank, and a
-fraction-based elimination is the exact fallback.  Callers combine the
-modular bound with an a-priori bound from the other side to certify answers
-without ever trusting the prime alone.
+A single-prime modular elimination (fast, vectorized) gives a certified
+*lower* bound on the rational rank.  Callers combine it with an a-priori
+bound from the other side to certify answers without ever trusting the
+prime alone.  Where the two do not meet, ``rank_exact`` decides: a mod-p
+kernel witness checked exactly in integers bounds the rank from above, and
+fraction-free Bareiss elimination on Python ints is the last resort.
 
 Line-restriction blocks are built mod p directly, as int64 residues, by a
 degree recursion; the same recursion over Python ints gives the exact rows,
@@ -15,7 +16,6 @@ and bidegree evaluation rows are small and stay exact int tuples.
 from __future__ import annotations
 
 from collections.abc import Callable
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -112,6 +112,36 @@ def bidegree_evaluation_row(u: Proj1, v: Proj1, p: int, q: int) -> tuple[int, ..
     return tuple(row)
 
 
+def _row_reduce_mod_p(m: np.ndarray, reduced: bool) -> list[int]:
+    """Row-reduce the int64 residues ``m`` in place over F_PRIME; the pivot
+    columns, in order.  Each pivot row is scaled to a leading 1 and its
+    column cleared below it, and with ``reduced`` above it too, which leaves
+    the reduced row echelon form."""
+    n_rows, n_cols = m.shape
+    pivots: list[int] = []
+    for col in range(n_cols):
+        row = len(pivots)
+        if row >= n_rows:
+            break
+        nonzero = np.nonzero(m[row:, col])[0]
+        if nonzero.size == 0:
+            continue
+        pivot_row = row + int(nonzero[0])
+        if pivot_row != row:
+            m[[row, pivot_row]] = m[[pivot_row, row]]
+        inv = pow(int(m[row, col]), PRIME - 2, PRIME)
+        m[row] = (m[row] * inv) % PRIME
+        start = 0 if reduced else row + 1
+        hit = np.nonzero(m[start:, col])[0]
+        if reduced:
+            hit = hit[hit != row]
+        if hit.size:
+            hit += start
+            m[hit] = (m[hit] - m[hit, col][:, None] * m[row]) % PRIME
+        pivots.append(col)
+    return pivots
+
+
 def rank_mod_p(rows: list) -> int:
     """Rank over F_PRIME of a list of rows (0 for no rows).
 
@@ -125,51 +155,60 @@ def rank_mod_p(rows: list) -> int:
         m = np.vstack(rows) % PRIME
     else:
         m = np.array([[x % PRIME for x in row] for row in rows], dtype=np.int64)
-    n_rows, n_cols = m.shape
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        if row >= n_rows:
-            break
-        pivots = np.nonzero(m[row:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot_row = row + int(pivots[0])
-        if pivot_row != row:
-            m[[row, pivot_row]] = m[[pivot_row, row]]
-        inv = pow(int(m[row, col]), PRIME - 2, PRIME)
-        m[row] = (m[row] * inv) % PRIME
-        mask = np.nonzero(m[row + 1:, col])[0]
-        if mask.size:
-            factors = m[row + 1 + mask, col][:, None]
-            m[row + 1 + mask] = (m[row + 1 + mask] - factors * m[row][None, :]) % PRIME
-        rank += 1
-        row += 1
-    return rank
+    return len(_row_reduce_mod_p(m, reduced=False))
 
 
 def rank_exact(rows: list[tuple[int, ...]]) -> int:
-    if not rows or not rows[0]:
+    """Rank over Q of a matrix of int rows (0 for no rows).
+
+    The rank r mod PRIME bounds it from below.  The reduced echelon form mod
+    PRIME gives one kernel vector per free column: 1 there, minus that column
+    of the echelon form at the pivot columns, each residue lifted to the
+    symmetric range.  Those vectors are independent, so if the integer matrix
+    kills them exactly its nullity is at least n_cols - r and its rank is r.
+    The product is taken in int64 only where a bound in Python ints rules
+    out overflow.  When the lifted vectors are not a kernel, or the bound
+    fails, fraction-free elimination decides.
+    """
+    if not rows or len(rows[0]) == 0:
         return 0
-    m = [[Fraction(x) for x in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    row = 0
+    m = np.array([[x % PRIME for x in row] for row in rows], dtype=np.int64)
+    pivots = _row_reduce_mod_p(m, reduced=True)
+    rank = len(pivots)
+    if rank == min(m.shape):  # rank_p is already the most the shape allows
+        return rank
+    free = sorted(set(range(m.shape[1])) - set(pivots))
+    kernel = np.zeros((m.shape[1], len(free)), dtype=np.int64)
+    kernel[free, range(len(free))] = 1
+    kernel[pivots] = -m[:rank, free] % PRIME
+    kernel[kernel > PRIME // 2] -= PRIME
+    bound = max(abs(x) for row in rows for x in row) * int(np.abs(kernel).max()) * m.shape[1]
+    if bound < 2 ** 63 and not (np.array(rows, dtype=np.int64) @ kernel).any():
+        return rank
+    return _rank_bareiss(rows)
+
+
+def _rank_bareiss(rows: list[tuple[int, ...]]) -> int:
+    """Rank over Q by fraction-free Gaussian elimination on Python ints
+    (Bareiss, 1968).  After each step every entry is a minor of the row
+    permuted matrix, so the division by the previous pivot is exact."""
+    m = np.array([[int(x) for x in row] for row in rows], dtype=object)
+    n_rows, n_cols = m.shape
+    rank, prev = 0, 1
     for col in range(n_cols):
-        if row >= n_rows:
+        if rank == n_rows:
             break
-        pivot = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
-        if pivot is None:
+        nonzero = np.nonzero(m[rank:, col])[0]
+        if nonzero.size == 0:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(row + 1, n_rows):
-            f = m[r][col]
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        pivot_row = rank + int(nonzero[0])
+        if pivot_row != rank:
+            m[[rank, pivot_row]] = m[[pivot_row, rank]]
+        pv = m[rank, col]
+        below = m[rank + 1:, col:]
+        m[rank + 1:, col:] = (pv * below - below[:, :1] * m[rank, col:]) // prev
+        prev = pv
         rank += 1
-        row += 1
     return rank
 
 

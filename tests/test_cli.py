@@ -11,7 +11,7 @@ import pytest
 
 from p3bundles import cli
 from p3bundles.cli import main
-from p3bundles.oracle import configs, sample_ruling
+from p3bundles.oracle import sample_ruling
 
 
 def run_cli(*argv):
@@ -162,10 +162,12 @@ def test_tsv_is_rejected_before_any_work(monkeypatch, op):
     assert "argument --format: invalid choice: 'tsv'" in err
 
 
-def test_retry_budget_is_restored_after_the_command():
-    assert run_cli("spectrum", "--series", "sigma0", "--m", "1", "--eps", "0",
-                   "--a", "5", "--retry-budget", "0")[0] == 1
-    assert configs.RETRY_BUDGET == 64
+def test_retry_budget_zero_fails_only_its_own_command():
+    spec = ("spectrum", "--series", "sigma0", "--m", "1", "--eps", "0", "--a", "5")
+    code, _, err = run_cli(*spec, "--retry-budget", "0")
+    assert code == 1 and "SamplingFailed" in err
+    code, out, _ = run_cli(*spec)
+    assert code == 0 and out.strip() == "(-4,-3^2,-2^3,-1^4,0^7,1^4,2^3,3^2,4)"
     assert sample_ruling(1, 0).components == 2
 
 

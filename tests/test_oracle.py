@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 from p3bundles.oracle import (
     GeometryConfig,
@@ -31,7 +32,7 @@ from p3bundles.oracle import (
     serre_cohomology,
     structure_cohomology,
 )
-from p3bundles.oracle import sheaves
+from p3bundles.oracle import linalg, sheaves
 from p3bundles.oracle.configs import (
     lines_disjoint,
     line_inside_quadric,
@@ -263,8 +264,70 @@ def test_rank_mod_p_takes_int_tuples_and_int64_rows_alike(matrix):
         assert full_row_rank(rows, lambda: tuples) == (rank_exact(tuples) == len(tuples))
 
 
+small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def integer_matrices(draw):
+    """A*B with small entries and inner dimension r, so the rank is at most r
+    and columns without a pivot are common; then each row is left alone or
+    scaled by +-PRIME (which kills it mod p, so rank_p < rank_Q) or by 2^64
+    (past the int64 bound).  Empty and zero-width matrices included."""
+    n_rows, n_cols, inner = (draw(st.integers(min_value=0, max_value=7)) for _ in range(3))
+    a = draw(st.lists(st.lists(small, min_size=inner, max_size=inner),
+                      min_size=n_rows, max_size=n_rows))
+    b = draw(st.lists(st.lists(small, min_size=n_cols, max_size=n_cols),
+                      min_size=inner, max_size=inner))
+    scales = draw(st.lists(st.sampled_from([1, 1, 1, PRIME, -PRIME, 2 ** 64]),
+                           min_size=n_rows, max_size=n_rows))
+    return [tuple(scale * sum(x * b[i][j] for i, x in enumerate(row)) for j in range(n_cols))
+            for row, scale in zip(a, scales)]
+
+
+@given(integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_exact_is_the_rational_rank(rows):
+    n_cols = len(rows[0]) if rows else 0
+    expected = Matrix(len(rows), n_cols, [x for row in rows for x in row]).rank()
+    assert rank_exact(rows) == expected
+    assert rank_mod_p(rows) <= expected
+
+
+@pytest.fixture
+def bareiss_runs(monkeypatch):
+    """Count the fraction-free eliminations behind `rank_exact`."""
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return bareiss(rows)
+
+    bareiss = linalg._rank_bareiss
+    monkeypatch.setattr(linalg, "_rank_bareiss", counting)
+    return calls
+
+
+def test_kernel_witness_closes_on_restriction_rows_with_h1(bareiss_runs):
+    # five ruling lines at k = 3: h^0(I(3)) = h^1(I(3)) = 4, so the rank is
+    # 20 - 4 = 16 and the chi bound alone does not pinch it
+    rows = exact_restriction_rows(sample_ruling(4, 0).lines, 3)
+    assert len(rows) == 20 and rank_exact(rows) == 16
+    assert bareiss_runs == []
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([(PRIME, 0), (0, 1)], 2),              # rank_p = 1: the witness (1, 0) fails
+    ([(PRIME,)], 1),                        # rank_p = 0: the witness is e_1
+    ([(2 ** 64, 2 ** 64), (1, 1)], 1),      # a true witness, but past int64
+])
+def test_bareiss_decides_where_the_witness_cannot(bareiss_runs, rows, rank):
+    assert rank_exact(rows) == rank
+    assert bareiss_runs == [len(rows)]
+
+
 def test_empty_rows_keep_their_answers():
     assert rank_mod_p([]) == 0
+    assert rank_exact([]) == rank_exact([(), ()]) == 0
     assert nullity_certified([], 10) == 10
     assert full_row_rank([]) is True
     no_lines = GeometryConfig("lines", 0, ())
