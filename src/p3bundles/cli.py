@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_config(args: argparse.Namespace) -> RunConfig:
     bounds = {k: getattr(args, k) for k in
               ("m", "eps", "a", "d", "n_max", "n_lo", "n_hi", "r", "lo", "hi",
-               "e", "n", "twist")
+               "e", "n", "twist", "kind")
               if getattr(args, k, None) is not None}
     if getattr(args, "series", None) is not None:
         bounds["series"] = args.series.value

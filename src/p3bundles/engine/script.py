@@ -34,6 +34,7 @@ points:CFG.  Each is checked at its node line, so CFG is declared above it.
 from __future__ import annotations
 
 import ast
+import operator
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -93,78 +94,62 @@ RUN_FAILURES = (ScriptError, GraphError, AssertionNotEntailed, OracleFactMismatc
 
 _BRACE = re.compile(r"\{([^{}]+)\}")
 
+_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos, ast.Not: operator.not_}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod, ast.Pow: operator.pow}
+_COMPARE = {ast.Lt: operator.lt, ast.LtE: operator.le, ast.Gt: operator.gt,
+            ast.GtE: operator.ge, ast.Eq: operator.eq, ast.NotEq: operator.ne}
+# every operand is evaluated, so an error in any of them is raised
+_BOOL = {ast.And: all, ast.Or: any}
 _ALLOWED_CALLS = {"binom": lambda n, k: comb(n, k) if 0 <= k <= n else 0,
                   "max": max, "min": min, "abs": abs}
 
 
 def _safe_eval(expr: str, env: dict[str, int]) -> int:
-    tree = ast.parse(expr, mode="eval")
-
     def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, bool)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, int):
             return int(node.value)
         if isinstance(node, ast.Name):
             if node.id in env:
                 return env[node.id]
             raise ScriptError(f"unknown name {node.id!r} in {expr!r}")
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd, ast.Not)):
-            v = ev(node.operand)
-            if isinstance(node.op, ast.USub):
-                return -v
-            if isinstance(node.op, ast.Not):
-                return int(not v)
-            return v
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](ev(node.operand))
         if isinstance(node, ast.BinOp):
             a, b = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            if isinstance(node.op, ast.FloorDiv):
-                return a // b
-            if isinstance(node.op, ast.Mod):
-                return a % b
-            if isinstance(node.op, ast.Pow):
-                return a ** b
-            raise ScriptError(f"operator not allowed in {expr!r}")
+            if type(node.op) not in _BINARY:
+                raise ScriptError(f"operator not allowed in {expr!r}")
+            return _BINARY[type(node.op)](a, b)
         if isinstance(node, ast.Compare):
             left = ev(node.left)
             for op, right_node in zip(node.ops, node.comparators):
                 right = ev(right_node)
-                ok = {ast.Lt: left < right, ast.LtE: left <= right,
-                      ast.Gt: left > right, ast.GtE: left >= right,
-                      ast.Eq: left == right, ast.NotEq: left != right}.get(type(op))
-                if ok is None:
+                if type(op) not in _COMPARE:
                     raise ScriptError(f"comparison not allowed in {expr!r}")
-                if not ok:
+                if not _COMPARE[type(op)](left, right):
                     return 0
                 left = right
             return 1
         if isinstance(node, ast.BoolOp):
-            vals = [ev(v) for v in node.values]
-            if isinstance(node.op, ast.And):
-                return int(all(vals))
-            return int(any(vals))
+            return int(_BOOL[type(node.op)]([ev(v) for v in node.values]))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            fn = _ALLOWED_CALLS.get(node.func.id)
-            if fn is None:
-                raise ScriptError(f"call to {node.func.id!r} not allowed")
-            return int(fn(*[ev(a) for a in node.args]))
+            name = node.func.id
+            if name not in _ALLOWED_CALLS:
+                raise ScriptError(f"call to {name!r} not allowed")
+            if node.keywords:
+                raise ScriptError(f"{name}() takes positional arguments only, in {expr!r}")
+            args = [ev(a) for a in node.args]
+            try:
+                return int(_ALLOWED_CALLS[name](*args))
+            except TypeError as exc:
+                raise ScriptError(f"{name}() in {expr!r}: {exc}") from exc
         raise ScriptError(f"construct not allowed in expression {expr!r}")
 
-    return int(ev(tree))
-
-
-def _substitute(token: str, env: dict[str, int]) -> str:
-    return _BRACE.sub(lambda m: str(_safe_eval(m.group(1), env)), token)
+    return int(ev(ast.parse(expr, mode="eval").body))
 
 
 def _as_int(token: str, env: dict[str, int]) -> int:
-    return int(_substitute(token, env))
+    return int(_BRACE.sub(lambda m: str(_safe_eval(m.group(1), env)), token))
 
 
 @dataclass
@@ -291,12 +276,9 @@ class ScriptRunner:
             k, _, v = tok.partition("=")
             kv[k] = v
         seed = child_seed(self.seed, f"config:{label}")
-        if kind == "ruling":
-            cfg = sample_ruling(_as_int(kv["m"], self.env), seed,
-                               retry_budget=self.retry_budget)
-        elif kind == "conics":
-            cfg = sample_conics(_as_int(kv["m"], self.env), seed,
-                               retry_budget=self.retry_budget)
+        if kind in ("ruling", "conics"):
+            sample = sample_ruling if kind == "ruling" else sample_conics
+            cfg = sample(_as_int(kv["m"], self.env), seed, retry_budget=self.retry_budget)
         elif kind == "modification":
             avoid = None
             if "avoid" in kv:
@@ -380,19 +362,38 @@ class ScriptRunner:
             raise ScriptError("twist TRIPLE T")
         self.graph.materialize(args[0], _as_int(args[1], self.env))
 
+    def _h_slot(self, args: list[str], usage: str) -> tuple[int, str, int, str, int]:
+        """`hI NODE T REL V` as (I, NODE, T, REL, V)."""
+        if len(args) != 5 or args[0] not in ("h0", "h1", "h2", "h3"):
+            raise ScriptError(usage)
+        return (int(args[0][1]), args[1], _as_int(args[2], self.env), args[3],
+                _as_int(args[4], self.env))
+
     def _cmd_fact(self, args: list[str]) -> None:
         tag = args[0]
         if tag not in ("ORACLE", "STABILITY", "ASSUMED"):
             raise ScriptError(f"fact tag must be ORACLE/STABILITY/ASSUMED, got {tag!r}")
         what = args[1]
-        if what in ("h0", "h1", "h2", "h3"):
-            degree = int(what[1])
-            node_name, t_tok, eq, v_tok = args[2:6]
-            t = _as_int(t_tok, self.env)
-            value = _as_int(v_tok, self.env)
+        verified = None
+        if what in ("epi", "conn"):
+            # epi is the vanishing of the connecting map out of h0
+            tname, t = args[2], _as_int(args[3], self.env)
+            index = 0 if what == "epi" else _as_int(args[4], self.env)
+            if tag == "ORACLE" and what == "conn":
+                raise ScriptError("conn facts cannot be oracle-verified; tag STABILITY/ASSUMED")
+            if tag == "ORACLE":
+                verified = self._verify_epi(tname, t)
+                if not verified:
+                    raise OracleFactMismatch(f"fact epi {tname}@{t}: restriction not surjective")
+            self.graph.add_conn_fact(tag, tname, t, index)
+            entry = {"triple": tname, "twist": t}
+            if what == "conn":
+                entry["index"] = index
+        else:
+            degree, node_name, t, eq, value = self._h_slot(
+                args[1:], "fact TAG (hI NODE T = V | epi TRIPLE T | conn TRIPLE T I)")
             if eq != "=":
                 raise ScriptError("value facts use '='")
-            verified = None
             if node_name not in self.graph.nodes:
                 raise ScriptError(f"fact names unknown node {node_name!r}")
             if tag == "ORACLE":
@@ -404,31 +405,8 @@ class ScriptRunner:
                         f"fact h{degree}({node_name}@{t}) = {value} but oracle computes {actual}")
                 verified = True
             self.graph.add_value_fact(tag, node_name, t, degree, value)
-            self.report.facts.append({"tag": tag, "what": f"h{degree}",
-                                      "node": node_name, "twist": t, "value": value,
-                                      "verified": verified})
-        elif what == "epi":
-            tname, t_tok = args[2], args[3]
-            t = _as_int(t_tok, self.env)
-            verified = None
-            if tag == "ORACLE":
-                verified = self._verify_epi(tname, t)
-                if not verified:
-                    raise OracleFactMismatch(f"fact epi {tname}@{t}: restriction not surjective")
-            self.graph.add_conn_fact(tag, tname, t, 0)
-            self.report.facts.append({"tag": tag, "what": "epi", "triple": tname,
-                                      "twist": t, "verified": verified})
-        elif what == "conn":
-            tname, t_tok, i_tok = args[2], args[3], args[4]
-            if tag == "ORACLE":
-                raise ScriptError("conn facts cannot be oracle-verified; tag STABILITY/ASSUMED")
-            self.graph.add_conn_fact(tag, tname, _as_int(t_tok, self.env),
-                                     _as_int(i_tok, self.env))
-            self.report.facts.append({"tag": tag, "what": "conn", "triple": tname,
-                                      "twist": _as_int(t_tok, self.env),
-                                      "verified": None})
-        else:
-            raise ScriptError(f"unknown fact form {what!r}")
+            entry = {"node": node_name, "twist": t, "value": value}
+        self.report.facts.append({"tag": tag, "what": what, **entry, "verified": verified})
 
     def _verify_epi(self, tname: str, t: int) -> bool:
         """H0(B) -> H0(C) surjectivity for evaluation-onto-marked-points triples."""
@@ -467,13 +445,8 @@ class ScriptRunner:
             raise ScriptError(f"unknown annotate form {args[0]!r}")
 
     def _cmd_assert(self, args: list[str]) -> None:
-        if len(args) != 5 or args[0] not in ("h0", "h1", "h2", "h3"):
-            raise ScriptError("assert hI NODE T (=|<=) V")
-        degree = int(args[0][1])
-        node_name = args[1]
-        t = _as_int(args[2], self.env)
-        relation = args[3]
-        value = _as_int(args[4], self.env)
+        degree, node_name, t, relation, value = self._h_slot(
+            args, "assert hI NODE T (=|<=) V")
         if relation not in ("=", "<="):
             raise ScriptError("assert relation must be = or <=")
         inst = self.graph.instance(node_name, t)

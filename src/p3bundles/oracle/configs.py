@@ -100,9 +100,6 @@ class GeometryConfig:
     marked: tuple[MarkedPoint, ...] = ()
     ruling_count: int = 0            # for conics: how many leading lines are ruling halves
 
-    def degree(self) -> int:
-        return len(self.lines)
-
 
 def config_hash(cfg: GeometryConfig) -> str:
     payload = {
@@ -146,7 +143,9 @@ def join_configs(first: GeometryConfig, second: GeometryConfig) -> GeometryConfi
 def _draw_distinct(rng, pool, count, forbidden=()):
     choices = [x for x in pool if x not in forbidden]
     if count > len(choices):
-        raise SamplingFailed(f"pool too small for {count} distinct values")
+        # only draws the pool cannot serve widen it, so every other sample stays put
+        r = (count + len(forbidden)) // 2 + 1
+        choices = [x for x in range(-r, r + 1) if x not in forbidden]
     return rng.sample(choices, count)
 
 

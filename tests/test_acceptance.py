@@ -8,6 +8,7 @@ measured wall-clock stayed inside the budget the criteria pin down.
 import pytest
 
 from p3bundles.acceptance import BUDGETS, _Context, run_all
+from p3bundles.oracle import DEFAULT_RETRY_BUDGET
 
 # report_hash of run_all(seed=0), pinned with the golden corpus of
 # tests/test_golden.py; a refactor must leave it unchanged
@@ -66,10 +67,12 @@ def test_report_hash_is_pinned(acceptance_run):
 
 
 @pytest.mark.parametrize("params,error", [
-    ({"m": 19, "eps": 0, "a": 24}, "SamplingFailed"),       # beyond the sampler's pool
+    ({"m": 1, "eps": 0, "a": 5, "retry_budget": 0}, "SamplingFailed"),  # no draw allowed
     ({"m": 1, "eps": 0, "a": 5, "d": 3}, "ScriptError"),    # prop1 declares no d
 ])
 def test_failed_runs_are_recorded_not_raised(params, error):
-    outcome = _Context(0).run("prop1", **params)
+    params = dict(params)
+    ctx = _Context(0, retry_budget=params.pop("retry_budget", DEFAULT_RETRY_BUDGET))
+    outcome = ctx.run("prop1", **params)
     assert outcome["status"] == f"failed: {error}"
     assert outcome["detail"]

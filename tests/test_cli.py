@@ -105,13 +105,22 @@ SIGMA0_24 = ("--series", "sigma0", "--m", "19", "--eps", "0", "--a", "24")
                  id="unknown-node"),
     pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/missing.les"),
                  None, 2, "cannot read --script-file", id="missing-script-file"),
-    pytest.param(("spectrum", *SIGMA0_24), None, 1, "SamplingFailed", id="spectrum-pool"),
-    pytest.param(("monad", "profile", *SIGMA0_24), None, 1, "SamplingFailed",
+    # 20 ruling lines need more than the 19-value coordinate pool
+    pytest.param(("monad", "profile", *SIGMA0_24, "--lo", "-2", "--hi", "-1"), None, 0, "",
                  id="profile-pool"),
-    pytest.param(("monad", "checks", *SIGMA0_24), None, 1, "SamplingFailed", id="checks-pool"),
+    pytest.param(("monad", "checks", *SIGMA0_24), None, 0, "", id="checks-pool"),
     pytest.param(("monad", "checks", "--series", "sigma0", "--m", "1", "--eps", "0",
                   "--a", "5", "--retry-budget", "0"), None, 1, "SamplingFailed",
                  id="checks-retry-budget-0"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\ntwist T {max()}\n", 2, "prop1:2: max() in 'max()'",
+                 id="brace-call-arity"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\ntwist T {binom(m,k=1)}\n", 2,
+                 "prop1:2: binom() takes positional arguments only", id="brace-call-keyword"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\ntwist T {max(3,4,key=5)}\n", 2,
+                 "prop1:2: max() takes positional arguments only", id="brace-call-ignored-keyword"),
     pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
                  "param m\nconfig Y ruling m={m}\nconfig Z modification d=1 avoid=Y\n"
                  "node O line 0\nnode E sheaf lf geom=serre:Z\ntriple T O E O\n", 2,
@@ -169,6 +178,16 @@ def test_retry_budget_zero_fails_only_its_own_command():
     code, out, _ = run_cli(*spec)
     assert code == 0 and out.strip() == "(-4,-3^2,-2^3,-1^4,0^7,1^4,2^3,3^2,4)"
     assert sample_ruling(1, 0).components == 2
+
+
+def test_config_hash_covers_the_oracle_kind():
+    hashes = set()
+    for kind in ("ruling", "conics"):
+        code, out, _ = run_cli("oracle", "ideal", "--kind", kind, "--m", "1",
+                               "--twist", "2", "--format", "json")
+        assert code == 0
+        hashes.add(json.loads(out)["config_hash"])
+    assert len(hashes) == 2
 
 
 def test_oracle_subcommands():

@@ -5,6 +5,7 @@ fixed seeds and double-checked against the engine during agreement sweeps; the
 rest are structural invariants that hold for every sample.
 """
 
+from itertools import combinations
 from math import comb, prod
 
 import numpy as np
@@ -77,6 +78,23 @@ def test_conic_samples_split_into_ruling_and_partner(m, seed):
     # marked points sit on the quadric, one on each partner line
     assert len(cfg.marked) == m + 1
     assert all(quadric_value(mp.point) == 0 for mp in cfg.marked)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_samples_beyond_the_coordinate_pool_are_certified(seed):
+    # 20 ruling lines, and 10 conics, need 20 distinct first-ruling coordinates
+    ruling = sample_ruling(19, seed)
+    assert ruling.components == 20
+    assert all(line_inside_quadric(l) for l in ruling.lines)
+    assert all(lines_disjoint(a, b) for a, b in combinations(ruling.lines, 2))
+    conics = sample_conics(9, seed)
+    k = conics.components
+    assert k == 10
+    components = [(conics.lines[i], conics.lines[k + i]) for i in range(k)]
+    assert all(line_inside_quadric(r) and not line_inside_quadric(p)
+               and not lines_disjoint(r, p) for r, p in components)
+    for ca, cb in combinations(components, 2):
+        assert all(lines_disjoint(a, b) for a in ca for b in cb)
 
 
 @given(st.integers(min_value=1, max_value=5), seeds)

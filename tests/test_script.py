@@ -10,7 +10,7 @@ from p3bundles.engine import (
     run_script,
     run_script_text,
 )
-from p3bundles.engine.script import OracleFactMismatch, ScriptRunner
+from p3bundles.engine.script import OracleFactMismatch, ScriptRunner, _safe_eval
 
 GOOD_RUNS = [
     ("prop1", {"m": 1, "eps": 0, "a": 5}),
@@ -163,3 +163,49 @@ def test_report_dict_shape():
     assert payload["params"] == {"a": 6, "eps": 0, "m": 1}
     assert payload["seed"] == 1
     assert set(payload) >= {"configs", "facts", "asserts", "agreement", "passed"}
+
+
+@pytest.mark.parametrize("expr,value", [
+    ("m+2", 5), ("m-5", -2), ("m*4", 12), ("7//m", 2), ("7%m", 1), ("m**2", 9),
+    ("-m", -3), ("+m", 3), ("not 0", 1), ("not 5", 0), ("True", 1),
+    ("2<3", 1), ("3<=3", 1), ("2>3", 0), ("3>=4", 0), ("m==3", 1), ("m!=3", 0),
+    ("1<2<3", 1), ("1<3<2", 0), ("2 and 3", 1), ("0 and 3", 0), ("0 or 7", 1),
+    ("0 or 0", 0), ("binom(5,2)", 10), ("binom(3,5)", 0), ("binom(3,-1)", 0),
+    ("max(m,4,2)", 4), ("min(m,4)", 3), ("abs(-5)", 5), ("-7//2", -4), ("2**-1", 0),
+    ("2*(m+1)", 8),
+])
+def test_brace_expression_values(expr, value):
+    assert _safe_eval(expr, {"m": 3}) == value
+
+
+@pytest.mark.parametrize("expr", [
+    "1 if m else 2", "m.real", "m[0]", "lambda: 1", "7/2", "1<<2", "'a'", "1.5",
+    "zzz", "pow(2,3)",
+])
+def test_brace_expression_rejects(expr):
+    with pytest.raises(ScriptError):
+        _safe_eval(expr, {"m": 3})
+
+
+IF_SCRIPT = """param eps
+node O line 0
+node S quadric 0 0
+node I sheaf
+triple T I O S
+if {eps==1} :: twist T 2
+"""
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_if_line_runs_its_command_only_when_the_condition_holds(eps):
+    runner = ScriptRunner("if", IF_SCRIPT, {"eps": eps}, 0)
+    runner.run()
+    assert (("T", 2) in runner.graph.tinsts) == (eps == 1)
+
+
+def test_conn_facts_record_their_index():
+    base = "node O line 0\nnode S quadric 0 0\nnode I sheaf\ntriple T I O S\ntwist T 0\n"
+    one, two = (run_script_text("conn", base + f"fact ASSUMED conn T 0 {index}\n", {}, seed=0)
+                for index in (1, 2))
+    assert [fact["index"] for fact in one.facts + two.facts] == [1, 2]
+    assert one.report_hash != two.report_hash
