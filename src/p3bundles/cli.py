@@ -162,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> None:
               if v is not None}
     text = (_read_script_file(cfg.script_path) if cfg.script_path
             else load_bundled_script(args.script))
-    report = run_script_text(args.script, text, params, seed=cfg.seed, order=args.order,
+    report = run_script_text(args.script, text, params, seed=cfg.seed,
                              retry_budget=cfg.retry_budget)
     agreement = report.agreement
     lines = [f"PASS {args.script} {params} seed={cfg.seed}",
@@ -315,6 +315,8 @@ def _cmd_series(args: argparse.Namespace, cfg: RunConfig) -> None:
                    "count": len(records), **_records_payload(records)}
         lines = records_to_tsv(records).splitlines()
     elif args.series_op == "coverage":
+        if args.n_lo > args.n_hi:
+            raise UsageError("--n-lo must not exceed --n-hi")
         missing = coverage_sigma0(args.n_lo, args.n_hi)
         payload = {"n_lo": args.n_lo, "n_hi": args.n_hi, "missing": missing,
                    "complete": not missing}
@@ -401,9 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--eps", type=int, choices=(0, 1))
     p_verify.add_argument("--a", type=int)
     p_verify.add_argument("--d", type=int)
-    p_verify.add_argument("--order", choices=("forward", "reverse"),
-                          default="forward",
-                          help="rule application order (result is identical)")
     p_verify.add_argument("--script-file",
                           help="run this script text instead of the bundled one")
     p_verify.set_defaults(run=_cmd_verify)
@@ -446,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n-max", type=_POSITIVE, required=True)
     _add_common(q, "tsv")
     q = sub_series.add_parser("coverage", help="charges missed by the c1=0 series")
-    q.add_argument("--n-lo", type=int, required=True)
+    q.add_argument("--n-lo", type=_POSITIVE, required=True)
     q.add_argument("--n-hi", type=_POSITIVE, required=True)
     _add_common(q, "text")
     q = sub_series.add_parser("density", help="realized-charge density, exact")

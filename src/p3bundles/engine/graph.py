@@ -31,8 +31,10 @@ Exact runs are delimited by pinned zero slots, by zero connecting maps,
 and by the two ends of the sequence.  A contradiction anywhere raises;
 nothing is ever reported as both proved and failed.
 
-The graph settles itself: every change that could let a rule fire marks it
-off its fixpoint, and the query `instance` propagates first when it is.
+The graph settles itself: one counter is bumped by every write that could
+let a rule fire (a narrowing, a rule setting chi or a connecting map, and
+each declaration), and the query `instance` propagates first when it has
+moved since `propagate` last finished cleanly.
 """
 
 from __future__ import annotations
@@ -154,8 +156,7 @@ class TripleInstance:
 
 
 class DeductionGraph:
-    def __init__(self, order: str = "forward") -> None:
-        self.order = order  # "reverse" walks triples and instances backwards
+    def __init__(self) -> None:
         self.nodes: dict[str, Node] = {}
         self.sums: dict[str, list[str]] = {}
         self.triples: dict[str, list[tuple[str, int]]] = {}
@@ -165,7 +166,8 @@ class DeductionGraph:
         # is surjective once every premise triple's is
         self.implications: list[tuple[TripleInstance, tuple[TripleInstance, ...], str]] = []
         self.events: dict[tuple, dict] = {}  # latest derivation of each slot
-        self._settled = True  # at the rules' fixpoint; only propagate sets it
+        self._changes = 0  # bumped by every write that could let a rule fire
+        self._fixpoint = 0  # _changes when propagate last finished cleanly
 
     # -- declarations --------------------------------------------------
 
@@ -181,7 +183,7 @@ class DeductionGraph:
         if node.kind in TABLES:
             raise GraphError(f"{name}: table nodes do not take characters")
         node.chern = ch
-        self._settled = False
+        self._changes += 1
         # retrofit chi on existing instances of this node
         for inst in self.instances.values():
             if inst.node_name == name and inst.chi is None:
@@ -215,7 +217,7 @@ class DeductionGraph:
             parts = tuple(self._instance(self._node(node_name), off + t)
                           for node_name, off in self.triples[name])
             self.tinsts[(name, t)] = TripleInstance(f"{name}@{t}", parts)
-            self._settled = False
+            self._changes += 1
         return self.tinsts[(name, t)]
 
     def add_diagram(self, domain_row, codomain_row, col_a, col_b, col_c) -> None:
@@ -231,7 +233,7 @@ class DeductionGraph:
                 raise GraphError(
                     f"diagram corner mismatch: column {pos} quotient "
                     f"{key_label(col.keys[2])} != codomain-row term {key_label(cod.keys[pos])}")
-        self._settled = False
+        self._changes += 1
         self.implications.append((
             cols[1], (dom, cols[0], cols[2]),
             f"R8: diagram chase with H0-epi columns {cols[0].name}, {cols[2].name} "
@@ -245,7 +247,7 @@ class DeductionGraph:
             raise GraphError("composition: factors do not chain")
         if t_second.keys[2] != t_out.keys[2]:
             raise GraphError("composition: second factor must share the target term")
-        self._settled = False
+        self._changes += 1
         self.implications.append((
             t_out, (t_first, t_second),
             f"R8: composite of H0-surjections {t_first.name} then {t_second.name}"))
@@ -261,7 +263,7 @@ class DeductionGraph:
         if i not in (0, 1, 2):
             raise GraphError("connecting maps are indexed 0..2")
         self._tinst((tname, t)).conn_origin.setdefault(i, f"fact:{tag}")
-        self._settled = False
+        self._changes += 1
 
     # -- queries -----------------------------------------------------------
 
@@ -269,7 +271,7 @@ class DeductionGraph:
         """The instance of a node at twist t, created if missing, at the
         rules' fixpoint: the graph propagates first if it is off it."""
         inst = self._instance(self._node(node_name), t)
-        if not self._settled:
+        if self._changes != self._fixpoint:
             self.propagate()
         return inst
 
@@ -302,26 +304,23 @@ class DeductionGraph:
         # structure every round walks is resolved once
         tlist = list(self.tinsts.values())
         ilist = list(self.instances.values())
-        if self.order == "reverse":
-            tlist.reverse()
-            ilist.reverse()
         pairs = self._duality_pairs()
         groups = self._sum_groups()
         for _ in range(MAX_ROUNDS):
-            changed = False
+            start = self._changes
             for ti in tlist:
-                changed |= self._rule_chi_additivity(ti)
-                changed |= self._rule_connecting(ti)
-            changed |= self._rule_implications()
+                self._rule_chi_additivity(ti)
+                self._rule_connecting(ti)
+            self._rule_implications()
             for ti in tlist:
-                changed |= self._rule_segments(ti)
-                changed |= self._rule_monotone(ti)
+                self._rule_segments(ti)
+                self._rule_monotone(ti)
             for inst in ilist:
-                changed |= self._rule_chi(inst)
-            changed |= self._rule_duality(pairs)
-            changed |= self._rule_sums(groups)
-            if not changed:
-                self._settled = True
+                self._rule_chi(inst)
+            self._rule_duality(pairs)
+            self._rule_sums(groups)
+            if self._changes == start:
+                self._fixpoint = start
                 return
         raise EngineError("propagation did not stabilize")
 
@@ -357,48 +356,40 @@ class DeductionGraph:
 
     # -- rule bodies ---------------------------------------------------
 
-    def _rule_chi_additivity(self, ti: TripleInstance) -> bool:
-        a, b, c = ti.parts
+    def _rule_chi_additivity(self, ti: TripleInstance) -> None:
+        """chi(A) - chi(B) + chi(C) = 0: verify it when all three are known,
+        solve it when exactly one is missing."""
+        signs = (1, -1, 1)
         known = [x.chi for x in ti.parts]
         missing = [i for i, v in enumerate(known) if v is None]
+        if len(missing) > 1:
+            return
+        rest = sum(sign * v for sign, v in zip(signs, known) if v is not None)
         if not missing:
-            if known[0] + known[2] != known[1]:
+            if rest != 0:
+                a, b, c = ti.parts
                 raise Contradiction(
                     f"{ti.name}: chi additivity fails: "
                     f"chi({a.label})={known[0]}, chi({b.label})={known[1]}, chi({c.label})={known[2]}")
-            return False
-        if len(missing) > 1:
-            return False
-        i = missing[0]
-        inst = ti.parts[i]
-        if i == 0:
-            inst.chi = known[1] - known[2]
-        elif i == 1:
-            inst.chi = known[0] + known[2]
-        else:
-            inst.chi = known[1] - known[0]
+            return
+        inst = ti.parts[missing[0]]
+        inst.chi = -rest * signs[missing[0]]
         inst.chi_origin = f"chi-additivity through {ti.name}"
-        return True
+        self._changes += 1
 
-    def _rule_connecting(self, ti: TripleInstance) -> bool:
-        changed = False
+    def _rule_connecting(self, ti: TripleInstance) -> None:
         a = ti.parts[0]
         for i in (0, 1, 2):
-            if i in ti.conn_origin:
-                continue
             iv = a.h[i + 1]
-            if iv.pinned and iv.value == 0:
+            if i not in ti.conn_origin and iv.pinned and iv.value == 0:
                 ti.conn_origin[i] = f"R7: h{i+1}({a.label}) = 0"
-                changed = True
-        return changed
+                self._changes += 1
 
-    def _rule_implications(self) -> bool:
-        changed = False
+    def _rule_implications(self) -> None:
         for out, premises, origin in self.implications:
             if 0 not in out.conn_origin and all(0 in p.conn_origin for p in premises):
                 out.conn_origin[0] = origin
-                changed = True
-        return changed
+                self._changes += 1
 
     def _segments(self, ti: TripleInstance) -> list[list[tuple[Instance, int]]]:
         """Maximal exact runs of LES slots, zero slots excluded."""
@@ -420,8 +411,7 @@ class DeductionGraph:
             segments.append(current)
         return segments
 
-    def _rule_segments(self, ti: TripleInstance) -> bool:
-        changed = False
+    def _rule_segments(self, ti: TripleInstance) -> None:
         bound, alternating = f"R2 exactness bound in {ti.name}", f"R4 alternating sum in {ti.name}"
         for run in self._segments(ti):
             # R2: term <= left + right within the run, boundaries are zero
@@ -429,76 +419,68 @@ class DeductionGraph:
                 neighbours = run[max(pos - 1, 0):pos] + run[pos + 1:pos + 2]
                 his = [n.h[d].hi for n, d in neighbours]
                 if None not in his:
-                    changed |= self._narrow(inst, deg, 0, sum(his), bound,
-                                            [(n.key, d) for n, d in neighbours])
-            changed |= self._solve_alternating(run, 0, alternating)
-        return changed
+                    self._narrow(inst, deg, 0, sum(his), bound,
+                                 [(n.key, d) for n, d in neighbours])
+            self._solve_alternating(run, 0, alternating)
 
-    def _rule_monotone(self, ti: TripleInstance) -> bool:
+    def _rule_monotone(self, ti: TripleInstance) -> None:
         a, b, c = ti.parts
-        return (self._narrow(b, 0, a.h[0].lo, None, f"R3 h0 injects in {ti.name}", [(a.key, 0)])
-                | self._narrow(b, 3, c.h[3].lo, None, f"R3 h3 surjects in {ti.name}",
-                               [(c.key, 3)]))
+        self._narrow(b, 0, a.h[0].lo, None, f"R3 h0 injects in {ti.name}", [(a.key, 0)])
+        self._narrow(b, 3, c.h[3].lo, None, f"R3 h3 surjects in {ti.name}", [(c.key, 3)])
 
-    def _rule_chi(self, inst: Instance) -> bool:
-        if inst.chi is None:
-            return False
-        return self._solve_alternating([(inst, deg) for deg in range(4)], inst.chi,
-                                       f"R1 chi solve (chi = {inst.chi}, {inst.chi_origin})")
+    def _rule_chi(self, inst: Instance) -> None:
+        if inst.chi is not None:
+            self._solve_alternating([(inst, deg) for deg in range(4)], inst.chi,
+                                    f"R1 chi solve (chi = {inst.chi}, {inst.chi_origin})")
 
     def _solve_alternating(self, slots: list[tuple[Instance, int]], total: int,
-                           rule: str) -> bool:
+                           rule: str) -> None:
         """h(slot 0) - h(slot 1) + h(slot 2) - ... = total: verify it when every
         slot is pinned, solve it when exactly one is not."""
         ivs = [inst.h[deg] for inst, deg in slots]
         unknown = [pos for pos, iv in enumerate(ivs) if not iv.pinned]
         if len(unknown) > 1:
-            return False
+            return
         rest = sum((-1) ** pos * iv.value for pos, iv in enumerate(ivs) if iv.pinned)
         if not unknown:
             if rest != total:
                 terms = ", ".join(f"h{deg}({inst.label})" for inst, deg in slots)
                 raise Contradiction(f"{rule}: pinned values {[iv.value for iv in ivs]} of "
                                     f"{terms} have alternating sum {rest}, expected {total}")
-            return False
+            return
         pos = unknown[0]
         target, degree = slots[pos]
         value = (total - rest) * (-1) ** pos
         if value < 0:
             raise Contradiction(f"{rule} gives h{degree}({target.label}) = {value} < 0")
-        return self._narrow(target, degree, value, value, rule,
-                            [(inst.key, deg) for p, (inst, deg) in enumerate(slots) if p != pos])
+        self._narrow(target, degree, value, value, rule,
+                     [(inst.key, deg) for p, (inst, deg) in enumerate(slots) if p != pos])
 
-    def _rule_duality(self, pairs: list[tuple[Instance, Instance]]) -> bool:
-        changed = False
+    def _rule_duality(self, pairs: list[tuple[Instance, Instance]]) -> None:
         for left, right in pairs:
             for i in range(4):
                 rule = f"R5 Serre duality h{i}({left.label}) = h{3-i}({right.label})"
                 li, ri = left.h[i], right.h[3 - i]
-                changed |= self._narrow(left, i, ri.lo, ri.hi, rule, [(right.key, 3 - i)])
-                changed |= self._narrow(right, 3 - i, li.lo, li.hi, rule, [(left.key, i)])
-        return changed
+                self._narrow(left, i, ri.lo, ri.hi, rule, [(right.key, 3 - i)])
+                self._narrow(right, 3 - i, li.lo, li.hi, rule, [(left.key, i)])
 
-    def _rule_sums(self, groups: list[tuple[Instance, list[Instance], str]]) -> bool:
-        changed = False
+    def _rule_sums(self, groups: list[tuple[Instance, list[Instance], str]]) -> None:
         for total, parts, rule in groups:
             for deg in range(4):
                 lo_sum = sum(p.h[deg].lo for p in parts)
                 his = [p.h[deg].hi for p in parts]
                 srcs = [(p.key, deg) for p in parts]
                 hi_sum = sum(his) if None not in his else None
-                changed |= self._narrow(total, deg, lo_sum, hi_sum, rule, srcs)
+                self._narrow(total, deg, lo_sum, hi_sum, rule, srcs)
                 for j, part in enumerate(parts):
                     others_lo = lo_sum - part.h[deg].lo
                     srcs_j = [(total.key, deg)] + [(p.key, deg) for p in parts if p is not part]
                     if total.h[deg].hi is not None:
-                        changed |= self._narrow(part, deg, 0, total.h[deg].hi - others_lo,
-                                                rule, srcs_j)
+                        self._narrow(part, deg, 0, total.h[deg].hi - others_lo, rule, srcs_j)
                     others_hi = [p.h[deg].hi for i2, p in enumerate(parts) if i2 != j]
                     if None not in others_hi:
-                        changed |= self._narrow(part, deg, total.h[deg].lo - sum(others_hi),
-                                                None, rule, srcs_j)
-        return changed
+                        self._narrow(part, deg, total.h[deg].lo - sum(others_hi), None,
+                                     rule, srcs_j)
 
     # -- internals -------------------------------------------------------
 
@@ -530,7 +512,7 @@ class DeductionGraph:
             chi = node.chern.twist(t).chi() if node.chern is not None else None
             inst = Instance(key, node.name, t, h, chi, "character" if chi is not None else "")
         self.instances[key] = inst
-        self._settled = False
+        self._changes += 1
         # creating a member instance of a sum keeps R6 complete
         if node.name in self.sums:
             for m in self.sums[node.name]:
@@ -538,9 +520,9 @@ class DeductionGraph:
         return inst
 
     def _narrow(self, inst: Instance, degree: int, lo: int, hi: Optional[int], rule: str,
-                sources: list[tuple]) -> bool:
+                sources: list[tuple]) -> None:
         """Intersect h^degree(inst) with [lo, hi] (hi None: no upper bound),
-        lo first as Interval.pin does; record one event if it shrank."""
+        lo first; record one event and bump the counter if it shrank."""
         iv = inst.h[degree]
         try:
             changed = iv.tighten_lo(lo)
@@ -553,8 +535,7 @@ class DeductionGraph:
         if changed:
             self.events[(inst.key, degree)] = {"rule": rule, "sources": sources,
                                                "result": repr(iv)}
-            self._settled = False
-        return changed
+            self._changes += 1
 
     # -- reporting --------------------------------------------------------
 

@@ -50,11 +50,6 @@ class Interval:
         self.hi = v
         return True
 
-    def pin(self, v: int) -> bool:
-        changed = self.tighten_lo(v) if v > self.lo else False
-        changed = self.tighten_hi(v) or changed
-        return changed
-
     def __repr__(self) -> str:
         if self.pinned:
             return str(self.lo)

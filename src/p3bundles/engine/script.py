@@ -182,13 +182,13 @@ class ScriptReport:
 
 class ScriptRunner:
     def __init__(self, name: str, text: str, params: dict[str, int], seed: int,
-                 order: str = "forward", retry_budget: int = DEFAULT_RETRY_BUDGET):
+                 retry_budget: int = DEFAULT_RETRY_BUDGET):
         self.name = name
         self.retry_budget = retry_budget
         self.lines = text.splitlines()
         self.env = {k: int(v) for k, v in params.items()}
         self.seed = int(seed)
-        self.graph = DeductionGraph(order)
+        self.graph = DeductionGraph()
         self.configs: dict[str, GeometryConfig] = {}
         # node name -> (oracle kind: ideal, serre or points, config it reads)
         self.bindings: dict[str, tuple[str, GeometryConfig]] = {}
@@ -502,9 +502,8 @@ class ScriptRunner:
 
 
 def run_script_text(name: str, text: str, params: dict[str, int], seed: int = 0,
-                    order: str = "forward",
                     retry_budget: int = DEFAULT_RETRY_BUDGET) -> ScriptReport:
-    runner = ScriptRunner(name, text, params, seed, order, retry_budget)
+    runner = ScriptRunner(name, text, params, seed, retry_budget)
     report = runner.run()
     report.report_hash = content_hash(report.to_dict())
     return report
@@ -516,7 +515,5 @@ def load_bundled_script(name: str) -> str:
 
 
 def run_script(name: str, params: dict[str, int], seed: int = 0,
-               order: str = "forward",
                retry_budget: int = DEFAULT_RETRY_BUDGET) -> ScriptReport:
-    return run_script_text(name, load_bundled_script(name), params, seed, order,
-                           retry_budget)
+    return run_script_text(name, load_bundled_script(name), params, seed, retry_budget)

@@ -175,32 +175,16 @@ def sample_conics(m: int, seed: int, *,
         coords = _draw_distinct(rng, COORD_POOL, 2 * k)
         ruling_us, partner_us = coords[:k], coords[k:]
         node_vs = [rng.choice(COORD_POOL) for _ in range(k)]
-        z_vs = []
-        for v in node_vs:
-            z_vs.append(rng.choice([x for x in COORD_POOL if x != v]))
+        z_vs = [rng.choice([x for x in COORD_POOL if x != v]) for v in node_vs]
         ruling = [ruling_line((u, 1)) for u in ruling_us]
-        partners = []
-        marks = []
-        ok = True
-        for i in range(k):
-            y = quadric_point((ruling_us[i], 1), (node_vs[i], 1))
-            z = quadric_point((partner_us[i], 1), (z_vs[i], 1))
-            partner = Line(y, z)
-            if line_inside_quadric(partner):
-                ok = False
-                break
-            partners.append(partner)
-            marks.append(MarkedPoint(z, (partner_us[i], 1), (z_vs[i], 1)))
-        if not ok:
+        marks = [MarkedPoint(quadric_point((u, 1), (v, 1)), (u, 1), (v, 1))
+                 for u, v in zip(partner_us, z_vs)]
+        partners = [Line(quadric_point((u, 1), (v, 1)), mark.point)
+                    for u, v, mark in zip(ruling_us, node_vs, marks)]
+        if any(line_inside_quadric(partner) for partner in partners):
             continue
-        for i in range(k):
-            for j in range(k):
-                if i != j and not lines_disjoint(partners[i], ruling[j]):
-                    ok = False
-            for j in range(i + 1, k):
-                if not lines_disjoint(partners[i], partners[j]):
-                    ok = False
-        if not ok:
+        if not all(lines_disjoint(partner, other) for i, partner in enumerate(partners)
+                   for other in ruling[:i] + ruling[i + 1:] + partners[i + 1:]):
             continue
         order = sorted(range(k), key=lambda i: ruling_us[i])
         lines = tuple(ruling[i] for i in order) + tuple(partners[i] for i in order)

@@ -142,6 +142,12 @@ SIGMA0_24 = ("--series", "sigma0", "--m", "19", "--eps", "0", "--a", "24")
                  None, 2, "argument --n-max: must be at least 1", id="enumerate-n-max-0"),
     pytest.param(("series", "coverage", "--n-lo", "1", "--n-hi", "0"),
                  None, 2, "argument --n-hi: must be at least 1", id="coverage-n-hi-0"),
+    pytest.param(("series", "coverage", "--n-lo", "200", "--n-hi", "100"),
+                 None, 2, "--n-lo must not exceed --n-hi", id="coverage-n-lo-above-n-hi"),
+    pytest.param(("series", "coverage", "--n-lo", "-5", "--n-hi", "3"),
+                 None, 2, "argument --n-lo: must be at least 1", id="coverage-n-lo-negative"),
+    pytest.param(("verify", "prop1", "--m", "1", "--eps", "0", "--a", "5", "--order", "reverse"),
+                 None, 2, "unrecognized arguments: --order reverse", id="verify-order-removed"),
     pytest.param(("series", "compare", "--e", "0", "--n", "0"),
                  None, 2, "argument --n: must be at least 1", id="compare-n-0"),
     pytest.param(("oracle", "serre", "--kind", "ruling", "--m", "1", "--twist", "0",

@@ -16,11 +16,11 @@ from p3bundles.monad import MonadSpec, Series, _profile_graph, _summand_configs
 from p3bundles.oracle import h0_ideal, ideal_cohomology, sample_ruling
 
 
-def ideal_graph(k: int, twists, facts=True, seed=0, order="forward"):
+def ideal_graph(k: int, twists, facts=True, seed=0):
     """LES bookkeeping for k disjoint lines, seeded with oracle h0 facts;
     unpropagated until the first query."""
     cfg = sample_ruling(k - 1, seed)
-    g = DeductionGraph(order)
+    g = DeductionGraph()
     g.add_node(Node("O", Kind.LINE, params=(0,)))
     g.add_node(Node("C", Kind.LINES, params=(k, 0)))
     g.add_node(Node("I", Kind.SHEAF))
@@ -33,13 +33,12 @@ def ideal_graph(k: int, twists, facts=True, seed=0, order="forward"):
     return g, cfg
 
 
-def monad_graph(order="forward"):
+def monad_graph():
     """The sigma0 (1, 0, 5) display graph of `monad profile` at twists -8..-1,
     unpropagated, plus both triples at twist 0, where no summand is pinned:
     R5 pins E1(0) and E2(0) from twist -4, and R6 carries them into the sum."""
     spec = MonadSpec.create(Series.SIGMA0, 1, 0, 5)
     g = _profile_graph(spec, range(-8, 0), _summand_configs(spec, 0))
-    g.order = order  # _profile_graph builds its graph with the default order
     g.materialize("TK", 0)
     g.materialize("TE", 0)
     return g
@@ -73,16 +72,24 @@ def test_tables_alone_bound_but_do_not_pin():
     assert iv.lo == 0 and iv.hi is not None
 
 
+def reverse_creation_order(g: DeductionGraph) -> DeductionGraph:
+    """The same graph, with its triple instances and instances (and so the
+    walk of `propagate`) in reverse creation order."""
+    g.tinsts = dict(reversed(g.tinsts.items()))
+    g.instances = dict(reversed(g.instances.items()))
+    return g
+
+
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda order: ideal_graph(4, range(-2, 7), order=order)[0], id="ideal-lines"),
+    pytest.param(lambda: ideal_graph(4, range(-2, 7))[0], id="ideal-lines"),
     pytest.param(monad_graph, id="monad-sum-duality"),
 ])
 def test_propagation_order_is_irrelevant(build):
-    forward, reverse = build("forward"), build("reverse")
+    forward, reverse = build(), reverse_creation_order(build())
     forward.propagate()
     reverse.propagate()
     assert content_hash(forward.table()) == content_hash(reverse.table())
-    assert content_hash(forward.table()) != content_hash(build("forward").table())  # rules fired
+    assert content_hash(forward.table()) != content_hash(build().table())  # rules fired
 
 
 def test_a_query_returns_the_fixpoint():
@@ -157,6 +164,19 @@ def test_wrong_fact_contradicts():
         g.propagate()
 
 
+def test_a_contradiction_leaves_the_graph_off_its_fixpoint():
+    """A propagation that raises part way is no fixpoint: the next query
+    raises again rather than reading a half-propagated interval."""
+    g, _ = ideal_graph(3, range(0, 4))
+    g.add_value_fact("ASSUMED", "I", 3, 1, 5)  # h1(I(3)) is 0
+    facts = len(g.events)
+    with pytest.raises(Contradiction, match="R4 alternating sum in T@3"):
+        g.propagate()
+    assert len(g.events) > facts  # rules narrowed slots before it raised
+    with pytest.raises(Contradiction, match="R4 alternating sum in T@3"):
+        g.interval("I", 2, 1)
+
+
 def test_explain_names_the_deciding_rule():
     g, _ = ideal_graph(3, range(-1, 5))
     g.propagate()
@@ -223,7 +243,8 @@ def test_interval_semantics():
     assert iv.tighten_lo(2)
     assert iv.tighten_hi(5)
     assert not iv.tighten_hi(9)      # loosening is a no-op
-    iv.pin(3)
+    iv.tighten_lo(3)
+    iv.tighten_hi(3)
     assert iv.pinned and iv.value == 3
     with pytest.raises(EmptyInterval):
         iv.tighten_lo(4)

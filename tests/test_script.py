@@ -43,12 +43,6 @@ def test_report_hash_is_seed_stable():
     assert one.configs != other.configs
 
 
-def test_reverse_order_reaches_the_same_verdict():
-    report = run_script("prop1", {"m": 2, "eps": 0, "a": 6}, seed=0,
-                        order="reverse")
-    assert report.passed
-
-
 def test_out_of_range_parameters_are_not_entailed():
     # m + eps beyond a - 4 breaks the vanishing the script must certify
     with pytest.raises(AssertionNotEntailed) as exc_info:
