@@ -208,14 +208,22 @@ def sample_modification(d: int, seed: int,
         raise ValueError("need d >= 1")
     rng = child_rng(seed, f"modification:{d}")
     avoid_lines = avoid.lines if avoid is not None else ()
+    # first-ruling values of the ruling lines to avoid; once they leave at
+    # most two pool values free, draw the secant's ua, ub clear of them (the
+    # window widens as needed), as a pool draw would almost never be accepted
+    blocked = {l.p[0] for l in avoid_lines if l == ruling_line((l.p[0], 1))}
+    avoid_ruling = sum(u not in blocked for u in COORD_POOL) <= 2
     lines: list[Line] = []
     marks: list[MarkedPoint] = []
     used_vs: set[int] = set()
     for _ in range(d):
         for _ in range(retry_budget):
             va, vb = _draw_distinct(rng, COORD_POOL, 2, forbidden=used_vs)
-            ua = rng.choice(COORD_POOL)
-            ub = rng.choice([x for x in COORD_POOL if x != ua])
+            if avoid_ruling:
+                ua, ub = _draw_distinct(rng, COORD_POOL, 2, forbidden=blocked)
+            else:
+                ua = rng.choice(COORD_POOL)
+                ub = rng.choice([x for x in COORD_POOL if x != ua])
             pa = quadric_point((ua, 1), (va, 1))
             pb = quadric_point((ub, 1), (vb, 1))
             line = Line(pa, pb)

@@ -112,11 +112,10 @@ def bidegree_evaluation_row(u: Proj1, v: Proj1, p: int, q: int) -> tuple[int, ..
     return tuple(row)
 
 
-def _row_reduce_mod_p(m: np.ndarray, reduced: bool) -> list[int]:
-    """Row-reduce the int64 residues ``m`` in place over F_PRIME; the pivot
-    columns, in order.  Each pivot row is scaled to a leading 1 and its
-    column cleared below it, and with ``reduced`` above it too, which leaves
-    the reduced row echelon form."""
+def _row_reduce_mod_p(m: np.ndarray) -> list[int]:
+    """Row-reduce the int64 residues ``m`` in place over F_PRIME to row
+    echelon form; the pivot columns, in order.  Each pivot row is scaled to a
+    leading 1 and its column cleared below it."""
     n_rows, n_cols = m.shape
     pivots: list[int] = []
     for col in range(n_cols):
@@ -131,34 +130,53 @@ def _row_reduce_mod_p(m: np.ndarray, reduced: bool) -> list[int]:
             m[[row, pivot_row]] = m[[pivot_row, row]]
         inv = pow(int(m[row, col]), PRIME - 2, PRIME)
         m[row] = (m[row] * inv) % PRIME
-        start = 0 if reduced else row + 1
-        hit = np.nonzero(m[start:, col])[0]
-        if reduced:
-            hit = hit[hit != row]
+        hit = np.nonzero(m[row + 1:, col])[0]
         if hit.size:
-            hit += start
+            hit += row + 1
             m[hit] = (m[hit] - m[hit, col][:, None] * m[row]) % PRIME
         pivots.append(col)
     return pivots
 
 
-def rank_mod_p(rows: list) -> int:
-    """Rank over F_PRIME of a list of rows (0 for no rows).
+def _back_substitute(m: np.ndarray, pivots: list[int]) -> None:
+    """Clear each pivot column above its pivot, last pivot first, which turns
+    the row echelon form of ``_row_reduce_mod_p`` into the reduced one."""
+    for row in range(len(pivots) - 1, 0, -1):
+        col = pivots[row]
+        hit = np.nonzero(m[:row, col])[0]
+        if hit.size:
+            m[hit] = (m[hit] - m[hit, col][:, None] * m[row]) % PRIME
 
-    A row is an int64 array, such as a row of ``line_restriction_block``,
-    stacked and reduced in one vectorised pass, or a tuple of Python ints of
-    any size and sign, reduced cell by cell.
-    """
-    if not rows or len(rows[0]) == 0:
-        return 0
-    if isinstance(rows[0], np.ndarray):
+
+Echelon = tuple[np.ndarray, list[int]]  # a matrix in row echelon form mod PRIME, its pivots
+
+
+def _echelon_mod_p(rows: list) -> Echelon:
+    """The rows reduced mod PRIME into a fresh int64 matrix, int64 arrays in
+    one vectorised pass and tuples of Python ints of any size and sign cell
+    by cell, then row-reduced to echelon form."""
+    if not rows:
+        m = np.zeros((0, 0), dtype=np.int64)
+    elif isinstance(rows[0], np.ndarray):
         m = np.vstack(rows) % PRIME
     else:
         m = np.array([[x % PRIME for x in row] for row in rows], dtype=np.int64)
-    return len(_row_reduce_mod_p(m, reduced=False))
+    return m, _row_reduce_mod_p(m)
 
 
-def rank_exact(rows: list[tuple[int, ...]]) -> int:
+def rank_mod_p(rows: list, *, echelon: bool = False) -> int | Echelon:
+    """Rank over F_PRIME of a list of rows (0 for no rows).
+
+    A row is an int64 array, such as a row of ``line_restriction_block``, or
+    a tuple of Python ints of any size and sign.  With ``echelon`` the result
+    is the ``Echelon`` instead, whose pivot count is the rank, for
+    ``rank_exact`` to finish.
+    """
+    reduced = _echelon_mod_p(rows)
+    return reduced if echelon else len(reduced[1])
+
+
+def rank_exact(rows: list[tuple[int, ...]], echelon: Echelon | None = None) -> int:
     """Rank over Q of a matrix of int rows (0 for no rows).
 
     The rank r mod PRIME bounds it from below.  The reduced echelon form mod
@@ -169,14 +187,17 @@ def rank_exact(rows: list[tuple[int, ...]]) -> int:
     The product is taken in int64 only where a bound in Python ints rules
     out overflow.  When the lifted vectors are not a kernel, or the bound
     fails, fraction-free elimination decides.
+
+    ``echelon`` is the caller's ``rank_mod_p(..., echelon=True)`` of the same
+    matrix; it is finished in place instead of eliminating the rows again.
     """
     if not rows or len(rows[0]) == 0:
         return 0
-    m = np.array([[x % PRIME for x in row] for row in rows], dtype=np.int64)
-    pivots = _row_reduce_mod_p(m, reduced=True)
+    m, pivots = echelon if echelon is not None else _echelon_mod_p(rows)
     rank = len(pivots)
     if rank == min(m.shape):  # rank_p is already the most the shape allows
         return rank
+    _back_substitute(m, pivots)
     free = sorted(set(range(m.shape[1])) - set(pivots))
     kernel = np.zeros((m.shape[1], len(free)), dtype=np.int64)
     kernel[free, range(len(free))] = 1
@@ -224,21 +245,23 @@ def nullity_certified(rows: list, n_cols: int, lower_bound: int = 0,
     a caller-supplied valid lower bound the answer is certified without
     exact elimination.  ``rows`` may be int64 residue rows, in which case
     ``exact_rows`` builds the same matrix over the integers; it is called
-    only when the certificate does not close.  Without it ``rows`` must be
+    only when the certificate does not close, and ``rank_exact`` finishes
+    the modular echelon form already computed.  Without it ``rows`` must be
     exact int tuples.
     """
     if n_cols == 0:
         return 0
     if not rows:
         return n_cols
-    upper = n_cols - rank_mod_p(rows)
+    echelon = rank_mod_p(rows, echelon=True)
+    upper = n_cols - len(echelon[1])
     lower = max(0, lower_bound)
     if upper < lower:
         raise AssertionError(
             f"caller lower bound {lower} exceeds certified upper bound {upper}")
     if upper == lower:
         return upper
-    return n_cols - rank_exact(exact_rows() if exact_rows else rows)
+    return n_cols - rank_exact(exact_rows() if exact_rows else rows, echelon)
 
 
 def full_row_rank(rows: list, exact_rows: ExactRows | None = None) -> bool:
@@ -247,6 +270,7 @@ def full_row_rank(rows: list, exact_rows: ExactRows | None = None) -> bool:
         return True
     if len(rows) > len(rows[0]):
         return False
-    if rank_mod_p(rows) == len(rows):
+    echelon = rank_mod_p(rows, echelon=True)
+    if len(echelon[1]) == len(rows):
         return True
-    return rank_exact(exact_rows() if exact_rows else rows) == len(rows)
+    return rank_exact(exact_rows() if exact_rows else rows, echelon) == len(rows)

@@ -16,6 +16,17 @@ same way, and the top half of their vector comes from Serre duality.
 The restriction matrix is stacked from int64 blocks of residues mod p, which
 give the modular rank; its exact integer rows are built only when that rank
 does not certify the answer (see ``linalg``).
+
+Above the regularity of I_Y no matrix is needed.  By Mumford's lemma, if
+h^1(I_Y(k)) = 0, h^2(I_Y(k-1)) = h^1(O_Y(k-1)) = 0 and
+h^3(I_Y(k-2)) = h^3(O_P3(k-2)) = 0, then I_Y is (k+1)-regular, so
+h^1(I_Y(j)) = 0 for every j >= k.  With h^3(O_P3(j)) = 0 for j >= 0 the
+identity above then reads h^0(I_Y(j)) = chi(I_Y(j)) - h^1(O_Y(j)), which is
+exactly the chi bound ``lower`` that certifies every rank.  ``h0_ideal``
+records, per configuration, the least twist at which a computed h^0 met that
+bound while both side conditions hold in the tables, and answers every
+higher twist with the bound.  The record is read, never forced: no twist is
+computed to extend it.
 """
 
 from __future__ import annotations
@@ -64,21 +75,31 @@ def _restriction_rows(cfg: GeometryConfig, k: int) -> list[np.ndarray]:
     return [row for line in cfg.lines for row in line_restriction_block(line, k)]
 
 
+# configuration -> least twist k computed with h^1(I_Y(k)) = 0 at which I_Y
+# is known to be (k+1)-regular; see the module docstring
+_regular_from: dict[GeometryConfig, int] = {}
+
+
 @lru_cache(maxsize=None)
 def h0_ideal(cfg: GeometryConfig, k: int) -> int:
     """dim of degree-k forms vanishing on the configuration curve."""
     if k < 0:
         return 0
-    n_cols = comb(k + 3, 3)
-    ov = structure_cohomology(cfg, k)
-    lower = chi_ideal(cfg, k) - ov.h1  # h^1(I) >= 0 rearranged; h^3(O(k)) = 0 here
-    return nullity_certified(_restriction_rows(cfg, k), n_cols, lower,
-                             lambda: exact_restriction_rows(cfg.lines, k))
+    lower = chi_ideal(cfg, k) - structure_cohomology(cfg, k).h1  # h^1(I) >= 0; h^3(O(k)) = 0
+    if k >= _regular_from.get(cfg, k + 1):
+        return lower
+    h0 = nullity_certified(_restriction_rows(cfg, k), comb(k + 3, 3), lower,
+                           lambda: exact_restriction_rows(cfg.lines, k))
+    if (h0 == lower and structure_cohomology(cfg, k - 1).h1 == 0
+            and h_p3_line_bundle(k - 2).h3 == 0):
+        _regular_from[cfg] = k
+    return h0
 
 
 def clear_caches() -> None:
-    """Forget every memoised h0 and line-restriction block."""
+    """Forget every memoised h0, regularity record and line-restriction block."""
     h0_ideal.cache_clear()
+    _regular_from.clear()
     line_restriction_block.cache_clear()
 
 

@@ -109,6 +109,11 @@ SIGMA0_24 = ("--series", "sigma0", "--m", "19", "--eps", "0", "--a", "24")
     pytest.param(("monad", "profile", *SIGMA0_24, "--lo", "-2", "--hi", "-1"), None, 0, "",
                  id="profile-pool"),
     pytest.param(("monad", "checks", *SIGMA0_24), None, 0, "", id="checks-pool"),
+    # 17 and 18 ruling lines leave the secant at most two pool values
+    pytest.param(("verify", "prop1-modified", "--m", "16", "--a", "30", "--d", "1"),
+                 None, 0, "", id="modified-pool-16"),
+    pytest.param(("verify", "prop1-modified", "--m", "17", "--a", "30", "--d", "1"),
+                 None, 0, "", id="modified-pool-17"),
     pytest.param(("monad", "checks", "--series", "sigma0", "--m", "1", "--eps", "0",
                   "--a", "5", "--retry-budget", "0"), None, 1, "SamplingFailed",
                  id="checks-retry-budget-0"),

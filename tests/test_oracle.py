@@ -7,6 +7,7 @@ rest are structural invariants that hold for every sample.
 
 from itertools import combinations
 from math import comb, prod
+from random import Random
 
 import numpy as np
 import pytest
@@ -221,13 +222,24 @@ def test_restriction_block_mod_p_is_the_exact_block_reduced(p, q, k):
             prod(x ** n for x, n in zip(on_line, e)) for e in monomial_exponents(k)]
 
 
+@pytest.mark.parametrize("m, seed", [(16, 0), (17, 1), (25, 2)])
+def test_modification_avoids_ruling_lines_past_the_pool(m, seed):
+    # 17 or more ruling lines leave at most two pool values for the secant
+    ruling = sample_ruling(m, seed)
+    cfg = sample_modification(2, seed, avoid=ruling)
+    assert not any(line_inside_quadric(l) for l in cfg.lines)
+    assert all(lines_disjoint(a, b) for a in cfg.lines for b in ruling.lines)
+
+
 def test_clear_caches_empties_every_oracle_cache():
     cfg = sample_ruling(2, 0)
     ideal_cohomology(cfg, 3)
     assert h0_ideal.cache_info().currsize and line_restriction_block.cache_info().currsize
+    assert sheaves._regular_from
     clear_caches()
     assert h0_ideal.cache_info().currsize == 0
     assert line_restriction_block.cache_info().currsize == 0
+    assert not sheaves._regular_from
 
 
 def test_block_cache_has_a_fixed_bound():
@@ -260,6 +272,94 @@ def test_exact_rows_are_built_only_on_fallback(exact_builds):
     assert exact_builds == [3]
     assert not restriction_onto_lines_surjective(big, 3)
     assert exact_builds == [3, 3]
+
+
+def _full_matrix_nullity(cfg, k):
+    """h^0(I_Y(k)) from the whole restriction matrix, certified against the
+    chi bound h^1(I_Y(k)) >= 0 as at every twist, with no regularity record."""
+    lower = sheaves.chi_ideal(cfg, k) - structure_cohomology(cfg, k).h1
+    return nullity_certified(sheaves._restriction_rows(cfg, k), comb(k + 3, 3), lower,
+                             lambda: exact_restriction_rows(cfg.lines, k))
+
+
+@pytest.mark.parametrize("cfg", [
+    sample_ruling(0, 0), sample_ruling(3, 0), sample_ruling(4, 0), sample_ruling(6, 3),
+    sample_conics(0, 0), sample_conics(2, 1), sample_conics(4, 0),
+    sample_modification(1, 0), sample_modification(3, 2),
+    join_configs(sample_ruling(3, 0), sample_modification(2, 0, avoid=sample_ruling(3, 0))),
+], ids=lambda cfg: f"{cfg.curve}-{len(cfg.lines)}-{config_hash(cfg)[:6]}")
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_h0_above_the_regularity_record_is_the_full_nullity(cfg, order):
+    twists = list(range(13))
+    if order == "descending":
+        twists.reverse()
+    elif order == "shuffled":
+        Random(len(cfg.lines)).shuffle(twists)
+    clear_caches()
+    got = {k: h0_ideal(cfg, k) for k in twists}
+    clear_caches()
+    assert got == {k: _full_matrix_nullity(cfg, k) for k in twists}
+
+
+def test_four_ruling_lines_have_h1_at_twist_two():
+    # the agreement sample with h^1(I_Y(k)) > 0 at a k >= 0
+    cfg = sample_ruling(3, 0)
+    assert ideal_cohomology(cfg, 2).h1 == 3 and ideal_cohomology(cfg, 3).h1 == 0
+
+
+@pytest.fixture
+def row_builds(monkeypatch):
+    """Count the restriction matrices `h0_ideal` stacks, from cold caches."""
+    calls = []
+
+    def counting(cfg, k):
+        calls.append(k)
+        return restriction_rows(cfg, k)
+
+    restriction_rows = sheaves._restriction_rows
+    clear_caches()
+    monkeypatch.setattr(sheaves, "_restriction_rows", counting)
+    yield calls
+    clear_caches()
+
+
+def test_no_restriction_rows_above_a_certified_h1_vanishing(row_builds):
+    big = sample_ruling(4, 0)
+    # h^1(I(4)) = 0, h^1(O_Y(3)) = 0 and h^3(O(2)) = 0: I_Y is 5-regular
+    assert ideal_cohomology(big, 4).h1 == 0 and row_builds == [4]
+    assert [h0_ideal(big, k) for k in range(5, 13)] == [
+        chi_p3_line_bundle(k) - 5 * (k + 1) for k in range(5, 13)]
+    assert row_builds == [4]
+    # below the record every twist is still computed
+    assert ideal_cohomology(big, 3).h1 == 4 and row_builds == [4, 3]
+
+
+def test_a_nodal_conic_starts_no_record_at_twist_zero(row_builds):
+    # h^0(I(0)) meets the chi bound, but h^1(O_Y(-1)) = 1 for a nodal conic
+    conic = sample_conics(0, 0)
+    assert ideal_cohomology(conic, 0).h1 == 0 and sheaves._regular_from == {}
+    assert h0_ideal(conic, 1) == 4 - 3 and row_builds == [0, 1]
+    assert sheaves._regular_from == {conic: 1}
+    h0_ideal(conic, 7)
+    assert row_builds == [0, 1]
+
+
+def test_each_exact_fallback_eliminates_mod_p_once(exact_builds, monkeypatch):
+    passes = []
+
+    def counting(m):
+        passes.append(m.shape)
+        return row_reduce(m)
+
+    row_reduce = linalg._row_reduce_mod_p
+    monkeypatch.setattr(linalg, "_row_reduce_mod_p", counting)
+    big = sample_ruling(4, 0)
+    assert h0_ideal(big, 3) == 4 and exact_builds == [3]
+    assert passes == [(20, 20)]
+    assert not restriction_onto_lines_surjective(big, 3) and exact_builds == [3, 3]
+    assert passes == [(20, 20)] * 2
+    assert rank_exact(exact_restriction_rows(big.lines, 3)) == 16
+    assert passes == [(20, 20)] * 3
 
 
 huge = st.one_of(st.integers(min_value=-50, max_value=50),
