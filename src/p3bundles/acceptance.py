@@ -103,11 +103,10 @@ def _criterion_3(ctx: _Context) -> dict:
     rows = []
     ok = True
     for i, rec in enumerate(curated_components()):
-        spec = MonadSpec.create(
-            Series.SIGMA0 if rec.e == 0 else Series.SIGMA1, *rec.params)
+        spec = MonadSpec.create(Series(rec.family.value), *rec.params)
         got = spectrum(spec, seed=child_seed(ctx.seed, f"spectrum:{i}"),
                        retry_budget=ctx.retry_budget)
-        mirror = tuple(sorted(-k if rec.e == 0 else -1 - k for k in got))
+        mirror = tuple(sorted(rec.e - k for k in got))
         row_ok = (got == rec.spectrum and len(got) == rec.n and mirror == got)
         ok = ok and row_ok
         rows.append({"params": list(rec.params), "e": rec.e, "n": rec.n,

@@ -18,6 +18,7 @@ from p3bundles.monad import (
     MonadSpec,
     Regime,
     Series,
+    charge,
     component_dimension,
     expected_dimension,
     format_spectrum,
@@ -81,12 +82,12 @@ class ComponentRecord:
 
 def _monad_record(spec: MonadSpec, spectrum: Optional[tuple[int, ...]] = None,
                   flags: Iterable[Flag] = (), note: str = "") -> ComponentRecord:
-    fam = Family.SIGMA0 if spec.series is Series.SIGMA0 else Family.SIGMA1
     all_flags = set(flags)
     if spec.regime is Regime.EXTENDED:
         all_flags.add(Flag.EXTENDED_REGIME)
     return ComponentRecord(
-        family=fam, e=spec.e, n=spec.n, params=(spec.m, spec.eps, spec.a),
+        family=Family(spec.series.value), e=spec.e, n=spec.n,
+        params=(spec.m, spec.eps, spec.a),
         dimension=component_dimension(spec), expected=expected_dimension(spec.e, spec.n),
         spectrum=spectrum, flags=frozenset(all_flags), note=note)
 
@@ -98,19 +99,12 @@ def enumerate_series(series: Series, n_max: int) -> list[ComponentRecord]:
         raise ValueError("n_max must be positive")
     found: list[ComponentRecord] = []
     a = 2
-    while True:
-        # smallest load is 2 (m=1, eps=0), so the minimal n at this a:
-        if series is Series.SIGMA0:
-            min_n = a * a + 2
-        else:
-            min_n = a * (a + 1) + 4
-        if min_n > n_max:
-            break
+    while charge(series, 2, a) <= n_max:  # the smallest load is 2 (m=1, eps=0)
         for m in range(1, a + 2):
             for eps in (0, 1):
                 if not in_strict_range(series, m, eps, a):
                     continue
-                spec = MonadSpec(series, m, eps, a, Regime.STRICT)
+                spec = MonadSpec(series, m, eps, a)
                 if spec.n <= n_max:
                     found.append(_monad_record(spec))
         a += 1
@@ -239,7 +233,7 @@ def compare(e: int, n: int) -> dict:
     """All known records at (e, n), with strict dimension separations marked."""
     if e not in (0, -1):
         raise ValueError("e must be 0 or -1")
-    series = Series.SIGMA0 if e == 0 else Series.SIGMA1
+    series = next(s for s in Series if s.e == e)
     records = [rec for rec in enumerate_series(series, n) if rec.n == n]
     records.extend(rec for rec in curated_components()
                    if rec.e == e and rec.n == n)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from p3bundles import acceptance
 from p3bundles.atlas import (
-    Family,
     compare,
     coverage_sigma0,
     curated_components,
@@ -246,8 +245,7 @@ def _headline(spec: MonadSpec) -> str:
 def _cmd_monad(args: argparse.Namespace, cfg: RunConfig) -> None:
     op = getattr(args, "monad_op", "spectrum")  # the `spectrum` shorthand has none
     spec = _spec_from(args)
-    base = {"series": spec.series.value, "m": spec.m, "eps": spec.eps,
-            "a": spec.a, "regime": spec.regime.value, "n": spec.n, "e": spec.e}
+    base = spec.describe()
     if op == "chern":
         left, right = spec.outer_twists
         payload = {**base,

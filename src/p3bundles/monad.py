@@ -34,6 +34,11 @@ class Series(Enum):
     SIGMA0 = "sigma0"  # c1 = 0, outer factors O(-a), O(a)
     SIGMA1 = "sigma1"  # c1 = -1, outer factors O(-a-1), O(a)
 
+    @property
+    def e(self) -> int:
+        """c1 of the series; the display constants are formulas in it."""
+        return 0 if self is Series.SIGMA0 else -1
+
 
 class Regime(Enum):
     STRICT = "strict"
@@ -75,10 +80,16 @@ EXTENDED_SMALL_CASES: frozenset[tuple[Series, int, int, int]] = frozenset({
 
 
 def in_strict_range(series: Series, m: int, eps: int, a: int) -> bool:
-    load = m + eps
+    m2 = m + eps  # the larger summand's index, not MonadSpec.load
     if series is Series.SIGMA0:
-        return (5 <= a <= 12 and load <= a - 4) or (a >= 12 and load <= a + 1)
-    return a >= 2 * load + 3
+        return (5 <= a <= 12 and m2 <= a - 4) or (a >= 12 and m2 <= a + 1)
+    return a >= 2 * m2 + 3
+
+
+def charge(series: Series, load: int, a: int) -> int:
+    """c2 = (1 - e) load + a (a - e) of the bundle on summands of total charge ``load``."""
+    e = series.e
+    return (1 - e) * load + a * (a - e)
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,6 @@ class MonadSpec:
     m: int
     eps: int
     a: int
-    regime: Regime
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -96,11 +106,6 @@ class MonadSpec:
             raise InvalidSpec("eps must be 0 or 1")
         if self.a < 2:
             raise InvalidSpec("a must be at least 2")
-        strict = in_strict_range(self.series, self.m, self.eps, self.a)
-        if self.regime is Regime.STRICT and not strict:
-            raise InvalidSpec(
-                f"(m,eps,a)=({self.m},{self.eps},{self.a}) violates the "
-                f"{self.series.value} strict-range inequality")
         if self.regime is Regime.EXTENDED and self.key not in EXTENDED_SMALL_CASES:
             raise InvalidSpec(
                 f"(m,eps,a)=({self.m},{self.eps},{self.a}) is not a curated "
@@ -108,10 +113,13 @@ class MonadSpec:
 
     @classmethod
     def create(cls, series: Series, m: int, eps: int, a: int) -> "MonadSpec":
-        """Build a spec, inferring the regime from the parameter ranges."""
-        if in_strict_range(series, m, eps, a):
-            return cls(series, m, eps, a, Regime.STRICT)
-        return cls(series, m, eps, a, Regime.EXTENDED)
+        """Same as ``MonadSpec(series, m, eps, a)``, under the name callers use."""
+        return cls(series, m, eps, a)
+
+    @property
+    def regime(self) -> Regime:
+        strict = in_strict_range(self.series, self.m, self.eps, self.a)
+        return Regime.STRICT if strict else Regime.EXTENDED
 
     @property
     def key(self) -> tuple[Series, int, int, int]:
@@ -119,7 +127,7 @@ class MonadSpec:
 
     @property
     def e(self) -> int:
-        return 0 if self.series is Series.SIGMA0 else -1
+        return self.series.e
 
     @property
     def load(self) -> int:
@@ -132,15 +140,12 @@ class MonadSpec:
 
     @property
     def n(self) -> int:
-        if self.series is Series.SIGMA0:
-            return self.load + self.a * self.a
-        return 2 * self.load + self.a * (self.a + 1)
+        return charge(self.series, self.load, self.a)
 
     @property
     def outer_twists(self) -> tuple[int, int]:
         """(left, right) twists of the line-bundle factors killed by the monad."""
-        left = -self.a if self.series is Series.SIGMA0 else -self.a - 1
-        return (left, self.a)
+        return (self.e - self.a, self.a)
 
     def describe(self) -> dict:
         return {"series": self.series.value, "m": self.m, "eps": self.eps,
@@ -148,9 +153,7 @@ class MonadSpec:
 
 
 def summand_character(series: Series, mi: int) -> ChernCharacter:
-    if series is Series.SIGMA0:
-        return ChernCharacter.from_classes(2, 0, mi, 0)
-    return ChernCharacter.from_classes(2, -1, 2 * mi, 0)
+    return ChernCharacter.from_classes(2, series.e, (1 - series.e) * mi, 0)
 
 
 def cohomology_chern(spec: MonadSpec) -> ChernCharacter:
@@ -256,8 +259,8 @@ def recover_spectrum(profile: Mapping[int, int], e: int, expected_len: int) -> t
 
     ``profile`` maps twists -1, -2, ..., -S to h^1 values.  Successive first
     differences of f(s) = h1(-s) count the entries >= s-1; the negative half
-    is filled in by the c1-symmetry (mirror through 0 for e = 0, through -1/2
-    for e = -1).
+    is filled in by the c1-symmetry k -> e - k (through 0 for e = 0, through
+    -1/2 for e = -1).
     """
     if e not in (0, -1):
         raise ValueError("e must be 0 or -1")
@@ -276,10 +279,8 @@ def recover_spectrum(profile: Mapping[int, int], e: int, expected_len: int) -> t
     entries: list[int] = []
     for j, c in counts.items():
         entries.extend([j] * c)
-        if e == 0 and j > 0:
-            entries.extend([-j] * c)
-        elif e == -1:
-            entries.extend([-1 - j] * c)
+        if e - j != j:
+            entries.extend([e - j] * c)
     entries.sort()
     if len(entries) != expected_len:
         raise InconsistentProfile(
@@ -321,6 +322,13 @@ def _entry(quantity: str, closed_form: int, chi_route: int, inputs: list[str]) -
             "inputs": inputs, "equal": closed_form == chi_route}
 
 
+def _top_sections(series: Series, load: int, a: int) -> int:
+    """Printed closed form of h0(bbE(a - e)), the sections at the top twist."""
+    if series is Series.SIGMA0:
+        return 4 * comb(a + 3, 3) - load * (a + 2)
+    return 4 * comb(a + 3, 3) + 2 * comb(a + 3, 2) - load * (2 * a + 5)
+
+
 def identity_report(series: Series, m: int, eps: int, a: int) -> list[dict]:
     """Section counts and h^1 sizes feeding the dimension count.
 
@@ -331,52 +339,30 @@ def identity_report(series: Series, m: int, eps: int, a: int) -> list[dict]:
     proof scripts.  The identities are pure arithmetic, so any (m, eps, a)
     grid point is accepted regardless of regime.
     """
-    load = 2 * m + eps
-    m1, m2 = m, m + eps
-    ch1 = summand_character(series, m1)
-    ch2 = summand_character(series, m2)
+    s = -series.e  # O(s) = det^-1: E1(s)*E2 = Hom(E1, E2), S2 E(s) = End_0 E
+    ch1 = summand_character(series, m)
+    ch2 = summand_character(series, m + eps)
     bbE = ch1 + ch2
-    out: list[dict] = []
+    t12 = ch1.twist(s) * ch2
+    sym_chi = ch1.sym2().twist(s).chi() + t12.chi() + ch2.sym2().twist(s).chi()
     if series is Series.SIGMA0:
-        out.append(_entry(
-            "h0(bbE(a))",
-            4 * comb(a + 3, 3) - load * (a + 2),
-            (ch1.twist(a) + ch2.twist(a)).chi(),
-            ["h1=h2=h3 of both summands vanish at twist a"]))
-        t12 = ch1 * ch2
-        out.append(_entry(
-            "h1(E1*E2)", 8 * m + 4 * eps - 4, -t12.chi(),
-            ["h0(E1*E2)=0 by stability", "h2,h3 vanish along the pair chain"]))
-        sym_chi = ch1.sym2().chi() + t12.chi() + ch2.sym2().chi()
-        out.append(_entry(
-            "h1(S2 bbE)", 24 * m + 12 * eps - 10, -sym_chi,
-            ["h0(S2 bbE)=0 by stability", "h2,h3 of each S2 summand vanish"]))
-        end_chi = (bbE * bbE.dual()).chi()
-        out.append(_entry(
-            "h1(End bbE)", 32 * m + 16 * eps - 14, 2 - end_chi,
-            ["h0(End bbE)=2: identity endomorphisms of two non-isomorphic "
-             "stable summands", "h2,h3 vanish"]))
+        top, pair, sym = "a", "E1*E2", "S2 bbE"
+        closed = (8 * m + 4 * eps - 4, 24 * m + 12 * eps - 10, 32 * m + 16 * eps - 14)
     else:
-        out.append(_entry(
-            "h0(bbE(a+1))",
-            4 * comb(a + 3, 3) + 2 * comb(a + 3, 2) - load * (2 * a + 5),
-            (ch1.twist(a + 1) + ch2.twist(a + 1)).chi(),
-            ["h1=h2=h3 of both summands vanish at twist a+1"]))
-        t12 = ch1.twist(1) * ch2
-        out.append(_entry(
-            "h1(E1(1)*E2)", 16 * m + 8 * eps - 6, -t12.chi(),
-            ["h0(E1(1)*E2)=0 by stability", "h2,h3 vanish along the pair chain"]))
-        sym_chi = (ch1.sym2().twist(1).chi() + t12.chi()
-                   + ch2.sym2().twist(1).chi())
-        out.append(_entry(
-            "h1(S2 bbE(1))", 48 * m + 24 * eps - 16, -sym_chi,
-            ["h0(S2 bbE(1))=0 by stability", "h2,h3 of each S2 summand vanish"]))
-        end_chi = (bbE * bbE.dual()).chi()
-        out.append(_entry(
-            "h1(End bbE)", 64 * m + 32 * eps - 22, 2 - end_chi,
-            ["h0(End bbE)=2: identity endomorphisms of two non-isomorphic "
-             "stable summands", "h2,h3 vanish"]))
-    return out
+        top, pair, sym = "a+1", "E1(1)*E2", "S2 bbE(1)"
+        closed = (16 * m + 8 * eps - 6, 48 * m + 24 * eps - 16, 64 * m + 32 * eps - 22)
+    return [
+        _entry(f"h0(bbE({top}))", _top_sections(series, 2 * m + eps, a),
+               (ch1.twist(a + s) + ch2.twist(a + s)).chi(),
+               [f"h1=h2=h3 of both summands vanish at twist {top}"]),
+        _entry(f"h1({pair})", closed[0], -t12.chi(),
+               [f"h0({pair})=0 by stability", "h2,h3 vanish along the pair chain"]),
+        _entry(f"h1({sym})", closed[1], -sym_chi,
+               [f"h0({sym})=0 by stability", "h2,h3 of each S2 summand vanish"]),
+        _entry("h1(End bbE)", closed[2], 2 - (bbE * bbE.dual()).chi(),
+               ["h0(End bbE)=2: identity endomorphisms of two non-isomorphic "
+                "stable summands", "h2,h3 vanish"]),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +427,7 @@ def middle_term_checks(spec: MonadSpec, seed: int = 0,
                 c["established_on_instance"] for c in four if "h1" not in c["target"]),
             "h1_clause_value": four[1]["oracle_value"],
         }
-        conditions.append(_condition("h1(bbE(a))", total(a, 1)))
-        conditions.append(_condition(
-            "h0(bbE(a))", total(a, 0),
-            expected=4 * comb(a + 3, 3) - spec.load * (a + 2)))
+        top = "a"
     else:
         conditions.append(_condition("h0(bbE)", total(0, 0)))
         conditions.append(_condition("h1(bbE(-a))", total(-a, 1)))
@@ -454,10 +437,10 @@ def middle_term_checks(spec: MonadSpec, seed: int = 0,
                 f"h1(E{i}(a-3))", serre_cohomology(cfg, a - 3)[1]))
             conditions.append(_condition(
                 f"h1(E{i}(a))", serre_cohomology(cfg, a)[1]))
-        conditions.append(_condition("h1(bbE(a+1))", total(a + 1, 1)))
-        conditions.append(_condition(
-            "h0(bbE(a+1))", total(a + 1, 0),
-            expected=4 * comb(a + 3, 3) + 2 * comb(a + 3, 2) - spec.load * (2 * a + 5)))
+        top = "a+1"
+    conditions.append(_condition(f"h1(bbE({top}))", total(a - spec.e, 1)))
+    conditions.append(_condition(f"h0(bbE({top}))", total(a - spec.e, 0),
+                                 expected=_top_sections(spec.series, spec.load, a)))
 
     evidence: list[dict] = []
     for idx, (script, params) in enumerate(_script_plan(spec)):

@@ -21,7 +21,13 @@ from p3bundles.atlas import (
     instanton_record,
     records_to_tsv,
 )
-from p3bundles.monad import MonadSpec, Series, component_dimension, in_strict_range
+from p3bundles.monad import (
+    EXTENDED_SMALL_CASES,
+    MonadSpec,
+    Series,
+    component_dimension,
+    in_strict_range,
+)
 
 
 def brute_force(series: Series, n_max: int):
@@ -108,6 +114,12 @@ def test_curated_table_shape():
         spec = MonadSpec.create(
             Series.SIGMA0 if rec.e == 0 else Series.SIGMA1, *rec.params)
         assert rec.dimension == component_dimension(spec)
+
+
+def test_non_strict_rows_are_exactly_the_admitted_cases():
+    rows = {(Series(rec.family.value), *rec.params) for rec in curated_components()
+            if not in_strict_range(Series(rec.family.value), *rec.params)}
+    assert rows == EXTENDED_SMALL_CASES
 
 
 def test_typo_suspect_rows():

@@ -1,7 +1,9 @@
 """Monad families: parameter validation, profiles, spectra, dimensions."""
 
+from dataclasses import fields
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from p3bundles import monad
@@ -24,6 +26,7 @@ from p3bundles.monad import (
     recover_spectrum,
     spectrum,
     spectrum_h1,
+    summand_character,
 )
 from p3bundles.oracle import SamplingFailed
 
@@ -41,6 +44,14 @@ from p3bundles.oracle import SamplingFailed
 def test_invalid_parameters_rejected(series, m, eps, a):
     with pytest.raises(InvalidSpec):
         MonadSpec.create(series, m, eps, a)
+
+
+def test_spec_takes_exactly_its_parameters():
+    assert [f.name for f in fields(MonadSpec)] == ["series", "m", "eps", "a"]
+    assert MonadSpec.create(Series("sigma0"), 1, 0, 5) == MonadSpec(Series.SIGMA0, 1, 0, 5)
+    with pytest.raises(InvalidSpec, match=r"\(m,eps,a\)=\(2,0,5\) is not a curated "
+                       "extended-regime case"):
+        MonadSpec(Series.SIGMA0, 2, 0, 5)
 
 
 def test_regime_inference():
@@ -81,6 +92,41 @@ def test_charge_and_parity():
     assert spec.n == 36 and spec.e == -1
     assert spec.summand_params == (1, 2)
     assert spec.outer_twists == (-6, 5)
+
+
+@st.composite
+def strict_specs(draw):
+    series = draw(st.sampled_from(Series))
+    a = draw(st.integers(min_value=5, max_value=40))
+    m = draw(st.integers(min_value=1, max_value=a + 1))
+    eps = draw(st.integers(min_value=0, max_value=1))
+    assume(in_strict_range(series, m, eps, a))
+    return MonadSpec.create(series, m, eps, a)
+
+
+@given(strict_specs(), st.lists(st.integers(min_value=0, max_value=8),
+                                min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_series_constants_match_the_per_series_formulas(spec, upper):
+    m, eps, a = spec.m, spec.eps, spec.a
+    if spec.series is Series.SIGMA0:
+        e, n, left = 0, 2 * m + eps + a * a, -a
+        classes = [(0, mi, 0) for mi in (m, m + eps)]
+        entries = upper + [-k for k in upper if k > 0]
+        mirror = [-k for k in entries]
+    else:
+        e, n, left = -1, 2 * (2 * m + eps) + a * (a + 1), -a - 1
+        classes = [(-1, 2 * mi, 0) for mi in (m, m + eps)]
+        entries = upper + [-1 - k for k in upper]
+        mirror = [-1 - k for k in entries]
+    assert (spec.e, spec.n, spec.outer_twists) == (e, n, (left, a))
+    assert [summand_character(spec.series, mi).chern_classes()
+            for mi in spec.summand_params] == classes
+    assert cohomology_chern(spec).chern_classes() == (e, n, 0)
+    depth = max(upper) + 3
+    profile = {-s: spectrum_h1(entries, -s) for s in range(1, depth + 1)}
+    recovered = recover_spectrum(profile, spec.e, len(entries))
+    assert recovered == tuple(sorted(entries)) == tuple(sorted(mirror))
 
 
 @pytest.mark.parametrize("row,dim", [
