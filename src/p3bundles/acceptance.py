@@ -28,7 +28,7 @@ from p3bundles.monad import (
     identity_report,
     spectrum,
 )
-from p3bundles.oracle import DEFAULT_RETRY_BUDGET, clear_caches
+from p3bundles.oracle import clear_caches
 from p3bundles.rng import child_seed
 
 # Wall-clock budgets per criterion, in seconds; enforced by the test suite.
@@ -56,9 +56,8 @@ CHAIN_RUNS = (("thmA-chain", (1, 0, 5)), ("thmA-chain", (2, 1, 7)),
 
 
 class _Context:
-    def __init__(self, seed: int, retry_budget: int = DEFAULT_RETRY_BUDGET):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.retry_budget = retry_budget
         self.script_reports: list[ScriptReport] = []
 
     def run(self, script: str, m: int | None = None, eps: int | None = None,
@@ -67,8 +66,7 @@ class _Context:
                   (("m", m), ("eps", eps), ("a", a), ("d", d)) if v is not None}
         outcome = {"script": script, "params": params, "seed": seed}
         try:
-            report = run_script(script, params=params, seed=seed,
-                                retry_budget=self.retry_budget)
+            report = run_script(script, params=params, seed=seed)
         except RUN_FAILURES as exc:
             outcome["status"] = f"failed: {type(exc).__name__}"
             outcome["detail"] = str(exc)
@@ -104,8 +102,7 @@ def _criterion_3(ctx: _Context) -> dict:
     ok = True
     for i, rec in enumerate(curated_components()):
         spec = MonadSpec.create(Series(rec.family.value), *rec.params)
-        got = spectrum(spec, seed=child_seed(ctx.seed, f"spectrum:{i}"),
-                       retry_budget=ctx.retry_budget)
+        got = spectrum(spec, seed=child_seed(ctx.seed, f"spectrum:{i}"))
         mirror = tuple(sorted(rec.e - k for k in got))
         row_ok = (got == rec.spectrum and len(got) == rec.n and mirror == got)
         ok = ok and row_ok
@@ -220,8 +217,8 @@ _CRITERIA: tuple[tuple[int, str, Callable[[_Context], dict]], ...] = (
 )
 
 
-def _run_core(seed: int, retry_budget: int) -> tuple[dict, dict[int, float]]:
-    ctx = _Context(seed, retry_budget)
+def _run_core(seed: int) -> tuple[dict, dict[int, float]]:
+    ctx = _Context(seed)
     criteria = []
     timings: dict[int, float] = {}
     for cid, title, fn in _CRITERIA:
@@ -234,13 +231,12 @@ def _run_core(seed: int, retry_budget: int) -> tuple[dict, dict[int, float]]:
     return report, timings
 
 
-def run_all(seed: int = 0, retry_budget: int = DEFAULT_RETRY_BUDGET
-            ) -> tuple[dict, dict[int, float]]:
+def run_all(seed: int = 0) -> tuple[dict, dict[int, float]]:
     """Run the full suite twice and append the byte-identity criterion."""
-    first, timings = _run_core(seed, retry_budget)
+    first, timings = _run_core(seed)
     t0 = time.monotonic()
     clear_caches()  # so the second pass recomputes rather than replays
-    second, _ = _run_core(seed, retry_budget)
+    second, _ = _run_core(seed)
     bytes_equal = canonical_json(first) == canonical_json(second)
     timings[11] = time.monotonic() - t0
     report = dict(first)

@@ -10,7 +10,8 @@ traceback.  Every JSON report embeds the seed and a hash of the resolved
 configuration; identical configuration and seed give byte-identical output.
 
 The only environment variable honoured is P3BUNDLES_OUT_DIR, the default
-directory for --out paths.
+directory for --out paths.  The sampler's draw budget is not an option: it
+is fixed at RETRY_BUDGET draws per sampled object (oracle/configs.py).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from p3bundles.monad import (
     summand_character,
 )
 from p3bundles.oracle import (
-    DEFAULT_RETRY_BUDGET,
+    RETRY_BUDGET,
     config_hash,
     ideal_cohomology,
     marked_point_evaluation_surjective,
@@ -76,13 +77,12 @@ class RunConfig:
     seed: int = 0
     format: str = "json"
     out: str | None = None
-    retry_budget: int = DEFAULT_RETRY_BUDGET
     script_path: str | None = None
     bounds: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"command": self.command, "seed": self.seed,
-                "format": self.format, "retry_budget": self.retry_budget,
+                "format": self.format, "retry_budget": RETRY_BUDGET,
                 "script_path": self.script_path,
                 "bounds": {k: v for k, v in sorted(self.bounds.items())}}
 
@@ -161,8 +161,7 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> None:
               if v is not None}
     text = (_read_script_file(cfg.script_path) if cfg.script_path
             else load_bundled_script(args.script))
-    report = run_script_text(args.script, text, params, seed=cfg.seed,
-                             retry_budget=cfg.retry_budget)
+    report = run_script_text(args.script, text, params, seed=cfg.seed)
     agreement = report.agreement
     lines = [f"PASS {args.script} {params} seed={cfg.seed}",
              f"asserts entailed: {len(report.asserts)}",
@@ -184,10 +183,10 @@ def _read_script_file(path: str) -> str:
 
 def _sampled_config(args: argparse.Namespace, cfg: RunConfig):
     if args.kind == "ruling":
-        return sample_ruling(args.m, cfg.seed, retry_budget=cfg.retry_budget)
+        return sample_ruling(args.m, cfg.seed)
     if args.kind == "conics":
-        return sample_conics(args.m, cfg.seed, retry_budget=cfg.retry_budget)
-    return sample_modification(args.d, cfg.seed, retry_budget=cfg.retry_budget)
+        return sample_conics(args.m, cfg.seed)
+    return sample_modification(args.d, cfg.seed)
 
 
 def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> None:
@@ -263,8 +262,7 @@ def _cmd_monad(args: argparse.Namespace, cfg: RunConfig) -> None:
         hi = args.hi if args.hi is not None else -1
         if lo > hi:
             raise UsageError("--lo must not exceed --hi")
-        intervals = h1_intervals(spec, lo, hi, seed=cfg.seed,
-                                 retry_budget=cfg.retry_budget)
+        intervals = h1_intervals(spec, lo, hi, seed=cfg.seed)
         profile = {str(t): iv.value if iv.pinned else None for t, iv in intervals.items()}
         unpinned = [t for t, iv in intervals.items() if not iv.pinned]
         payload = {**base, "lo": lo, "hi": hi, "profile": profile,
@@ -274,7 +272,7 @@ def _cmd_monad(args: argparse.Namespace, cfg: RunConfig) -> None:
             f"{profile[str(t)] if profile[str(t)] is not None else 'unpinned'}"
             for t in range(lo, hi + 1)]
     elif op == "spectrum":
-        entries = spectrum(spec, seed=cfg.seed, retry_budget=cfg.retry_budget)
+        entries = spectrum(spec, seed=cfg.seed)
         payload = {**base, "spectrum": list(entries),
                    "display": format_spectrum(entries)}
         lines = [format_spectrum(entries)]
@@ -286,7 +284,7 @@ def _cmd_monad(args: argparse.Namespace, cfg: RunConfig) -> None:
         lines = [_headline(spec),
                  f"dimension {dim}, expected {exp}, excess {dim - exp}"]
     else:
-        checks = middle_term_checks(spec, seed=cfg.seed, retry_budget=cfg.retry_budget)
+        checks = middle_term_checks(spec, seed=cfg.seed)
         payload = {**base, "checks": checks}
         lines = [_headline(spec),
                  f"established: {checks['established']}"]
@@ -352,7 +350,7 @@ def _cmd_series(args: argparse.Namespace, cfg: RunConfig) -> None:
 # -- accept ------------------------------------------------------------------
 
 def _cmd_accept(args: argparse.Namespace, cfg: RunConfig) -> None:
-    report, timings = acceptance.run_all(seed=cfg.seed, retry_budget=cfg.retry_budget)
+    report, timings = acceptance.run_all(seed=cfg.seed)
     for cid in sorted(timings):
         print(f"criterion {cid:>2}: {timings[cid]:7.2f}s "
               f"(budget {acceptance.BUDGETS[cid]}s)", file=sys.stderr)
@@ -363,8 +361,8 @@ def _cmd_accept(args: argparse.Namespace, cfg: RunConfig) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
-    """--seed, --format, --out, --retry-budget; tsv is offered only by the
-    record tables (series enumerate, series catalog), whose default it is."""
+    """--seed, --format, --out; tsv is offered only by the record tables
+    (series enumerate, series catalog), whose default it is."""
     parser.add_argument("--seed", type=int, default=0,
                         help="root seed for all derived randomness (default 0)")
     parser.add_argument("--format", default=default_format,
@@ -373,9 +371,6 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
                         help=f"output format (default {default_format})")
     parser.add_argument("--out", help="output file; relative paths resolve "
                         "against $P3BUNDLES_OUT_DIR")
-    parser.add_argument("--retry-budget", type=_NONNEGATIVE, default=DEFAULT_RETRY_BUDGET,
-                        help="sampling attempts per geometric object "
-                             f"(default {DEFAULT_RETRY_BUDGET})")
 
 
 def _monad_params(parser: argparse.ArgumentParser) -> None:
@@ -478,10 +473,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     for attr in ("script", "oracle_op", "monad_op", "series_op"):
         if getattr(args, attr, None):
             command = f"{command} {getattr(args, attr)}"
-    return RunConfig(command=command, seed=args.seed, format=args.format,
-                     out=args.out, retry_budget=args.retry_budget,
-                     script_path=getattr(args, "script_file", None),
-                     bounds=bounds)
+    return RunConfig(command=command, seed=args.seed, format=args.format, out=args.out,
+                     script_path=getattr(args, "script_file", None), bounds=bounds)
 
 
 def main(argv: list[str] | None = None) -> int:

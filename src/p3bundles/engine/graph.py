@@ -55,6 +55,7 @@ from p3bundles.tables import (
 )
 
 MAX_ROUNDS = 10000
+EXPLAIN_MAX_LINES = 40  # a derivation chain is cut after this many slots
 
 
 class EngineError(Exception):
@@ -165,7 +166,8 @@ class DeductionGraph:
         # R8: (conclusion, premises, origin); the conclusion triple's H0 map
         # is surjective once every premise triple's is
         self.implications: list[tuple[TripleInstance, tuple[TripleInstance, ...], str]] = []
-        self.events: dict[tuple, dict] = {}  # latest derivation of each slot
+        # latest derivation of each slot: (rule, source slots)
+        self.events: dict[tuple, tuple[str, list[tuple]]] = {}
         self._changes = 0  # bumped by every write that could let a rule fire
         self._fixpoint = 0  # _changes when propagate last finished cleanly
 
@@ -278,14 +280,14 @@ class DeductionGraph:
     def interval(self, node_name: str, t: int, degree: int) -> Interval:
         return self.instance(node_name, t).h[degree]
 
-    def explain(self, node_name: str, t: int, degree: int, max_lines: int = 40) -> list[str]:
+    def explain(self, node_name: str, t: int, degree: int) -> list[str]:
         """Flattened derivation chain for one slot, most recent rule first."""
         node = self._node(node_name)
         start = (instance_key(node, t), degree)
         out: list[str] = []
         seen: set[tuple] = set()
         stack = [start]
-        while stack and len(out) < max_lines:
+        while stack and len(out) < EXPLAIN_MAX_LINES:
             slot = stack.pop()
             if slot in seen:
                 continue
@@ -293,8 +295,10 @@ class DeductionGraph:
             ev = self.events.get(slot)
             if ev is None:
                 continue
-            out.append(f"h{slot[1]}({key_label(slot[0])}) {ev['result']} via {ev['rule']}")
-            stack.extend(ev["sources"])
+            rule, sources = ev
+            key, deg = slot
+            out.append(f"h{deg}({key_label(key)}) {self.instances[key].h[deg]!r} via {rule}")
+            stack.extend(sources)
         return out
 
     # -- propagation -------------------------------------------------------
@@ -533,8 +537,7 @@ class DeductionGraph:
                 f"h{degree}({inst.label}) in [{lo}, {'inf' if hi is None else hi}] "
                 f"from {rule} contradicts the established range ({exc})") from exc
         if changed:
-            self.events[(inst.key, degree)] = {"rule": rule, "sources": sources,
-                                               "result": repr(iv)}
+            self.events[(inst.key, degree)] = (rule, sources)
             self._changes += 1
 
     # -- reporting --------------------------------------------------------

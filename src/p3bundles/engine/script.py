@@ -51,7 +51,6 @@ from p3bundles.engine.graph import (
 )
 from p3bundles.jsonio import content_hash
 from p3bundles.oracle import (
-    DEFAULT_RETRY_BUDGET,
     GeometryConfig,
     SamplingFailed,
     config_hash,
@@ -181,10 +180,8 @@ class ScriptReport:
 
 
 class ScriptRunner:
-    def __init__(self, name: str, text: str, params: dict[str, int], seed: int,
-                 retry_budget: int = DEFAULT_RETRY_BUDGET):
+    def __init__(self, name: str, text: str, params: dict[str, int], seed: int):
         self.name = name
-        self.retry_budget = retry_budget
         self.lines = text.splitlines()
         self.env = {k: int(v) for k, v in params.items()}
         self.seed = int(seed)
@@ -278,15 +275,14 @@ class ScriptRunner:
         seed = child_seed(self.seed, f"config:{label}")
         if kind in ("ruling", "conics"):
             sample = sample_ruling if kind == "ruling" else sample_conics
-            cfg = sample(_as_int(kv["m"], self.env), seed, retry_budget=self.retry_budget)
+            cfg = sample(_as_int(kv["m"], self.env), seed)
         elif kind == "modification":
             avoid = None
             if "avoid" in kv:
                 if kv["avoid"] not in self.configs:
                     raise ScriptError(f"avoid={kv['avoid']}: unknown config")
                 avoid = self.configs[kv["avoid"]]
-            cfg = sample_modification(_as_int(kv["d"], self.env), seed, avoid=avoid,
-                                      retry_budget=self.retry_budget)
+            cfg = sample_modification(_as_int(kv["d"], self.env), seed, avoid=avoid)
         elif kind == "join":
             parts = args[2:]
             if len(parts) != 2:
@@ -501,9 +497,9 @@ class ScriptRunner:
                 f"oracle/engine disagreement on {len(mismatches)} slot(s): {mismatches[:3]}")
 
 
-def run_script_text(name: str, text: str, params: dict[str, int], seed: int = 0,
-                    retry_budget: int = DEFAULT_RETRY_BUDGET) -> ScriptReport:
-    runner = ScriptRunner(name, text, params, seed, retry_budget)
+def run_script_text(name: str, text: str, params: dict[str, int],
+                    seed: int = 0) -> ScriptReport:
+    runner = ScriptRunner(name, text, params, seed)
     report = runner.run()
     report.report_hash = content_hash(report.to_dict())
     return report
@@ -514,6 +510,5 @@ def load_bundled_script(name: str) -> str:
     return resources.files("p3bundles.scripts").joinpath(fname).read_text("utf-8")
 
 
-def run_script(name: str, params: dict[str, int], seed: int = 0,
-               retry_budget: int = DEFAULT_RETRY_BUDGET) -> ScriptReport:
-    return run_script_text(name, load_bundled_script(name), params, seed, retry_budget)
+def run_script(name: str, params: dict[str, int], seed: int = 0) -> ScriptReport:
+    return run_script_text(name, load_bundled_script(name), params, seed)

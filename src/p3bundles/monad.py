@@ -21,7 +21,6 @@ from p3bundles.engine.graph import DeductionGraph, Kind, Node
 from p3bundles.engine.script import RUN_FAILURES, run_script
 from p3bundles.engine import EngineError, Interval
 from p3bundles.oracle import (
-    DEFAULT_RETRY_BUDGET,
     GeometryConfig,
     sample_conics,
     sample_ruling,
@@ -79,10 +78,16 @@ EXTENDED_SMALL_CASES: frozenset[tuple[Series, int, int, int]] = frozenset({
 })
 
 
+def pair_chain_top(a: int) -> int:
+    """Largest summand index the prop1 pair chain runs at twist a: a - 4 from
+    a = 5 on, and 0, below every summand index, before."""
+    return a - 4 if a >= 5 else 0
+
+
 def in_strict_range(series: Series, m: int, eps: int, a: int) -> bool:
     m2 = m + eps  # the larger summand's index, not MonadSpec.load
     if series is Series.SIGMA0:
-        return (5 <= a <= 12 and m2 <= a - 4) or (a >= 12 and m2 <= a + 1)
+        return (a <= 12 and m2 <= pair_chain_top(a)) or (a >= 12 and m2 <= a + 1)
     return a >= 2 * m2 + 3
 
 
@@ -184,10 +189,9 @@ def expected_dimension(e: int, n: int) -> int:
 # h^1 profiles through the deduction engine
 
 
-def _summand_configs(spec: MonadSpec, seed: int,
-                     retry_budget: int = DEFAULT_RETRY_BUDGET) -> list[GeometryConfig]:
+def _summand_configs(spec: MonadSpec, seed: int) -> list[GeometryConfig]:
     sampler = sample_ruling if spec.series is Series.SIGMA0 else sample_conics
-    return [sampler(mi, child_seed(seed, f"summand:{i}"), retry_budget=retry_budget)
+    return [sampler(mi, child_seed(seed, f"summand:{i}"))
             for i, mi in enumerate(spec.summand_params, start=1)]
 
 
@@ -218,18 +222,16 @@ def _profile_graph(spec: MonadSpec, twists: Iterable[int],
     return graph
 
 
-def h1_intervals(spec: MonadSpec, lo: int, hi: int, seed: int = 0,
-                 retry_budget: int = DEFAULT_RETRY_BUDGET) -> dict[int, Interval]:
+def h1_intervals(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, Interval]:
     """h^1 interval of the monad bundle at every twist in [lo, hi], from one graph."""
     if lo > hi:
         raise ValueError("empty twist interval")
     twists = range(lo, hi + 1)
-    graph = _profile_graph(spec, twists, _summand_configs(spec, seed, retry_budget))
+    graph = _profile_graph(spec, twists, _summand_configs(spec, seed))
     return {t: graph.interval("F", t, 1) for t in twists}
 
 
-def h1_profile(spec: MonadSpec, lo: int, hi: int, seed: int = 0,
-               retry_budget: int = DEFAULT_RETRY_BUDGET) -> dict[int, int]:
+def h1_profile(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, int]:
     """Pinned h^1 of the monad bundle for every twist in [lo, hi].
 
     Raises Unpinned where the engine cannot close the interval; that is the
@@ -237,7 +239,7 @@ def h1_profile(spec: MonadSpec, lo: int, hi: int, seed: int = 0,
     sections of the outer line bundle is not controlled by any fact.
     """
     profile: dict[int, int] = {}
-    for t, iv in h1_intervals(spec, lo, hi, seed, retry_budget).items():
+    for t, iv in h1_intervals(spec, lo, hi, seed).items():
         if not iv.pinned:
             raise Unpinned(t, iv)
         profile[t] = iv.value
@@ -291,10 +293,9 @@ def recover_spectrum(profile: Mapping[int, int], e: int, expected_len: int) -> t
     return tuple(entries)
 
 
-def spectrum(spec: MonadSpec, seed: int = 0,
-             retry_budget: int = DEFAULT_RETRY_BUDGET) -> tuple[int, ...]:
+def spectrum(spec: MonadSpec, seed: int = 0) -> tuple[int, ...]:
     depth = spec.a + 3
-    profile = h1_profile(spec, -depth, -1, seed=seed, retry_budget=retry_budget)
+    profile = h1_profile(spec, -depth, -1, seed=seed)
     return recover_spectrum(profile, spec.e, spec.n)
 
 
@@ -378,23 +379,23 @@ def _script_plan(spec: MonadSpec) -> list[tuple[str, dict[str, int]]]:
     m, eps, a = spec.m, spec.eps, spec.a
     if spec.series is Series.SIGMA1:
         return [("prop2", {"m": m, "eps": eps, "a": a})]
-    if m + eps <= a - 4 and a >= 5:
+    top = pair_chain_top(a)
+    if m + eps <= top:
         return [("prop1", {"m": m, "eps": eps, "a": a})]
     if a >= 12:
         # Oversized summands go through the modification chain one at a time.
         plan: list[tuple[str, dict[str, int]]] = []
         for mi in sorted(set(spec.summand_params)):
-            if mi <= a - 4:
+            if mi <= top:
                 plan.append(("prop1", {"m": mi, "eps": 0, "a": a}))
             else:
-                plan.append(("prop1-modified", {"m": a - 4, "a": a, "d": mi - (a - 4)}))
+                plan.append(("prop1-modified", {"m": top, "a": a, "d": mi - top}))
         return plan
     # Extended small cases: attempt the pair chain and report what happens.
     return [("prop1", {"m": m, "eps": eps, "a": a})]
 
 
-def middle_term_checks(spec: MonadSpec, seed: int = 0,
-                       retry_budget: int = DEFAULT_RETRY_BUDGET) -> dict:
+def middle_term_checks(spec: MonadSpec, seed: int = 0) -> dict:
     """Vanishing report for the monad middle term bbE = E1 + E2.
 
     The c1 = 0 series is checked against the four instanton-style conditions
@@ -405,7 +406,7 @@ def middle_term_checks(spec: MonadSpec, seed: int = 0,
     Every value is measured on sampled witness configurations, and the bundled
     proof scripts are replayed as engine evidence with full derivation chains.
     """
-    configs = _summand_configs(spec, seed, retry_budget)
+    configs = _summand_configs(spec, seed)
 
     def total(t: int, degree: int) -> int:
         return sum(serre_cohomology(cfg, t)[degree] for cfg in configs)
@@ -447,8 +448,7 @@ def middle_term_checks(spec: MonadSpec, seed: int = 0,
         run_seed = child_seed(seed, f"evidence:{idx}") % (2 ** 31)
         entry: dict = {"script": script, "params": params, "seed": run_seed}
         try:
-            report = run_script(script, params=params, seed=run_seed,
-                                retry_budget=retry_budget)
+            report = run_script(script, params=params, seed=run_seed)
         except RUN_FAILURES as exc:
             entry["status"] = "failed"
             entry["error"] = f"{type(exc).__name__}: {exc}"

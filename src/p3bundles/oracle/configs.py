@@ -4,9 +4,9 @@ Everything lives on S: x0*x3 = x1*x2, parametrized by
 ((u0:u1), (v0:v1)) -> (u0*v0, u0*v1, u1*v0, u1*v1); the first factor indexes
 one ruling.  Coordinates are small integers so all downstream linear algebra
 is exact.  Sampling draws from a deterministic child stream of the given
-seed and re-draws (at most ``retry_budget`` draws per object) until the configuration passes explicit
-incidence certificates; the certificates, not the sampling distribution,
-carry the correctness burden.
+seed and re-draws (at most ``RETRY_BUDGET`` draws per object) until the
+configuration passes explicit incidence certificates; the certificates, not
+the sampling distribution, carry the correctness burden.
 
 Configurations:
   ruling        m+1 pairwise disjoint lines of one ruling
@@ -31,7 +31,7 @@ Point4 = tuple[int, int, int, int]
 Proj1 = tuple[int, int]
 
 COORD_POOL = tuple(range(-9, 10))
-DEFAULT_RETRY_BUDGET = 64  # draws per sampled object
+RETRY_BUDGET = 64  # draws per sampled object
 
 
 class SamplingFailed(RuntimeError):
@@ -149,13 +149,12 @@ def _draw_distinct(rng, pool, count, forbidden=()):
     return rng.sample(choices, count)
 
 
-def sample_ruling(m: int, seed: int, *,
-                  retry_budget: int = DEFAULT_RETRY_BUDGET) -> GeometryConfig:
+def sample_ruling(m: int, seed: int) -> GeometryConfig:
     """m+1 disjoint lines of the first ruling."""
     if m < 0:
         raise ValueError("need m >= 0")
     rng = child_rng(seed, f"ruling:{m}")
-    for _ in range(retry_budget):
+    for _ in range(RETRY_BUDGET):
         us = _draw_distinct(rng, COORD_POOL, m + 1)
         lines = tuple(ruling_line((u, 1)) for u in sorted(us))
         if all(lines_disjoint(a, b) for i, a in enumerate(lines) for b in lines[i + 1:]):
@@ -163,15 +162,14 @@ def sample_ruling(m: int, seed: int, *,
     raise SamplingFailed("ruling configuration")
 
 
-def sample_conics(m: int, seed: int, *,
-                  retry_budget: int = DEFAULT_RETRY_BUDGET) -> GeometryConfig:
+def sample_conics(m: int, seed: int) -> GeometryConfig:
     """m+1 disjoint nodal conics; marked points are the partner lines' second
     quadric intersections, with pairwise distinct first-ruling coordinates."""
     if m < 0:
         raise ValueError("need m >= 0")
     rng = child_rng(seed, f"conics:{m}")
     k = m + 1
-    for _ in range(retry_budget):
+    for _ in range(RETRY_BUDGET):
         coords = _draw_distinct(rng, COORD_POOL, 2 * k)
         ruling_us, partner_us = coords[:k], coords[k:]
         node_vs = [rng.choice(COORD_POOL) for _ in range(k)]
@@ -195,8 +193,7 @@ def sample_conics(m: int, seed: int, *,
 
 
 def sample_modification(d: int, seed: int,
-                        avoid: Optional[GeometryConfig] = None, *,
-                        retry_budget: int = DEFAULT_RETRY_BUDGET) -> GeometryConfig:
+                        avoid: Optional[GeometryConfig] = None) -> GeometryConfig:
     """d lines secant to the quadric; marked points are their 2d quadric
     intersections, with pairwise distinct second-ruling coordinates.
 
@@ -217,7 +214,7 @@ def sample_modification(d: int, seed: int,
     marks: list[MarkedPoint] = []
     used_vs: set[int] = set()
     for _ in range(d):
-        for _ in range(retry_budget):
+        for _ in range(RETRY_BUDGET):
             va, vb = _draw_distinct(rng, COORD_POOL, 2, forbidden=used_vs)
             if avoid_ruling:
                 ua, ub = _draw_distinct(rng, COORD_POOL, 2, forbidden=blocked)

@@ -36,6 +36,7 @@ from math import comb
 
 import numpy as np
 
+from p3bundles.oracle import linalg
 from p3bundles.oracle.configs import GeometryConfig, MarkedPoint, Point4
 from p3bundles.oracle.linalg import (
     bidegree_evaluation_row,
@@ -100,7 +101,8 @@ def clear_caches() -> None:
     """Forget every memoised h0, regularity record and line-restriction block."""
     h0_ideal.cache_clear()
     _regular_from.clear()
-    line_restriction_block.cache_clear()
+    # through its owner: a caller may have rebound this module's name to a wrapper
+    linalg.line_restriction_block.cache_clear()
 
 
 def ideal_cohomology(cfg: GeometryConfig, k: int) -> CohomologyVector:

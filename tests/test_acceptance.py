@@ -8,7 +8,7 @@ measured wall-clock stayed inside the budget the criteria pin down.
 import pytest
 
 from p3bundles.acceptance import BUDGETS, _Context, run_all
-from p3bundles.oracle import DEFAULT_RETRY_BUDGET
+from p3bundles.oracle import SamplingFailed
 
 # report_hash of run_all(seed=0), pinned with the golden corpus of
 # tests/test_golden.py; a refactor must leave it unchanged
@@ -67,12 +67,16 @@ def test_report_hash_is_pinned(acceptance_run):
 
 
 @pytest.mark.parametrize("params,error", [
-    ({"m": 1, "eps": 0, "a": 5, "retry_budget": 0}, "SamplingFailed"),  # no draw allowed
-    ({"m": 1, "eps": 0, "a": 5, "d": 3}, "ScriptError"),    # prop1 declares no d
+    ({"m": 1, "eps": 0, "a": 5}, "SamplingFailed"),      # the sampler gives up
+    ({"m": 1, "eps": 0, "a": 5, "d": 3}, "ScriptError"),  # prop1 declares no d
 ])
-def test_failed_runs_are_recorded_not_raised(params, error):
-    params = dict(params)
-    ctx = _Context(0, retry_budget=params.pop("retry_budget", DEFAULT_RETRY_BUDGET))
+def test_failed_runs_are_recorded_not_raised(monkeypatch, params, error):
+    if error == "SamplingFailed":
+        def give_up(m, seed):
+            raise SamplingFailed("ruling configuration")
+
+        monkeypatch.setattr("p3bundles.engine.script.sample_ruling", give_up)
+    ctx = _Context(0)
     outcome = ctx.run("prop1", **params)
     assert outcome["status"] == f"failed: {error}"
     assert outcome["detail"]

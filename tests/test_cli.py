@@ -11,7 +11,6 @@ import pytest
 
 from p3bundles import cli
 from p3bundles.cli import main
-from p3bundles.oracle import sample_ruling
 
 
 def run_cli(*argv):
@@ -114,9 +113,10 @@ SIGMA0_24 = ("--series", "sigma0", "--m", "19", "--eps", "0", "--a", "24")
                  None, 0, "", id="modified-pool-16"),
     pytest.param(("verify", "prop1-modified", "--m", "17", "--a", "30", "--d", "1"),
                  None, 0, "", id="modified-pool-17"),
-    pytest.param(("monad", "checks", "--series", "sigma0", "--m", "1", "--eps", "0",
-                  "--a", "5", "--retry-budget", "0"), None, 1, "SamplingFailed",
-                 id="checks-retry-budget-0"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\nconfig Y ruling m={m}\nconfig Z join Y Y\n", 1,
+                 "SamplingFailed: joined configurations share a point",
+                 id="join-shares-a-point"),
     pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
                  "param m\ntwist T {max()}\n", 2, "prop1:2: max() in 'max()'",
                  id="brace-call-arity"),
@@ -155,10 +155,10 @@ SIGMA0_24 = ("--series", "sigma0", "--m", "19", "--eps", "0", "--a", "24")
                  None, 2, "unrecognized arguments: --order reverse", id="verify-order-removed"),
     pytest.param(("series", "compare", "--e", "0", "--n", "0"),
                  None, 2, "argument --n: must be at least 1", id="compare-n-0"),
-    pytest.param(("oracle", "serre", "--kind", "ruling", "--m", "1", "--twist", "0",
-                  "--retry-budget", "-1"),
-                 None, 2, "argument --retry-budget: must be at least 0",
-                 id="retry-budget-negative"),
+    pytest.param(("spectrum", "--series", "sigma0", "--m", "1", "--eps", "0", "--a", "5",
+                  "--retry-budget", "3"),
+                 None, 2, "unrecognized arguments: --retry-budget 3",
+                 id="retry-budget-removed"),
 ])
 def test_exit_code_matrix(tmp_path, argv, text, code, message):
     if text is not None:
@@ -180,15 +180,6 @@ def test_tsv_is_rejected_before_any_work(monkeypatch, op):
                            "--a", "5", "--format", "tsv")
     assert code == 2
     assert "argument --format: invalid choice: 'tsv'" in err
-
-
-def test_retry_budget_zero_fails_only_its_own_command():
-    spec = ("spectrum", "--series", "sigma0", "--m", "1", "--eps", "0", "--a", "5")
-    code, _, err = run_cli(*spec, "--retry-budget", "0")
-    assert code == 1 and "SamplingFailed" in err
-    code, out, _ = run_cli(*spec)
-    assert code == 0 and out.strip() == "(-4,-3^2,-2^3,-1^4,0^7,1^4,2^3,3^2,4)"
-    assert sample_ruling(1, 0).components == 2
 
 
 def test_config_hash_covers_the_oracle_kind():

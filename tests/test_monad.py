@@ -298,7 +298,7 @@ def test_middle_term_checks_odd_series():
 
 
 def test_middle_term_checks_records_a_failed_evidence_run(monkeypatch):
-    def run_script(script, params, seed, retry_budget):
+    def run_script(script, params, seed):
         raise SamplingFailed("ruling configuration")
 
     monkeypatch.setattr(monad, "run_script", run_script)

@@ -11,6 +11,7 @@ from p3bundles.engine import (
     run_script_text,
 )
 from p3bundles.engine.script import OracleFactMismatch, ScriptRunner, _safe_eval
+from p3bundles.monad import Series, in_strict_range
 
 GOOD_RUNS = [
     ("prop1", {"m": 1, "eps": 0, "a": 5}),
@@ -32,6 +33,17 @@ def test_bundled_scripts_entail(name, params):
     assert all(entry["status"] == "entailed" for entry in report.asserts)
     assert report.agreement["mismatches"] == []
     assert report.agreement["checked"] > 0
+
+
+@pytest.mark.parametrize("m,eps,seed", [(m, eps, seed) for m in (1, 2, 3)
+                                         for eps in (0, 1) for seed in (0, 1)])
+def test_prop2_entails_at_the_lowest_strict_twist(m, eps, seed):
+    a = 2 * (m + eps) + 3  # where in_strict_range, and so `monad checks`, starts prop2
+    assert in_strict_range(Series.SIGMA1, m, eps, a)
+    assert not in_strict_range(Series.SIGMA1, m, eps, a - 1)
+    report = run_script("prop2", {"m": m, "eps": eps, "a": a}, seed=seed)
+    assert report.passed
+    assert all(entry["status"] == "entailed" for entry in report.asserts)
 
 
 def test_report_hash_is_seed_stable():

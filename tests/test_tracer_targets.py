@@ -11,7 +11,8 @@ from pathlib import Path
 
 from p3bundles import monad
 from p3bundles.engine import script
-from p3bundles.oracle import clear_caches
+from p3bundles.oracle import clear_caches, linalg
+from p3bundles.oracle.configs import ruling_line
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracer", _PATH)
@@ -35,3 +36,14 @@ def test_every_target_resolves_and_every_layer_is_reached():
                  "oracle.linalg.block_calls", "oracle.linalg.rank_mod_p_calls",
                  "engine.graph.propagate_calls"):
         assert metrics[name] > 0, name
+
+
+def test_clear_caches_works_while_the_tracer_is_installed():
+    linalg.line_restriction_block(ruling_line((0, 1)), 2)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        clear_caches()
+    finally:
+        t.uninstall()
+    assert linalg.line_restriction_block.cache_info().currsize == 0
