@@ -35,15 +35,35 @@ The graph settles itself: one counter is bumped by every write that could
 let a rule fire (a narrowing, a rule setting chi or a connecting map, and
 each declaration), and the query `instance` propagates first when it has
 moved since `propagate` last finished cleanly.
+
+Rule bodies are skipped when their inputs did not move.  A rule instance is
+one body applied to one object: chi-additivity, R7, R2/R4 segments and R3 per
+triple instance, R1 per instance, R5 per dual pair and R6 per sum group (the
+R8 implications run every round).  Its inputs are every instance it reads or
+narrows, plus the connecting maps of its triple for R7 and the segments.
+Each write stamps what it wrote with the counter's new value: an instance
+at its creation, when a narrowing shrinks it and when its chi is set, and a
+triple instance when a connecting map is killed.  A rule instance remembers
+the counter's value when its last call that returned began, and `propagate`
+skips it while no input carries a newer stamp.  This is hash-neutral: a
+body reads and writes only its inputs, so unmoved inputs mean the last call
+found them as they are now and narrowed nothing, and a call now would do the
+same.  The round-robin order is kept, so the events, `explain()` chains and
+reports are those of running every body every round.  A body that raises
+records nothing, so the next propagation meets the contradiction again.
+A node's character is set once.  Its chi enters as the integer cubic
+6 chi(F(t)) of Riemann-Roch, built when the node gets the character and
+evaluated at each new instance's twist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Optional
 
-from p3bundles.chern import ChernCharacter
+from p3bundles.chern import ChernCharacter, NonIntegerChi
 from p3bundles.engine.intervals import EmptyInterval, Interval
 from p3bundles.tables import (
     CohomologyVector,
@@ -123,6 +143,25 @@ def key_label(key: tuple) -> str:
     return f"{key[0]}({key[1]:+d})" if key[1] else f"{key[0]}"
 
 
+def chi_polynomial(ch: ChernCharacter) -> tuple:
+    """Coefficients (of t^3, t^2, t, 1) of 6 chi(F(t)) on P^3, by Riemann-Roch:
+    r t^3 + (3 c1 + 6r) t^2 + (6 ch2 + 12 c1 + 11r) t + (6 ch3 + 12 ch2 + 11 c1 + 6r)
+    with c1 = ch1.  They are integers whenever the Chern classes are."""
+    r, c1, ch2, ch3 = ch.rank, ch.ch1, ch.ch2, ch.ch3
+    coeffs = (r, 3 * c1 + 6 * r, 6 * ch2 + 12 * c1 + 11 * r,
+              6 * ch3 + 12 * ch2 + 11 * c1 + 6 * r)
+    return tuple(int(c) if c.denominator == 1 else c for c in coeffs)
+
+
+def twisted_chi(poly: tuple, t: int, label: str) -> int:
+    """chi(F(t)) from F's `chi_polynomial`; NonIntegerChi unless 6 divides it."""
+    a, b, c, d = poly
+    six_chi = ((a * t + b) * t + c) * t + d
+    if six_chi % 6:
+        raise NonIntegerChi(f"chi({label}) = {Fraction(six_chi, 6)} is not an integer")
+    return six_chi // 6
+
+
 @dataclass
 class Instance:
     key: tuple
@@ -131,6 +170,7 @@ class Instance:
     h: list[Interval]
     chi: Optional[int] = None
     chi_origin: str = ""
+    stamp: int = 0  # the change count at its last write (creation, narrowing, chi)
 
     @property
     def label(self) -> str:
@@ -141,11 +181,13 @@ class Instance:
 class TripleInstance:
     """A short exact triple A -> B -> C at one twist.  `slots` lists the
     twelve terms (instance, degree) of its long exact sequence in order;
-    `conn_origin` maps i to why the connecting map out of h^i(C) is zero."""
+    `conn_origin` maps i to why the connecting map out of h^i(C) is zero, and
+    `conn_stamp` is the change count when it last gained an entry."""
 
     name: str
     parts: tuple[Instance, Instance, Instance]
     conn_origin: dict[int, str] = field(default_factory=dict)
+    conn_stamp: int = 0
     slots: tuple[tuple[Instance, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -170,6 +212,10 @@ class DeductionGraph:
         self.events: dict[tuple, tuple[str, list[tuple]]] = {}
         self._changes = 0  # bumped by every write that could let a rule fire
         self._fixpoint = 0  # _changes when propagate last finished cleanly
+        self._chi_polys: dict[str, tuple] = {}  # node name -> chi_polynomial
+        # rule instance -> _changes when its last call that returned began
+        self._ran: dict[tuple, int] = {}
+        self.rule_calls = 0  # rule-instance bodies run, skipped ones not counted
 
     # -- declarations --------------------------------------------------
 
@@ -179,18 +225,26 @@ class DeductionGraph:
         if node.kind in TABLES and node.chern is not None:
             raise GraphError("table nodes carry closed-form data, not characters")
         self.nodes[node.name] = node
+        if node.chern is not None:
+            self._chi_polys[node.name] = chi_polynomial(node.chern)
 
     def set_chern(self, name: str, ch: ChernCharacter) -> None:
+        """Give a node its character, once: instances made before and after it
+        must agree on chi."""
         node = self._node(name)
         if node.kind in TABLES:
             raise GraphError(f"{name}: table nodes do not take characters")
+        if node.chern is not None:
+            raise GraphError(f"node {name} already has a Chern character")
         node.chern = ch
+        poly = self._chi_polys[name] = chi_polynomial(ch)
         self._changes += 1
         # retrofit chi on existing instances of this node
         for inst in self.instances.values():
             if inst.node_name == name and inst.chi is None:
-                inst.chi = ch.twist(inst.twist).chi()
+                inst.chi = twisted_chi(poly, inst.twist, inst.label)
                 inst.chi_origin = "character"
+                inst.stamp = self._bump()
 
     def add_sum(self, name: str, members: list[str], locally_free: bool = False) -> None:
         for m in members:
@@ -218,8 +272,8 @@ class DeductionGraph:
         if (name, t) not in self.tinsts:
             parts = tuple(self._instance(self._node(node_name), off + t)
                           for node_name, off in self.triples[name])
-            self.tinsts[(name, t)] = TripleInstance(f"{name}@{t}", parts)
-            self._changes += 1
+            self.tinsts[(name, t)] = TripleInstance(f"{name}@{t}", parts,
+                                                    conn_stamp=self._bump())
         return self.tinsts[(name, t)]
 
     def add_diagram(self, domain_row, codomain_row, col_a, col_b, col_c) -> None:
@@ -264,8 +318,9 @@ class DeductionGraph:
         """Kill the connecting map out of h^i; i = 0 is H0 surjectivity (epi)."""
         if i not in (0, 1, 2):
             raise GraphError("connecting maps are indexed 0..2")
-        self._tinst((tname, t)).conn_origin.setdefault(i, f"fact:{tag}")
-        self._changes += 1
+        ti = self._tinst((tname, t))
+        ti.conn_origin.setdefault(i, f"fact:{tag}")
+        ti.conn_stamp = self._bump()
 
     # -- queries -----------------------------------------------------------
 
@@ -305,28 +360,51 @@ class DeductionGraph:
 
     def propagate(self) -> None:
         # propagation creates no instance and changes no character, so the
-        # structure every round walks is resolved once
-        tlist = list(self.tinsts.values())
-        ilist = list(self.instances.values())
-        pairs = self._duality_pairs()
-        groups = self._sum_groups()
+        # rule instances every round walks are resolved once, each as
+        # (memo key, body, argument, input instances, input triple instances)
+        early, late = [], []
+        for ti in self.tinsts.values():
+            early += [(("additivity", ti.name), self._rule_chi_additivity, ti, ti.parts, ()),
+                      (("connecting", ti.name), self._rule_connecting, ti, ti.parts[:1], (ti,))]
+            late += [(("segments", ti.name), self._rule_segments, ti, ti.parts, (ti,)),
+                     (("monotone", ti.name), self._rule_monotone, ti, ti.parts, ())]
+        late += [(("chi", inst.key), self._rule_chi, inst, (inst,), ())
+                 for inst in self.instances.values()]
+        late += [(("duality", pair[0].key), self._rule_duality, pair, pair, ())
+                 for pair in self._duality_pairs()]
+        late += [(("sum", group[0].key), self._rule_sum, group, (group[0], *group[1]), ())
+                 for group in self._sum_groups()]
         for _ in range(MAX_ROUNDS):
             start = self._changes
-            for ti in tlist:
-                self._rule_chi_additivity(ti)
-                self._rule_connecting(ti)
+            self._run(early)
             self._rule_implications()
-            for ti in tlist:
-                self._rule_segments(ti)
-                self._rule_monotone(ti)
-            for inst in ilist:
-                self._rule_chi(inst)
-            self._rule_duality(pairs)
-            self._rule_sums(groups)
+            self._run(late)
             if self._changes == start:
                 self._fixpoint = start
                 return
         raise EngineError("propagation did not stabilize")
+
+    def _run(self, rules: list[tuple]) -> None:
+        """Call each rule instance's body unless none of its inputs moved
+        since its last call that returned began."""
+        ran = self._ran
+        for key, body, arg, insts, tinsts in rules:
+            if not self._stale(ran.get(key, -1), insts, tinsts):
+                continue
+            begun = self._changes
+            self.rule_calls += 1
+            body(arg)
+            ran[key] = begun
+
+    def _stale(self, last: int, insts: tuple[Instance, ...],
+               tinsts: tuple[TripleInstance, ...]) -> bool:
+        for inst in insts:
+            if inst.stamp > last:
+                return True
+        for ti in tinsts:
+            if ti.conn_stamp > last:
+                return True
+        return False
 
     def _duality_pairs(self) -> list[tuple[Instance, Instance]]:
         """R5 partners (F(t), F(-t-4-c1)) of rank-2 locally free nodes, by node
@@ -379,7 +457,7 @@ class DeductionGraph:
         inst = ti.parts[missing[0]]
         inst.chi = -rest * signs[missing[0]]
         inst.chi_origin = f"chi-additivity through {ti.name}"
-        self._changes += 1
+        inst.stamp = self._bump()
 
     def _rule_connecting(self, ti: TripleInstance) -> None:
         a = ti.parts[0]
@@ -387,13 +465,13 @@ class DeductionGraph:
             iv = a.h[i + 1]
             if i not in ti.conn_origin and iv.pinned and iv.value == 0:
                 ti.conn_origin[i] = f"R7: h{i+1}({a.label}) = 0"
-                self._changes += 1
+                ti.conn_stamp = self._bump()
 
     def _rule_implications(self) -> None:
         for out, premises, origin in self.implications:
             if 0 not in out.conn_origin and all(0 in p.conn_origin for p in premises):
                 out.conn_origin[0] = origin
-                self._changes += 1
+                out.conn_stamp = self._bump()
 
     def _segments(self, ti: TripleInstance) -> list[list[tuple[Instance, int]]]:
         """Maximal exact runs of LES slots, zero slots excluded."""
@@ -460,31 +538,31 @@ class DeductionGraph:
         self._narrow(target, degree, value, value, rule,
                      [(inst.key, deg) for p, (inst, deg) in enumerate(slots) if p != pos])
 
-    def _rule_duality(self, pairs: list[tuple[Instance, Instance]]) -> None:
-        for left, right in pairs:
-            for i in range(4):
-                rule = f"R5 Serre duality h{i}({left.label}) = h{3-i}({right.label})"
-                li, ri = left.h[i], right.h[3 - i]
-                self._narrow(left, i, ri.lo, ri.hi, rule, [(right.key, 3 - i)])
-                self._narrow(right, 3 - i, li.lo, li.hi, rule, [(left.key, i)])
+    def _rule_duality(self, pair: tuple[Instance, Instance]) -> None:
+        left, right = pair
+        for i in range(4):
+            rule = f"R5 Serre duality h{i}({left.label}) = h{3-i}({right.label})"
+            li, ri = left.h[i], right.h[3 - i]
+            self._narrow(left, i, ri.lo, ri.hi, rule, [(right.key, 3 - i)])
+            self._narrow(right, 3 - i, li.lo, li.hi, rule, [(left.key, i)])
 
-    def _rule_sums(self, groups: list[tuple[Instance, list[Instance], str]]) -> None:
-        for total, parts, rule in groups:
-            for deg in range(4):
-                lo_sum = sum(p.h[deg].lo for p in parts)
-                his = [p.h[deg].hi for p in parts]
-                srcs = [(p.key, deg) for p in parts]
-                hi_sum = sum(his) if None not in his else None
-                self._narrow(total, deg, lo_sum, hi_sum, rule, srcs)
-                for j, part in enumerate(parts):
-                    others_lo = lo_sum - part.h[deg].lo
-                    srcs_j = [(total.key, deg)] + [(p.key, deg) for p in parts if p is not part]
-                    if total.h[deg].hi is not None:
-                        self._narrow(part, deg, 0, total.h[deg].hi - others_lo, rule, srcs_j)
-                    others_hi = [p.h[deg].hi for i2, p in enumerate(parts) if i2 != j]
-                    if None not in others_hi:
-                        self._narrow(part, deg, total.h[deg].lo - sum(others_hi), None,
-                                     rule, srcs_j)
+    def _rule_sum(self, group: tuple[Instance, list[Instance], str]) -> None:
+        total, parts, rule = group
+        for deg in range(4):
+            lo_sum = sum(p.h[deg].lo for p in parts)
+            his = [p.h[deg].hi for p in parts]
+            srcs = [(p.key, deg) for p in parts]
+            hi_sum = sum(his) if None not in his else None
+            self._narrow(total, deg, lo_sum, hi_sum, rule, srcs)
+            for j, part in enumerate(parts):
+                others_lo = lo_sum - part.h[deg].lo
+                srcs_j = [(total.key, deg)] + [(p.key, deg) for p in parts if p is not part]
+                if total.h[deg].hi is not None:
+                    self._narrow(part, deg, 0, total.h[deg].hi - others_lo, rule, srcs_j)
+                others_hi = [p.h[deg].hi for i2, p in enumerate(parts) if i2 != j]
+                if None not in others_hi:
+                    self._narrow(part, deg, total.h[deg].lo - sum(others_hi), None,
+                                 rule, srcs_j)
 
     # -- internals -------------------------------------------------------
 
@@ -513,10 +591,11 @@ class DeductionGraph:
                 h[3] = Interval(0, 0)
             if node.support_dim == 0:
                 h[1] = Interval(0, 0)
-            chi = node.chern.twist(t).chi() if node.chern is not None else None
+            chi = (twisted_chi(self._chi_polys[node.name], t, key_label(key))
+                   if node.chern is not None else None)
             inst = Instance(key, node.name, t, h, chi, "character" if chi is not None else "")
         self.instances[key] = inst
-        self._changes += 1
+        inst.stamp = self._bump()
         # creating a member instance of a sum keeps R6 complete
         if node.name in self.sums:
             for m in self.sums[node.name]:
@@ -538,7 +617,12 @@ class DeductionGraph:
                 f"from {rule} contradicts the established range ({exc})") from exc
         if changed:
             self.events[(inst.key, degree)] = (rule, sources)
-            self._changes += 1
+            inst.stamp = self._bump()
+
+    def _bump(self) -> int:
+        """Count one write that could let a rule fire; the count stamps it."""
+        self._changes += 1
+        return self._changes
 
     # -- reporting --------------------------------------------------------
 

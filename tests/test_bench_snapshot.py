@@ -29,6 +29,8 @@ def test_summarize_medians_ranges_and_failures():
             {"error": "exit 2: boom"}]
     s = bench_snapshot.summarize(runs)
     assert s["median"] == {"peak_rss_mb": 91, "runs_per_s": 5.0}
+    assert s["q1"] == {"peak_rss_mb": 90.5, "runs_per_s": 4.5}
+    assert s["q3"] == {"peak_rss_mb": 91.5, "runs_per_s": 5.5}
     assert s["range"] == {"peak_rss_mb": [90, 92], "runs_per_s": [4.0, 6.0]}
     assert (s["attempted"], s["failed"], s["errors"]) == (30, 1, ["exit 2: boom"])
 
@@ -39,9 +41,28 @@ def test_compare_counts_wins_in_each_metric_direction():
     c = bench_snapshot.compare(first, second,
                                {"runs_per_s": "higher", "peak_rss_mb": "lower",
                                 "setup_s": "lower"})
-    assert c["runs_per_s"] == {"median_ratio": 8.0 / 5.0, "second_wins": 2, "pairs": 3}
-    assert c["peak_rss_mb"] == {"median_ratio": 0.95, "second_wins": 2, "pairs": 3}
+    assert c["runs_per_s"] == {"median_ratio": 8.0 / 5.0, "second_wins": 2, "pairs": 3,
+                               "first_iqr": 1.0, "gain_exceeds_first_iqr": True}
+    assert c["peak_rss_mb"] == {"median_ratio": 0.95, "second_wins": 2, "pairs": 3,
+                                "first_iqr": 0.0, "gain_exceeds_first_iqr": True}
     assert "setup_s" not in c
+
+
+def test_compare_needs_a_gain_beyond_the_first_trees_iqr():
+    """Medians 5.0 -> 5.8 against a first-tree IQR of 1.0 (quartiles 4.5, 5.5)
+    do not resolve; a slower second tree never clears the rule."""
+    first = [_run(4.0, 100), _run(5.0, 100), _run(6.0, 100)]
+    near = [_run(4.8, 100), _run(5.8, 100), _run(6.8, 100)]
+    far = [_run(6.0, 100), _run(7.0, 100), _run(8.0, 100)]
+    slower = [_run(1.0, 100), _run(2.0, 100), _run(3.0, 100)]
+    better = {"runs_per_s": "higher"}
+    assert bench_snapshot.quartiles([4.0, 5.0, 6.0]) == (4.5, 5.5)
+    assert bench_snapshot.quartiles([7.0]) == (7.0, 7.0)
+    near_c = bench_snapshot.compare(first, near, better)["runs_per_s"]
+    assert (near_c["second_wins"], near_c["gain_exceeds_first_iqr"]) == (3, False)
+    assert bench_snapshot.compare(first, far, better)["runs_per_s"]["gain_exceeds_first_iqr"]
+    assert not bench_snapshot.compare(first, slower, better)["runs_per_s"][
+        "gain_exceeds_first_iqr"]
 
 
 def test_pairs_alternate_which_tree_runs_first():

@@ -159,6 +159,15 @@ SIGMA0_24 = ("--series", "sigma0", "--m", "19", "--eps", "0", "--a", "24")
                   "--retry-budget", "3"),
                  None, 2, "unrecognized arguments: --retry-budget 3",
                  id="retry-budget-removed"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\nnode O line 0\nnode E sheaf\nchern E 2 0 1 0\n"
+                 "triple T O E O\ntwist T 0\nchern E 2 0 5 0\ntwist T 1\n", 2,
+                 "prop1:7: node E already has a Chern character", id="chern-twice"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\nnode O line 0\nnode E sheaf\nchern E 2 0 1 1\n"
+                 "triple T O E O\ntwist T 0\n", 2,
+                 "prop1:6: malformed line 'twist T 0': NonIntegerChi: chi(E) = 1/2",
+                 id="chern-non-integer-chi"),
 ])
 def test_exit_code_matrix(tmp_path, argv, text, code, message):
     if text is not None:

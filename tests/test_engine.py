@@ -6,10 +6,20 @@ oracle computes every term independently.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_golden import SCRIPT_HASHES
 
-from p3bundles.chern import ChernCharacter
-from p3bundles.engine import Contradiction, DeductionGraph
-from p3bundles.engine.graph import GraphError, Kind, Node
+from p3bundles.chern import ChernCharacter, NonIntegerChi
+from p3bundles.engine import AssertionNotEntailed, Contradiction, DeductionGraph
+from p3bundles.engine import script as script_module
+from p3bundles.engine.graph import (
+    GraphError,
+    Kind,
+    Node,
+    chi_polynomial,
+    twisted_chi,
+)
 from p3bundles.engine.intervals import EmptyInterval, Interval
 from p3bundles.jsonio import content_hash
 from p3bundles.monad import MonadSpec, Series, _profile_graph, _summand_configs
@@ -128,6 +138,30 @@ def test_a_later_fact_reaches_the_next_query(monkeypatch):
     g.add_value_fact("ORACLE", "I", 2, 0, h0_ideal(cfg, 2))  # already known: no change
     g.interval("I", 2, 1)
     assert len(calls) == 2
+
+
+def test_a_later_connecting_fact_reaches_the_segments():
+    """An epi fact after a propagation splits the sequence after h0(C) and
+    moves no interval, yet R4 must then solve h0(C) = h0(B) - h0(A)."""
+    g = sheaf_triple()
+    g.add_value_fact("ASSUMED", "A", 0, 0, 1)
+    g.add_value_fact("ASSUMED", "B", 0, 0, 3)
+    assert not g.interval("C", 0, 0).pinned
+    g.add_conn_fact("ASSUMED", "T", 0, 0)
+    iv = g.interval("C", 0, 0)
+    assert iv.pinned and iv.value == 2
+
+
+def test_a_later_character_reaches_r1():
+    """A character set after a propagation gives an existing instance its chi,
+    and R1 then solves h3 = h0 - h1 + h2 - chi."""
+    g = sheaf_triple()
+    for degree, value in enumerate((2, 0, 0)):
+        g.add_value_fact("ASSUMED", "A", 0, degree, value)
+    assert not g.interval("A", 0, 3).pinned
+    g.set_chern("A", ChernCharacter.from_classes(1, 0, 0, 0))  # chi(A) = 1
+    iv = g.interval("A", 0, 3)
+    assert iv.pinned and iv.value == 1
 
 
 def test_r3_lower_bounds_fire():
@@ -250,3 +284,76 @@ def test_interval_semantics():
         iv.tighten_lo(4)
     with pytest.raises(ValueError):
         Interval(lo=-1)
+
+
+def test_a_node_takes_one_character():
+    """A second character would give the instances made before it one chi and
+    those made after it another."""
+    g = DeductionGraph()
+    g.add_node(Node("E", Kind.SHEAF))
+    g.set_chern("E", ChernCharacter.from_classes(2, 0, 1, 0))
+    g.instance("E", 0)
+    with pytest.raises(GraphError, match="node E already has a Chern character"):
+        g.set_chern("E", ChernCharacter.from_classes(2, 0, 5, 0))
+    assert g.instance("E", 1).chi == ChernCharacter.from_classes(2, 0, 1, 0).twist(1).chi()
+    g.add_node(Node("F", Kind.SHEAF, chern=ChernCharacter.from_classes(2, 0, 1, 0)))
+    with pytest.raises(GraphError, match="node F already has a Chern character"):
+        g.set_chern("F", ChernCharacter.from_classes(2, 0, 1, 0))
+
+
+classes = st.integers(min_value=-50, max_value=50)
+
+
+@given(st.integers(min_value=1, max_value=4), classes, classes, classes,
+       st.integers(min_value=-40, max_value=40))
+def test_chi_polynomial_is_riemann_roch(rank, c1, c2, c3, t):
+    ch = ChernCharacter.from_classes(rank, c1, c2, c3)
+    assert all(isinstance(c, int) for c in chi_polynomial(ch))
+    try:
+        expected = ch.twist(t).chi()
+    except NonIntegerChi:
+        with pytest.raises(NonIntegerChi):
+            twisted_chi(chi_polynomial(ch), t, "F")
+    else:
+        assert twisted_chi(chi_polynomial(ch), t, "F") == expected
+
+
+class NoSkipGraph(DeductionGraph):
+    """Runs every rule body in every round: the reference the skip must match."""
+
+    def _stale(self, last, insts, tinsts) -> bool:
+        return True
+
+
+def replay(monkeypatch, graph_class, name, params, seed):
+    """A bundled script on a graph of `graph_class`: the runner's graph and
+    the hash of its report (partial, if an assert is not entailed)."""
+    monkeypatch.setattr(script_module, "DeductionGraph", graph_class)
+    runner = script_module.ScriptRunner(
+        name, script_module.load_bundled_script(name), dict(params), seed)
+    try:
+        report = runner.run()
+    except AssertionNotEntailed as exc:
+        report = exc.report
+    return runner.graph, content_hash(report.to_dict())
+
+
+@pytest.mark.parametrize("case", sorted(SCRIPT_HASHES),
+                         ids=lambda c: f"{c[0]}-{'-'.join(str(v) for _, v in c[1])}-s{c[2]}")
+def test_skipping_unmoved_rules_is_hash_neutral(monkeypatch, case):
+    skipping, skipping_hash = replay(monkeypatch, DeductionGraph, *case)
+    every, every_hash = replay(monkeypatch, NoSkipGraph, *case)
+    assert skipping_hash == every_hash == SCRIPT_HASHES[case]
+    assert skipping.events == every.events
+    assert skipping.table() == every.table()
+    assert ({name: ti.conn_origin for name, ti in skipping.tinsts.items()}
+            == {name: ti.conn_origin for name, ti in every.tinsts.items()})
+    assert 0 < skipping.rule_calls < every.rule_calls
+
+
+def test_skipping_halves_the_rule_bodies_over_the_golden_corpus(monkeypatch):
+    calls = {DeductionGraph: 0, NoSkipGraph: 0}
+    for case in SCRIPT_HASHES:
+        for graph_class in calls:
+            calls[graph_class] += replay(monkeypatch, graph_class, *case)[0].rule_calls
+    assert 2 * calls[DeductionGraph] <= calls[NoSkipGraph]

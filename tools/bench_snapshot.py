@@ -17,12 +17,14 @@ second pass) and peak RSS.
 
 The workloads and each metric's better direction come from the first tree's
 ``BENCHMARK.json``.  The snapshot holds, per tree and workload: every run's
-end-to-end metrics, their medians and min-max ranges, the traced per-layer
-metrics, and how many runs were attempted and failed.  With two trees it
-records which tree ran first in each pair and adds, per metric, the ratio of
-the medians (second over first) and how many of the pairs the second tree
-won.  The snapshot is appended to the ``snapshots`` list of ``--out``, which
-is created if it does not exist.
+end-to-end metrics, their medians, quartiles and min-max ranges, the traced
+per-layer metrics, and how many runs were attempted and failed.  With two
+trees it records which tree ran first in each pair and adds, per metric, the
+ratio of the medians (second over first), how many of the pairs the second
+tree won, the first tree's interquartile range, and whether the second
+tree's median is better than the first's by more than that range.  The
+snapshot is appended to the ``snapshots`` list of ``--out``, which is
+created if it does not exist.
 """
 
 from __future__ import annotations
@@ -78,12 +80,23 @@ def acceptance_run(tree: Path) -> dict:
     return last_json_line(proc.stdout)
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """First and third quartiles, interpolated within the values."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def summarize(runs: list[dict]) -> dict:
-    """Medians and min-max ranges of the end-to-end metrics over the runs."""
+    """Medians, quartiles and min-max ranges of the end-to-end metrics."""
     ok = [r["metrics"] for r in runs if "metrics" in r]
     names = sorted({n for m in ok for n in m})
+    quarts = {n: quartiles([m[n] for m in ok]) for n in names}
     return {
         "median": {n: statistics.median(m[n] for m in ok) for n in names},
+        "q1": {n: q[0] for n, q in quarts.items()},
+        "q3": {n: q[1] for n, q in quarts.items()},
         "range": {n: [min(m[n] for m in ok), max(m[n] for m in ok)] for n in names},
         "attempted": sum(r.get("attempted", 0) for r in runs),
         "failed": sum(r.get("failed", 0) for r in runs),
@@ -92,7 +105,10 @@ def summarize(runs: list[dict]) -> dict:
 
 
 def compare(first: list[dict], second: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: ratio of the medians (second / first) and pairs the second won."""
+    """Per metric: ratio of the medians (second / first), pairs the second
+    won, and whether the medians differ, in the better direction, by more
+    than the first tree's interquartile range (the claim rule, with the win
+    count)."""
     out = {}
     pairs = [(a["metrics"], b["metrics"]) for a, b in zip(first, second)
              if "metrics" in a and "metrics" in b]
@@ -101,9 +117,13 @@ def compare(first: list[dict], second: list[dict], better: dict[str, str]) -> di
         if not values:
             continue
         wins = sum((b > a) if direction == "higher" else (b < a) for a, b in values)
-        ratio = (statistics.median(b for _, b in values)
-                 / statistics.median(a for a, _ in values))
-        out[name] = {"median_ratio": ratio, "second_wins": wins, "pairs": len(values)}
+        med_a = statistics.median(a for a, _ in values)
+        med_b = statistics.median(b for _, b in values)
+        q1, q3 = quartiles([a for a, _ in values])
+        gain = med_b - med_a if direction == "higher" else med_a - med_b
+        out[name] = {"median_ratio": med_b / med_a, "second_wins": wins,
+                     "pairs": len(values), "first_iqr": q3 - q1,
+                     "gain_exceeds_first_iqr": gain > q3 - q1}
     return out
 
 
