@@ -1,8 +1,10 @@
 """Exact-arithmetic cohomology toolkit for rank-2 bundles on P^3.
 
 Everything in this package computes over the rationals: dimensions are
-Python ints, intermediate characteristic-class data are `fractions.Fraction`,
-and no floating point is used anywhere.
+Python ints and intermediate characteristic-class data are
+`fractions.Fraction`.  No computed quantity is rounded: the only float64
+arithmetic is the exact rank's kernel check, on residues small enough that
+every sum is an exact integer.
 """
 
 from p3bundles.chern import ChernCharacter

@@ -215,10 +215,13 @@ def _profile_graph(spec: MonadSpec, twists: Iterable[int],
         graph.materialize("TK", t)
         graph.materialize("TE", t)
     for i, cfg in enumerate(configs, start=1):
+        # Highest twist first: Serre duality asks the ideal at -t-4-s, so the
+        # ideal twists come lowest first, and a regularity record that
+        # h0_ideal sets answers every higher one.  Facts keep ascending order.
+        vecs = {t: serre_cohomology(cfg, t) for t in reversed(twists)}
         for t in twists:
-            vec = serre_cohomology(cfg, t)
             for degree in range(4):
-                graph.add_value_fact("ORACLE", f"E{i}", t, degree, vec[degree])
+                graph.add_value_fact("ORACLE", f"E{i}", t, degree, vecs[t][degree])
     return graph
 
 

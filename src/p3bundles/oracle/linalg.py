@@ -3,14 +3,17 @@
 A single-prime modular elimination (fast, vectorized) gives a certified
 *lower* bound on the rational rank.  Callers combine it with an a-priori
 bound from the other side to certify answers without ever trusting the
-prime alone.  Where the two do not meet, ``rank_exact`` decides: a mod-p
-kernel witness checked exactly in integers bounds the rank from above, and
-fraction-free Bareiss elimination on Python ints is the last resort.
+prime alone.  Where the two do not meet, ``rank_exact`` decides.  The
+reduced echelon form mod p gives a kernel witness; the integer matrix kills
+it exactly if it does so modulo enough primes q < 2^20, each product taken
+as an exact float64 matrix product of residues.  That bounds the rank from
+above.  Fraction-free Bareiss elimination on Python ints is the last resort.
 
 Line-restriction blocks are built mod p directly, as int64 residues, by a
-degree recursion; the same recursion over Python ints gives the exact rows,
-which are built only when the modular certificate does not close.  Point
-and bidegree evaluation rows are small and stay exact int tuples.
+degree recursion; the witness's residues mod q come from the same
+recursion, and the recursion over Python ints gives the exact rows, which
+only Bareiss reads.  Point and bidegree evaluation rows are small and stay
+exact int tuples.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,37 +42,49 @@ def monomial_exponents(k: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _restriction_block(line: Line, k: int, modulus: int | None) -> np.ndarray:
-    """Coefficients of each degree-k monomial restricted to the line s*p + t*q,
-    in the basis s^k, s^{k-1} t, ..., t^k: a (k+1) x C(k+3, 3) array with one
-    row per basis form on the line and one column per ambient monomial.
+@lru_cache(maxsize=None)
+def _degree_step(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the degree-d step of ``_restriction_block``: the degree-(d-1)
+    columns gathered, in order, and the variable x_i each one is scaled by."""
+    counts = [comb(d + 2 - i, 3 - i) for i in range(4)]
+    width = comb(d + 2, 3)
+    return (np.concatenate([np.arange(width - n, width) for n in counts]),
+            np.repeat(np.arange(4), counts))
+
+
+def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None) -> np.ndarray:
+    """Coefficients of each degree-k monomial restricted to each line s*p + t*q,
+    in the basis s^k, s^{k-1} t, ..., t^k: a (k+1) x C(k+3, 3) block per line,
+    with one row per basis form on the line and one column per ambient
+    monomial, the blocks stacked in the order of ``lines``.
 
     Built degree by degree from x^e|_L = (p_i s + q_i t) * (x^e / x_i)|_L, with
     i the first variable with e_i > 0.  In the lex order of
     ``monomial_exponents`` the degree-d monomials with first variable i are
     x_i times the last C(d+2-i, 3-i) monomials of degree d-1, in order, so one
     step gathers those column tails, scales them by p_i and q_i and shifts the
-    q part one row down.  With a modulus the entries are int64 residues,
-    reduced after every step (products of two residues below 2^31 stay inside
-    int64); without one they are exact Python ints in an object array.
+    q part one row down, for every line at once.  With a modulus the entries
+    are int64 residues, reduced after every step (products of two residues
+    below 2^31 stay inside int64); without one they are exact Python ints in
+    an object array.
     """
     if modulus is None:
-        dtype, p, q = object, line.p, line.q
+        dtype, p, q = object, [line.p for line in lines], [line.q for line in lines]
     else:
         dtype = np.int64
-        p, q = ([x % modulus for x in v] for v in (line.p, line.q))
-    p, q = np.array(p, dtype), np.array(q, dtype)
-    block = np.ones((1, 1), dtype)
+        p = [[x % modulus for x in line.p] for line in lines]
+        q = [[x % modulus for x in line.q] for line in lines]
+    p, q = np.array(p, dtype).reshape(-1, 1, 4), np.array(q, dtype).reshape(-1, 1, 4)
+    block = np.ones((len(lines), 1, 1), dtype)
     for d in range(1, k + 1):
-        counts = [comb(d + 2 - i, 3 - i) for i in range(4)]
-        width = block.shape[1]
-        tails = np.concatenate([block[:, width - n:] for n in counts], axis=1)
-        block = np.zeros((d + 1, tails.shape[1]), dtype)
-        block[:-1] = tails * np.repeat(p, counts)
-        block[1:] += tails * np.repeat(q, counts)
+        cols, var = _degree_step(d)
+        tails = block.take(cols, axis=2)
+        block = np.zeros((len(lines), d + 1, len(cols)), dtype)
+        block[:, :-1] = tails * p.take(var, axis=2)
+        block[:, 1:] += tails * q.take(var, axis=2)
         if modulus is not None:
             block %= modulus
-    return block
+    return block.reshape(-1, block.shape[2])
 
 
 @lru_cache(maxsize=4096)
@@ -80,7 +96,7 @@ def line_restriction_block(line: Line, k: int) -> np.ndarray:
     cell by cell.  One repetition of the largest benchmark workload asks for
     under 1,700 distinct (line, k), so the bound does not evict within a run.
     """
-    block = _restriction_block(line, k, PRIME)
+    block = _restriction_block((line,), k, PRIME)
     block.flags.writeable = False
     return block
 
@@ -88,8 +104,45 @@ def line_restriction_block(line: Line, k: int) -> np.ndarray:
 def exact_restriction_rows(lines: tuple[Line, ...], k: int) -> list[tuple[int, ...]]:
     """The stacked restriction blocks of ``lines`` over the integers, for the
     exact fallback only; not cached."""
-    return [tuple(row) for line in lines
-            for row in _restriction_block(line, k, None).tolist()]
+    return [tuple(row) for row in _restriction_block(lines, k, None).tolist()]
+
+
+# the kernel witness's primes: the 32 largest below 2^20, descending; their
+# product is about 2^640
+WITNESS_PRIMES = (
+    1_048_573, 1_048_571, 1_048_559, 1_048_549, 1_048_517, 1_048_507, 1_048_447, 1_048_433,
+    1_048_423, 1_048_391, 1_048_387, 1_048_367, 1_048_361, 1_048_357, 1_048_343, 1_048_309,
+    1_048_291, 1_048_273, 1_048_261, 1_048_219, 1_048_217, 1_048_213, 1_048_193, 1_048_189,
+    1_048_139, 1_048_129, 1_048_127, 1_048_123, 1_048_063, 1_048_051, 1_048_049, 1_048_043,
+)
+
+
+class IntegerMatrix(NamedTuple):
+    """What ``rank_exact`` needs of an integer matrix beyond its modular
+    echelon form: a bound on the absolute value of its entries, its residues
+    mod a small prime q as an int64 array, and, for Bareiss only, its rows
+    over the integers."""
+    bound: int
+    residues: Callable[[int], np.ndarray]
+    rows: Callable[[], list[tuple[int, ...]]]
+
+    @classmethod
+    def of_rows(cls, rows: list[tuple[int, ...]]) -> IntegerMatrix:
+        return cls(max((abs(x) for row in rows for x in row), default=0),
+                   lambda q: np.array([[x % q for x in row] for row in rows], dtype=np.int64),
+                   lambda: rows)
+
+
+def restriction_matrix(lines: tuple[Line, ...], k: int) -> IntegerMatrix:
+    """The stacked restriction blocks of ``lines`` as an ``IntegerMatrix``:
+    residues from the recursion mod q, exact rows only when asked for.  Every
+    coefficient of a product of linear forms is at most the product of their
+    coefficient sums, so max_i (|p_i| + |q_i|)^k bounds a line's block."""
+    bound = max((max(abs(a) + abs(b) for a, b in zip(line.p, line.q)) ** k
+                 for line in lines), default=0)
+    return IntegerMatrix(bound,
+                         lambda q: _restriction_block(lines, k, q),
+                         lambda: exact_restriction_rows(lines, k))
 
 
 def point_evaluation_row(point: Point4, k: int) -> tuple[int, ...]:
@@ -128,7 +181,7 @@ def _row_reduce_mod_p(m: np.ndarray) -> list[int]:
         pivot_row = row + int(nonzero[0])
         if pivot_row != row:
             m[[row, pivot_row]] = m[[pivot_row, row]]
-        inv = pow(int(m[row, col]), PRIME - 2, PRIME)
+        inv = pow(int(m[row, col]), -1, PRIME)
         m[row] = (m[row] * inv) % PRIME
         hit = np.nonzero(m[row + 1:, col])[0]
         if hit.size:
@@ -176,17 +229,19 @@ def rank_mod_p(rows: list, *, echelon: bool = False) -> int | Echelon:
     return reduced if echelon else len(reduced[1])
 
 
-def rank_exact(rows: list[tuple[int, ...]], echelon: Echelon | None = None) -> int:
-    """Rank over Q of a matrix of int rows (0 for no rows).
+def rank_exact(rows: list, echelon: Echelon | None = None,
+               exact: IntegerMatrix | None = None) -> int:
+    """Rank over Q of an integer matrix (0 for no rows).
 
-    The rank r mod PRIME bounds it from below.  The reduced echelon form mod
-    PRIME gives one kernel vector per free column: 1 there, minus that column
-    of the echelon form at the pivot columns, each residue lifted to the
+    ``rows`` are exact int tuples, or, when ``exact`` stands for the matrix,
+    its int64 residues mod PRIME as for ``rank_mod_p``.  The rank r mod PRIME
+    bounds the rational rank from below.  The reduced echelon form mod PRIME
+    gives one kernel vector per free column: 1 there, minus that column of
+    the echelon form at the pivot columns, each residue lifted to the
     symmetric range.  Those vectors are independent, so if the integer matrix
-    kills them exactly its nullity is at least n_cols - r and its rank is r.
-    The product is taken in int64 only where a bound in Python ints rules
-    out overflow.  When the lifted vectors are not a kernel, or the bound
-    fails, fraction-free elimination decides.
+    kills them exactly its nullity is at least n_cols - r and its rank is r;
+    ``_kills`` checks that modulo small primes.  When the lifted vectors are
+    not a kernel, fraction-free elimination on the exact rows decides.
 
     ``echelon`` is the caller's ``rank_mod_p(..., echelon=True)`` of the same
     matrix; it is finished in place instead of eliminating the rows again.
@@ -203,10 +258,33 @@ def rank_exact(rows: list[tuple[int, ...]], echelon: Echelon | None = None) -> i
     kernel[free, range(len(free))] = 1
     kernel[pivots] = -m[:rank, free] % PRIME
     kernel[kernel > PRIME // 2] -= PRIME
-    bound = max(abs(x) for row in rows for x in row) * int(np.abs(kernel).max()) * m.shape[1]
-    if bound < 2 ** 63 and not (np.array(rows, dtype=np.int64) @ kernel).any():
-        return rank
-    return _rank_bareiss(rows)
+    matrix = exact if exact is not None else IntegerMatrix.of_rows(rows)
+    return rank if _kills(matrix, kernel) else _rank_bareiss(matrix.rows())
+
+
+def _kills(matrix: IntegerMatrix, kernel: np.ndarray) -> bool:
+    """Is the integer product matrix @ kernel zero?
+
+    Its entries are at most bound = max|M| * max|V| * n_cols in absolute
+    value, computed in Python ints, so it is zero once it is zero modulo
+    primes whose product exceeds 2 * bound.  Each product mod q is a float64
+    matrix product of residues, exact while n_cols * (q - 1)^2 < 2^53.
+    Where that guard fails or the fixed primes run out, the answer is no,
+    which leaves the rank to Bareiss.
+    """
+    n_cols = kernel.shape[0]
+    bound = matrix.bound * int(np.abs(kernel).max()) * n_cols
+    modulus = 1
+    for q in WITNESS_PRIMES:
+        if modulus > 2 * bound:
+            return True
+        if n_cols * (q - 1) ** 2 >= 2 ** 53:
+            return False
+        product = matrix.residues(q).astype(np.float64) @ (kernel % q).astype(np.float64)
+        if np.fmod(product, q).any():
+            return False
+        modulus *= q
+    return modulus > 2 * bound
 
 
 def _rank_bareiss(rows: list[tuple[int, ...]]) -> int:
@@ -233,21 +311,18 @@ def _rank_bareiss(rows: list[tuple[int, ...]]) -> int:
     return rank
 
 
-ExactRows = Callable[[], list[tuple[int, ...]]]
-
-
 def nullity_certified(rows: list, n_cols: int, lower_bound: int = 0,
-                      exact_rows: ExactRows | None = None) -> int:
+                      exact: IntegerMatrix | None = None) -> int:
     """Exact kernel dimension of an integer matrix with n_cols columns.
 
     The modular rank bounds the rational rank from below, so
     n_cols - rank_p bounds the nullity from above; when that pinches against
     a caller-supplied valid lower bound the answer is certified without
     exact elimination.  ``rows`` may be int64 residue rows, in which case
-    ``exact_rows`` builds the same matrix over the integers; it is called
-    only when the certificate does not close, and ``rank_exact`` finishes
-    the modular echelon form already computed.  Without it ``rows`` must be
-    exact int tuples.
+    ``exact`` is the same matrix over the integers; it is read only when the
+    certificate does not close, and ``rank_exact`` finishes the modular
+    echelon form already computed.  Without it ``rows`` must be exact int
+    tuples.
     """
     if n_cols == 0:
         return 0
@@ -261,11 +336,11 @@ def nullity_certified(rows: list, n_cols: int, lower_bound: int = 0,
             f"caller lower bound {lower} exceeds certified upper bound {upper}")
     if upper == lower:
         return upper
-    return n_cols - rank_exact(exact_rows() if exact_rows else rows, echelon)
+    return n_cols - rank_exact(rows, echelon, exact)
 
 
-def full_row_rank(rows: list, exact_rows: ExactRows | None = None) -> bool:
-    """Do the rows have full rank?  ``exact_rows`` as in ``nullity_certified``."""
+def full_row_rank(rows: list, exact: IntegerMatrix | None = None) -> bool:
+    """Do the rows have full rank?  ``exact`` as in ``nullity_certified``."""
     if not rows:
         return True
     if len(rows) > len(rows[0]):
@@ -273,4 +348,4 @@ def full_row_rank(rows: list, exact_rows: ExactRows | None = None) -> bool:
     echelon = rank_mod_p(rows, echelon=True)
     if len(echelon[1]) == len(rows):
         return True
-    return rank_exact(exact_rows() if exact_rows else rows, echelon) == len(rows)
+    return rank_exact(rows, echelon, exact) == len(rows)

@@ -14,8 +14,10 @@ P^3 vanishes identically.  Rank-2 bundles arriving through an extension
 same way, and the top half of their vector comes from Serre duality.
 
 The restriction matrix is stacked from int64 blocks of residues mod p, which
-give the modular rank; its exact integer rows are built only when that rank
-does not certify the answer (see ``linalg``).
+give the modular rank; where that rank does not certify the answer, the
+exact rank checks a kernel witness modulo small primes from the same
+recursion, and the exact integer rows are built only for Bareiss (see
+``linalg``).
 
 Above the regularity of I_Y no matrix is needed.  By Mumford's lemma, if
 h^1(I_Y(k)) = 0, h^2(I_Y(k-1)) = h^1(O_Y(k-1)) = 0 and
@@ -26,7 +28,9 @@ exactly the chi bound ``lower`` that certifies every rank.  ``h0_ideal``
 records, per configuration, the least twist at which a computed h^0 met that
 bound while both side conditions hold in the tables, and answers every
 higher twist with the bound.  The record is read, never forced: no twist is
-computed to extend it.
+computed to extend it.  It only answers twists above one already computed,
+so callers that need a range of twists ask them lowest first, as
+``monad`` does for the Serre-dual half of a profile.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ from p3bundles.oracle import linalg
 from p3bundles.oracle.configs import GeometryConfig, MarkedPoint, Point4
 from p3bundles.oracle.linalg import (
     bidegree_evaluation_row,
-    exact_restriction_rows,
     full_row_rank,
     line_restriction_block,
     nullity_certified,
     point_evaluation_row,
+    restriction_matrix,
 )
 from p3bundles.tables import (
     CohomologyVector,
@@ -90,7 +94,7 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
     if k >= _regular_from.get(cfg, k + 1):
         return lower
     h0 = nullity_certified(_restriction_rows(cfg, k), comb(k + 3, 3), lower,
-                           lambda: exact_restriction_rows(cfg.lines, k))
+                           restriction_matrix(cfg.lines, k))
     if (h0 == lower and structure_cohomology(cfg, k - 1).h1 == 0
             and h_p3_line_bundle(k - 2).h3 == 0):
         _regular_from[cfg] = k
@@ -156,8 +160,7 @@ def restriction_onto_lines_surjective(cfg: GeometryConfig, k: int) -> bool:
     """
     if k < 0:
         return not cfg.lines
-    return full_row_rank(_restriction_rows(cfg, k),
-                         lambda: exact_restriction_rows(cfg.lines, k))
+    return full_row_rank(_restriction_rows(cfg, k), restriction_matrix(cfg.lines, k))
 
 
 def marked_point_evaluation_surjective(cfg: GeometryConfig, k: int) -> bool:

@@ -28,7 +28,7 @@ from p3bundles.monad import (
     spectrum_h1,
     summand_character,
 )
-from p3bundles.oracle import SamplingFailed
+from p3bundles.oracle import SamplingFailed, clear_caches, linalg, sheaves
 
 
 # -- parameter validation ----------------------------------------------------
@@ -214,6 +214,42 @@ def test_spectrum_is_seed_independent(seed):
 
 
 # -- spectrum recovery corner cases --------------------------------------------
+
+def test_a_profile_builds_no_twist_above_a_regularity_record(monkeypatch):
+    builds = []
+
+    def counting(cfg, k):
+        builds.append((cfg, k))
+        return restriction_rows(cfg, k)
+
+    restriction_rows = sheaves._restriction_rows
+    clear_caches()
+    monkeypatch.setattr(sheaves, "_restriction_rows", counting)
+    spec = MonadSpec.create(Series.SIGMA0, 2, 1, 9)
+    monad.h1_intervals(spec, -spec.a - 3, -1)
+    records = dict(sheaves._regular_from)
+    clear_caches()
+    # the Serre half asks the ideal twists -2..a lowest first, so the record
+    # answers every twist above it
+    assert len(records) == 2 and {cfg for cfg, _ in builds} == set(records)
+    assert [(cfg, k) for cfg, k in builds if k > records[cfg]] == []
+
+
+def test_the_paper_scale_sigma0_spectrum_needs_no_bareiss(monkeypatch):
+    runs = []
+
+    def counting(rows):
+        runs.append(len(rows))
+        return bareiss(rows)
+
+    bareiss = linalg._rank_bareiss
+    monkeypatch.setattr(linalg, "_rank_bareiss", counting)
+    clear_caches()
+    entries = spectrum(MonadSpec.create(Series.SIGMA0, 19, 0, 24))
+    clear_caches()
+    assert len(entries) == 614 and entries == tuple(sorted(-k for k in entries))
+    assert runs == []
+
 
 def test_recovery_rejects_gaps():
     with pytest.raises(InconsistentProfile):

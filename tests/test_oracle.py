@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import Matrix, isprime
 
 from p3bundles.oracle import (
     GeometryConfig,
@@ -42,6 +42,8 @@ from p3bundles.oracle.configs import (
 )
 from p3bundles.oracle.linalg import (
     PRIME,
+    WITNESS_PRIMES,
+    IntegerMatrix,
     exact_restriction_rows,
     full_row_rank,
     line_restriction_block,
@@ -49,6 +51,7 @@ from p3bundles.oracle.linalg import (
     nullity_certified,
     rank_exact,
     rank_mod_p,
+    restriction_matrix,
 )
 from p3bundles.tables import chi_p3_line_bundle
 
@@ -257,21 +260,38 @@ def exact_builds(monkeypatch):
         return exact_restriction_rows(lines, k)
 
     clear_caches()
-    monkeypatch.setattr(sheaves, "exact_restriction_rows", counting)
+    monkeypatch.setattr(linalg, "exact_restriction_rows", counting)
     yield calls
     clear_caches()
 
 
-def test_exact_rows_are_built_only_on_fallback(exact_builds):
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Count the `rank_exact` calls behind the certificates, by row count."""
+    calls = []
+
+    def counting(rows, *args):
+        calls.append(len(rows))
+        return rank_exact(rows, *args)
+
+    monkeypatch.setattr(linalg, "rank_exact", counting)
+    return calls
+
+
+def test_exact_rows_are_built_only_on_fallback(exact_builds, fallbacks, monkeypatch):
     big = sample_ruling(4, 0)
     # h^1(I(4)) = 0: the chi bound pinches the modular rank
     assert h0_ideal(big, 4) == 10 and restriction_onto_lines_surjective(big, 4)
-    assert exact_builds == []
-    # h^0(I(3)) = h^1(I(3)) = 4: the certificate leaves a gap, so one exact build
+    assert fallbacks == [] and exact_builds == []
+    # h^0(I(3)) = h^1(I(3)) = 4: the certificate leaves a gap, and the kernel
+    # witness closes it from residues of the restriction recursion
     assert h0_ideal(big, 3) == 4
-    assert exact_builds == [3]
     assert not restriction_onto_lines_surjective(big, 3)
-    assert exact_builds == [3, 3]
+    assert fallbacks == [20, 20] and exact_builds == []
+    # only Bareiss reads the integer rows
+    clear_caches()
+    monkeypatch.setattr(linalg, "_kills", lambda matrix, kernel: False)
+    assert h0_ideal(big, 3) == 4 and exact_builds == [3]
 
 
 def _full_matrix_nullity(cfg, k):
@@ -279,7 +299,7 @@ def _full_matrix_nullity(cfg, k):
     chi bound h^1(I_Y(k)) >= 0 as at every twist, with no regularity record."""
     lower = sheaves.chi_ideal(cfg, k) - structure_cohomology(cfg, k).h1
     return nullity_certified(sheaves._restriction_rows(cfg, k), comb(k + 3, 3), lower,
-                             lambda: exact_restriction_rows(cfg.lines, k))
+                             restriction_matrix(cfg.lines, k))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -344,7 +364,7 @@ def test_a_nodal_conic_starts_no_record_at_twist_zero(row_builds):
     assert row_builds == [0, 1]
 
 
-def test_each_exact_fallback_eliminates_mod_p_once(exact_builds, monkeypatch):
+def test_each_exact_fallback_eliminates_mod_p_once(exact_builds, fallbacks, monkeypatch):
     passes = []
 
     def counting(m):
@@ -354,9 +374,9 @@ def test_each_exact_fallback_eliminates_mod_p_once(exact_builds, monkeypatch):
     row_reduce = linalg._row_reduce_mod_p
     monkeypatch.setattr(linalg, "_row_reduce_mod_p", counting)
     big = sample_ruling(4, 0)
-    assert h0_ideal(big, 3) == 4 and exact_builds == [3]
+    assert h0_ideal(big, 3) == 4 and fallbacks == [20]
     assert passes == [(20, 20)]
-    assert not restriction_onto_lines_surjective(big, 3) and exact_builds == [3, 3]
+    assert not restriction_onto_lines_surjective(big, 3) and fallbacks == [20, 20]
     assert passes == [(20, 20)] * 2
     assert rank_exact(exact_restriction_rows(big.lines, 3)) == 16
     assert passes == [(20, 20)] * 3
@@ -377,9 +397,9 @@ def test_rank_mod_p_takes_int_tuples_and_int64_rows_alike(matrix):
     assert rank_mod_p(tuples) == rank_mod_p(residues) <= rank_exact(tuples)
     n_cols = len(tuples[0])
     for rows in (tuples, residues):
-        assert nullity_certified(rows, n_cols, exact_rows=lambda: tuples) \
-            == n_cols - rank_exact(tuples)
-        assert full_row_rank(rows, lambda: tuples) == (rank_exact(tuples) == len(tuples))
+        exact = IntegerMatrix.of_rows(tuples)
+        assert nullity_certified(rows, n_cols, exact=exact) == n_cols - rank_exact(tuples)
+        assert full_row_rank(rows, exact) == (rank_exact(tuples) == len(tuples))
 
 
 small = st.integers(min_value=-3, max_value=3)
@@ -436,11 +456,37 @@ def test_kernel_witness_closes_on_restriction_rows_with_h1(bareiss_runs):
 @pytest.mark.parametrize("rows, rank", [
     ([(PRIME, 0), (0, 1)], 2),              # rank_p = 1: the witness (1, 0) fails
     ([(PRIME,)], 1),                        # rank_p = 0: the witness is e_1
-    ([(2 ** 64, 2 ** 64), (1, 1)], 1),      # a true witness, but past int64
+    ([(PRIME * 2 ** 40, 0), (0, 1)], 2),    # rank_p = 1 again, past int64
 ])
 def test_bareiss_decides_where_the_witness_cannot(bareiss_runs, rows, rank):
     assert rank_exact(rows) == rank
     assert bareiss_runs == [len(rows)]
+
+
+def test_a_true_witness_past_int64_closes_without_bareiss(bareiss_runs):
+    assert rank_exact([(2 ** 64, 2 ** 64), (1, 1)]) == 1
+    assert bareiss_runs == []
+
+
+def test_the_witness_primes_are_the_largest_below_2_to_the_20():
+    below = [q for q in range(2 ** 20 - 1, 2 ** 20 - 1100, -1) if isprime(q)]
+    assert WITNESS_PRIMES == tuple(below[:32])
+
+
+def test_a_witness_near_2_to_the_70_is_checked_modulo_several_primes(bareiss_runs):
+    big = 2 ** 70 + 3
+    rows = [(big, -big, 0), (5, -5, 0), (0, 0, 1)]  # the kernel is (1, 1, 0)
+    matrix = IntegerMatrix.of_rows(rows)
+    primes = []
+
+    def residues(q):
+        primes.append(q)
+        return matrix.residues(q)
+
+    # the bound max|M| * max|V| * n_cols = 3 * big outgrows any 3 primes below 2^20
+    assert rank_exact(rows, exact=matrix._replace(residues=residues)) == 2
+    assert len(primes) >= 3 and prod(primes) > 2 * 3 * big
+    assert bareiss_runs == []
 
 
 def test_empty_rows_keep_their_answers():
