@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from p3bundles.monad import (
+    InvalidSpec,
     MonadSpec,
     Regime,
     Series,
@@ -22,7 +23,6 @@ from p3bundles.monad import (
     component_dimension,
     expected_dimension,
     format_spectrum,
-    in_strict_range,
 )
 
 
@@ -102,10 +102,11 @@ def enumerate_series(series: Series, n_max: int) -> list[ComponentRecord]:
     while charge(series, 2, a) <= n_max:  # the smallest load is 2 (m=1, eps=0)
         for m in range(1, a + 2):
             for eps in (0, 1):
-                if not in_strict_range(series, m, eps, a):
+                try:
+                    spec = MonadSpec(series, m, eps, a)
+                except InvalidSpec:  # extended regime, not a curated case
                     continue
-                spec = MonadSpec(series, m, eps, a)
-                if spec.n <= n_max:
+                if spec.regime is Regime.STRICT and spec.n <= n_max:
                     found.append(_monad_record(spec))
         a += 1
     found.sort(key=lambda r: (r.n, r.params[2], r.params[0], r.params[1]))

@@ -36,21 +36,25 @@ let a rule fire (a narrowing, a rule setting chi or a connecting map, and
 each declaration), and the query `instance` propagates first when it has
 moved since `propagate` last finished cleanly.
 
-Rule bodies are skipped when their inputs did not move.  A rule instance is
-one body applied to one object: chi-additivity, R7, R2/R4 segments and R3 per
-triple instance, R1 per instance, R5 per dual pair and R6 per sum group (the
-R8 implications run every round).  Its inputs are every instance it reads or
-narrows, plus the connecting maps of its triple for R7 and the segments.
-Each write stamps what it wrote with the counter's new value: an instance
-at its creation, when a narrowing shrinks it and when its chi is set, and a
-triple instance when a connecting map is killed.  A rule instance remembers
-the counter's value when its last call that returned began, and `propagate`
-skips it while no input carries a newer stamp.  This is hash-neutral: a
-body reads and writes only its inputs, so unmoved inputs mean the last call
-found them as they are now and narrowed nothing, and a call now would do the
-same.  The round-robin order is kept, so the events, `explain()` chains and
-reports are those of running every body every round.  A body that raises
-records nothing, so the next propagation meets the contradiction again.
+Rule bodies run from a worklist.  A rule instance is one body applied to one
+object: chi-additivity, R7, R2/R4 segments and R3 per triple instance, R1 per
+instance, R5 per dual pair and R6 per sum group (the R8 implications run
+every round).  Its inputs are every instance it reads or narrows, plus the
+triple instance itself for R7 and the segments.  Each input keeps the list
+of rule instances that read it, and every write to it marks them dirty: an
+instance when a narrowing shrinks it and when its chi is set, a triple
+instance when a connecting map is killed.  A new rule instance starts dirty.
+`propagate` walks rounds in the fixed order: early rules (chi-additivity and
+R7 per triple instance), R8, then late rules (segments and R3 per triple
+instance, R1, R5, R6).  A rule marked at a position after the one running
+runs in this round; any other waits for the next.  Rounds repeat until one
+writes nothing.  So exactly the bodies whose inputs moved since their last
+call began are called, in the order of calling every body every round, and
+the events, `explain()` chains and reports are those of that walk: a body
+reads and writes only its inputs, so unmoved inputs mean the last call found
+them as they are now and narrowed nothing.  A body that raises records
+nothing and stays dirty, so the next propagation meets the contradiction
+again.  Each write also stamps what it wrote with the counter's new value.
 A node's character is set once.  Its chi enters as the integer cubic
 6 chi(F(t)) of Riemann-Roch, built when the node gets the character and
 evaluated at each new instance's twist.
@@ -58,10 +62,12 @@ evaluated at each new instance's twist.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, Iterable, Optional
 
 from p3bundles.chern import ChernCharacter, NonIntegerChi
 from p3bundles.engine.intervals import EmptyInterval, Interval
@@ -75,6 +81,7 @@ from p3bundles.tables import (
 )
 
 MAX_ROUNDS = 10000
+_IDLE = float("inf")  # the running position outside propagate: every mark waits
 EXPLAIN_MAX_LINES = 40  # a derivation chain is cut after this many slots
 
 
@@ -127,11 +134,15 @@ class Node:
     locally_free: bool = False
     support_dim: int = 3
     chern: Optional[ChernCharacter] = None
+    table: Optional[Table] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.table = TABLES.get(self.kind)
 
 
 def instance_key(node: Node, t: int) -> tuple:
     """(kind, twisted params) for table shapes, (name, t) for sheaves."""
-    table = TABLES.get(node.kind)
+    table = node.table
     if table is None:
         return (node.name, t)
     return (node.kind, *(p + t if mv else p for p, mv in zip(node.params, table.moves)))
@@ -143,6 +154,7 @@ def key_label(key: tuple) -> str:
     return f"{key[0]}({key[1]:+d})" if key[1] else f"{key[0]}"
 
 
+@lru_cache(maxsize=256)
 def chi_polynomial(ch: ChernCharacter) -> tuple:
     """Coefficients (of t^3, t^2, t, 1) of 6 chi(F(t)) on P^3, by Riemann-Roch:
     r t^3 + (3 c1 + 6r) t^2 + (6 ch2 + 12 c1 + 11r) t + (6 ch3 + 12 ch2 + 11 c1 + 6r)
@@ -162,7 +174,7 @@ def twisted_chi(poly: tuple, t: int, label: str) -> int:
     return six_chi // 6
 
 
-@dataclass
+@dataclass(eq=False)
 class Instance:
     key: tuple
     node_name: str
@@ -171,31 +183,56 @@ class Instance:
     chi: Optional[int] = None
     chi_origin: str = ""
     stamp: int = 0  # the change count at its last write (creation, narrowing, chi)
+    label: str = field(init=False)
+    readers: list[int] = field(default_factory=list, repr=False)  # ids of rules reading it
+    chi_rule: int = field(default=-1, repr=False)  # id of its R1
 
-    @property
-    def label(self) -> str:
-        return key_label(self.key)
+    def __post_init__(self) -> None:
+        self.label = key_label(self.key)
 
 
-@dataclass
+@dataclass(eq=False)
 class TripleInstance:
     """A short exact triple A -> B -> C at one twist.  `slots` lists the
-    twelve terms (instance, degree) of its long exact sequence in order;
+    twelve terms (instance, degree, interval) of its long exact sequence in order;
     `conn_origin` maps i to why the connecting map out of h^i(C) is zero, and
-    `conn_stamp` is the change count when it last gained an entry."""
+    `stamp` is the change count when it last gained an entry."""
 
     name: str
     parts: tuple[Instance, Instance, Instance]
     conn_origin: dict[int, str] = field(default_factory=dict)
-    conn_stamp: int = 0
-    slots: tuple[tuple[Instance, int], ...] = field(init=False, repr=False)
+    stamp: int = 0
+    slots: tuple[tuple[Instance, int, Interval], ...] = field(init=False, repr=False)
+    readers: list[int] = field(default_factory=list, repr=False)  # ids of rules reading it
+    # ids of its chi-additivity, R7, segments and R3
+    rules: tuple[int, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
-        self.slots = tuple((inst, deg) for deg in range(4) for inst in self.parts)
+        self.slots = tuple((inst, deg, inst.h[deg]) for deg in range(4) for inst in self.parts)
 
     @property
     def keys(self) -> tuple[tuple, tuple, tuple]:
         return tuple(inst.key for inst in self.parts)
+
+
+class Rule:
+    """One rule body applied to one object: `body(graph, arg)` reads and
+    narrows only `insts` and `tinsts`.  `pos` is its place in the propagation
+    order.  Instances name their readers by rule id, so a finished graph
+    holds no reference cycle and is freed as soon as it is dropped."""
+
+    __slots__ = ("key", "body", "arg", "insts", "tinsts", "pos", "dirty")
+
+    def __init__(self, key: tuple, body: Callable, arg, insts: tuple, tinsts: tuple):
+        self.key, self.body, self.arg = key, body, arg
+        self.insts, self.tinsts = insts, tinsts
+        self.pos = -1
+        self.dirty = True
+
+
+def _tightens(iv: Interval, lo: int, hi: Optional[int]) -> bool:
+    """Whether intersecting iv with [lo, hi] changes it (or empties it)."""
+    return lo > iv.lo or (hi is not None and (iv.hi is None or hi < iv.hi))
 
 
 class DeductionGraph:
@@ -213,9 +250,18 @@ class DeductionGraph:
         self._changes = 0  # bumped by every write that could let a rule fire
         self._fixpoint = 0  # _changes when propagate last finished cleanly
         self._chi_polys: dict[str, tuple] = {}  # node name -> chi_polynomial
-        # rule instance -> _changes when its last call that returned began
-        self._ran: dict[tuple, int] = {}
-        self.rule_calls = 0  # rule-instance bodies run, skipped ones not counted
+        self._rules: list[Rule] = []  # every rule instance, by id
+        self._found_ids: dict[tuple, int] = {}  # R5 and R6 rule ids, by key
+        # the rule instances in propagation order and the number of early
+        # ones; None once an instance, triple instance or character is added
+        self._order: Optional[tuple[list[Rule], int]] = None
+        # the worklist: negated positions of the dirty rules to run this
+        # round, sorted so that the lowest position is last, and the dirty
+        # rules that wait for the next round or propagation
+        self._queue: list[int] = []
+        self._later: list[Rule] = []
+        self._at = _IDLE  # position of the running rule; _IDLE outside propagate
+        self.rule_calls = 0  # rule-instance bodies run, clean ones not counted
 
     # -- declarations --------------------------------------------------
 
@@ -239,12 +285,13 @@ class DeductionGraph:
         node.chern = ch
         poly = self._chi_polys[name] = chi_polynomial(ch)
         self._changes += 1
+        self._order = None  # the node's instances may now have Serre partners
         # retrofit chi on existing instances of this node
         for inst in self.instances.values():
             if inst.node_name == name and inst.chi is None:
                 inst.chi = twisted_chi(poly, inst.twist, inst.label)
                 inst.chi_origin = "character"
-                inst.stamp = self._bump()
+                self._wrote(inst)
 
     def add_sum(self, name: str, members: list[str], locally_free: bool = False) -> None:
         for m in members:
@@ -272,8 +319,14 @@ class DeductionGraph:
         if (name, t) not in self.tinsts:
             parts = tuple(self._instance(self._node(node_name), off + t)
                           for node_name, off in self.triples[name])
-            self.tinsts[(name, t)] = TripleInstance(f"{name}@{t}", parts,
-                                                    conn_stamp=self._bump())
+            ti = self.tinsts[(name, t)] = TripleInstance(f"{name}@{t}", parts,
+                                                         stamp=self._bump())
+            rule, cls = self._rule, type(self)
+            ti.rules = (rule(("additivity", ti.name), cls._rule_chi_additivity, ti, parts),
+                        rule(("connecting", ti.name), cls._rule_connecting, ti, parts[:1], (ti,)),
+                        rule(("segments", ti.name), cls._rule_segments, ti, parts, (ti,)),
+                        rule(("monotone", ti.name), cls._rule_monotone, ti, parts))
+            self._order = None
         return self.tinsts[(name, t)]
 
     def add_diagram(self, domain_row, codomain_row, col_a, col_b, col_c) -> None:
@@ -312,15 +365,13 @@ class DeductionGraph:
 
     def add_value_fact(self, tag: str, node_name: str, t: int, degree: int, value: int) -> None:
         inst = self._instance(self._node(node_name), t)
-        self._narrow(inst, degree, value, value, f"fact:{tag}", [])
+        self._narrow(inst, degree, value, value, lambda: (f"fact:{tag}", []))
 
     def add_conn_fact(self, tag: str, tname: str, t: int, i: int) -> None:
         """Kill the connecting map out of h^i; i = 0 is H0 surjectivity (epi)."""
         if i not in (0, 1, 2):
             raise GraphError("connecting maps are indexed 0..2")
-        ti = self._tinst((tname, t))
-        ti.conn_origin.setdefault(i, f"fact:{tag}")
-        ti.conn_stamp = self._bump()
+        self._kill(self._tinst((tname, t)), i, f"fact:{tag}")
 
     # -- queries -----------------------------------------------------------
 
@@ -352,59 +403,103 @@ class DeductionGraph:
                 continue
             rule, sources = ev
             key, deg = slot
-            out.append(f"h{deg}({key_label(key)}) {self.instances[key].h[deg]!r} via {rule}")
+            inst = self.instances[key]
+            out.append(f"h{deg}({inst.label}) {inst.h[deg]!r} via {rule}")
             stack.extend(sources)
         return out
 
     # -- propagation -------------------------------------------------------
 
     def propagate(self) -> None:
-        # propagation creates no instance and changes no character, so the
-        # rule instances every round walks are resolved once, each as
-        # (memo key, body, argument, input instances, input triple instances)
-        early, late = [], []
-        for ti in self.tinsts.values():
-            early += [(("additivity", ti.name), self._rule_chi_additivity, ti, ti.parts, ()),
-                      (("connecting", ti.name), self._rule_connecting, ti, ti.parts[:1], (ti,))]
-            late += [(("segments", ti.name), self._rule_segments, ti, ti.parts, (ti,)),
-                     (("monotone", ti.name), self._rule_monotone, ti, ti.parts, ())]
-        late += [(("chi", inst.key), self._rule_chi, inst, (inst,), ())
-                 for inst in self.instances.values()]
-        late += [(("duality", pair[0].key), self._rule_duality, pair, pair, ())
-                 for pair in self._duality_pairs()]
-        late += [(("sum", group[0].key), self._rule_sum, group, (group[0], *group[1]), ())
-                 for group in self._sum_groups()]
-        for _ in range(MAX_ROUNDS):
-            start = self._changes
-            self._run(early)
-            self._rule_implications()
-            self._run(late)
-            if self._changes == start:
-                self._fixpoint = start
-                return
+        order, split = self._layout()
+        queue, later = self._queue, self._later
+        try:
+            for _ in range(MAX_ROUNDS):
+                start = self._changes
+                queue += [-rule.pos for rule in later]
+                later.clear()
+                queue.sort()
+                self._at = -1
+                self._settle(order, split)
+                self._at = split - 1  # R8 sits between the early and late rules
+                self._rule_implications()
+                self._settle(order, len(order))
+                if self._changes == start:
+                    self._fixpoint = start
+                    return
+        finally:
+            # a raise part way leaves the rest of this round dirty for the next call
+            later += [order[-neg] for neg in queue]
+            queue.clear()
+            self._at = _IDLE
         raise EngineError("propagation did not stabilize")
 
-    def _run(self, rules: list[tuple]) -> None:
-        """Call each rule instance's body unless none of its inputs moved
-        since its last call that returned began."""
-        ran = self._ran
-        for key, body, arg, insts, tinsts in rules:
-            if not self._stale(ran.get(key, -1), insts, tinsts):
-                continue
-            begun = self._changes
-            self.rule_calls += 1
-            body(arg)
-            ran[key] = begun
+    def _settle(self, order: list[Rule], end: int) -> None:
+        """Run the queued rules before position `end`, lowest position first."""
+        queue = self._queue
+        while queue and -queue[-1] < end:
+            rule = order[-queue.pop()]
+            self._at = rule.pos
+            rule.dirty = False
+            try:
+                self._fire(rule)
+            except BaseException:
+                self._mark((rule,))
+                raise
 
-    def _stale(self, last: int, insts: tuple[Instance, ...],
-               tinsts: tuple[TripleInstance, ...]) -> bool:
-        for inst in insts:
-            if inst.stamp > last:
-                return True
-        for ti in tinsts:
-            if ti.conn_stamp > last:
-                return True
-        return False
+    def _fire(self, rule: Rule) -> None:
+        self.rule_calls += 1
+        rule.body(self, rule.arg)
+
+    def _mark(self, rules: Iterable[Rule]) -> None:
+        """Mark rules dirty: later in this round if they come after the
+        running rule, else in the next round."""
+        for rule in rules:
+            if not rule.dirty:
+                rule.dirty = True
+                if rule.pos > self._at:
+                    insort(self._queue, -rule.pos)
+                else:
+                    self._later.append(rule)
+
+    def _layout(self) -> tuple[list[Rule], int]:
+        """The rule instances in propagation order, and how many are early.
+        Propagation creates no instance and changes no character, so this is
+        resolved again only after a declaration that does."""
+        if self._order is None:
+            cls = type(self)
+            early = [i for ti in self.tinsts.values() for i in ti.rules[:2]]
+            late = [i for ti in self.tinsts.values() for i in ti.rules[2:]]
+            late += [inst.chi_rule for inst in self.instances.values()]
+            for pair in self._duality_pairs():
+                late.append(self._found(("duality", pair[0].key), cls._rule_duality, pair, pair))
+            for group in self._sum_groups():
+                late.append(self._found(("sum", group[0].key), cls._rule_sum, group,
+                                        (group[0], *group[1])))
+            order = [self._rules[i] for i in early + late]
+            for pos, r in enumerate(order):
+                r.pos = pos
+            self._order = (order, len(early))
+        return self._order
+
+    def _rule(self, key: tuple, body: Callable, arg, insts: tuple, tinsts: tuple = ()) -> int:
+        """The id of a new rule instance: dirty, and among the readers of its inputs."""
+        rule_id = len(self._rules)
+        rule = Rule(key, body, arg, insts, tinsts)
+        self._rules.append(rule)
+        for read in insts:
+            read.readers.append(rule_id)
+        for read in tinsts:
+            read.readers.append(rule_id)
+        self._later.append(rule)
+        return rule_id
+
+    def _found(self, key: tuple, body: Callable, arg, insts: tuple) -> int:
+        """The id of the rule instance of a dual pair or sum group, made when first found."""
+        rule_id = self._found_ids.get(key)
+        if rule_id is None:
+            rule_id = self._found_ids[key] = self._rule(key, body, arg, insts)
+        return rule_id
 
     def _duality_pairs(self) -> list[tuple[Instance, Instance]]:
         """R5 partners (F(t), F(-t-4-c1)) of rank-2 locally free nodes, by node
@@ -457,35 +552,31 @@ class DeductionGraph:
         inst = ti.parts[missing[0]]
         inst.chi = -rest * signs[missing[0]]
         inst.chi_origin = f"chi-additivity through {ti.name}"
-        inst.stamp = self._bump()
+        self._wrote(inst)
 
     def _rule_connecting(self, ti: TripleInstance) -> None:
         a = ti.parts[0]
         for i in (0, 1, 2):
-            iv = a.h[i + 1]
-            if i not in ti.conn_origin and iv.pinned and iv.value == 0:
-                ti.conn_origin[i] = f"R7: h{i+1}({a.label}) = 0"
-                ti.conn_stamp = self._bump()
+            if a.h[i + 1].hi == 0 and i not in ti.conn_origin:
+                self._kill(ti, i, f"R7: h{i+1}({a.label}) = 0")
 
     def _rule_implications(self) -> None:
         for out, premises, origin in self.implications:
             if 0 not in out.conn_origin and all(0 in p.conn_origin for p in premises):
-                out.conn_origin[0] = origin
-                out.conn_stamp = self._bump()
+                self._kill(out, 0, origin)
 
-    def _segments(self, ti: TripleInstance) -> list[list[tuple[Instance, int]]]:
+    def _segments(self, ti: TripleInstance) -> list[list[tuple[Instance, int, Interval]]]:
         """Maximal exact runs of LES slots, zero slots excluded."""
         splits_after = {3 * i + 2 for i in ti.conn_origin}  # conn_i kills delta_i
-        segments: list[list[tuple[Instance, int]]] = []
-        current: list[tuple[Instance, int]] = []
-        for idx, (inst, deg) in enumerate(ti.slots):
-            iv = inst.h[deg]
-            if iv.pinned and iv.value == 0:
+        segments: list[list[tuple[Instance, int, Interval]]] = []
+        current: list[tuple[Instance, int, Interval]] = []
+        for idx, slot in enumerate(ti.slots):
+            if slot[2].hi == 0:
                 if current:
                     segments.append(current)
                 current = []
             else:
-                current.append((inst, deg))
+                current.append(slot)
             if idx in splits_after and current:
                 segments.append(current)
                 current = []
@@ -494,75 +585,100 @@ class DeductionGraph:
         return segments
 
     def _rule_segments(self, ti: TripleInstance) -> None:
-        bound, alternating = f"R2 exactness bound in {ti.name}", f"R4 alternating sum in {ti.name}"
         for run in self._segments(ti):
             # R2: term <= left + right within the run, boundaries are zero
-            for pos, (inst, deg) in enumerate(run):
-                neighbours = run[max(pos - 1, 0):pos] + run[pos + 1:pos + 2]
-                his = [n.h[d].hi for n, d in neighbours]
-                if None not in his:
-                    self._narrow(inst, deg, 0, sum(his), bound,
-                                 [(n.key, d) for n, d in neighbours])
-            self._solve_alternating(run, 0, alternating)
+            last = len(run) - 1
+            for pos, (inst, deg, iv) in enumerate(run):
+                left = run[pos - 1][2].hi if pos else 0
+                right = run[pos + 1][2].hi if pos < last else 0
+                if left is None or right is None:
+                    continue
+                if iv.hi is None or left + right < iv.hi:
+                    neighbours = run[max(pos - 1, 0):pos] + run[pos + 1:pos + 2]
+                    self._narrow(inst, deg, 0, left + right, lambda: (
+                        f"R2 exactness bound in {ti.name}",
+                        [(n.key, d) for n, d, _ in neighbours]))
+            self._solve_alternating(run, 0, lambda: f"R4 alternating sum in {ti.name}")
 
     def _rule_monotone(self, ti: TripleInstance) -> None:
         a, b, c = ti.parts
-        self._narrow(b, 0, a.h[0].lo, None, f"R3 h0 injects in {ti.name}", [(a.key, 0)])
-        self._narrow(b, 3, c.h[3].lo, None, f"R3 h3 surjects in {ti.name}", [(c.key, 3)])
+        if a.h[0].lo > b.h[0].lo:
+            self._narrow(b, 0, a.h[0].lo, None,
+                         lambda: (f"R3 h0 injects in {ti.name}", [(a.key, 0)]))
+        if c.h[3].lo > b.h[3].lo:
+            self._narrow(b, 3, c.h[3].lo, None,
+                         lambda: (f"R3 h3 surjects in {ti.name}", [(c.key, 3)]))
 
     def _rule_chi(self, inst: Instance) -> None:
         if inst.chi is not None:
-            self._solve_alternating([(inst, deg) for deg in range(4)], inst.chi,
-                                    f"R1 chi solve (chi = {inst.chi}, {inst.chi_origin})")
+            self._solve_alternating(
+                [(inst, deg, iv) for deg, iv in enumerate(inst.h)], inst.chi,
+                lambda: f"R1 chi solve (chi = {inst.chi}, {inst.chi_origin})")
 
-    def _solve_alternating(self, slots: list[tuple[Instance, int]], total: int,
-                           rule: str) -> None:
+    def _solve_alternating(self, slots: list[tuple[Instance, int, Interval]], total: int,
+                           rule: Callable[[], str]) -> None:
         """h(slot 0) - h(slot 1) + h(slot 2) - ... = total: verify it when every
-        slot is pinned, solve it when exactly one is not."""
-        ivs = [inst.h[deg] for inst, deg in slots]
-        unknown = [pos for pos, iv in enumerate(ivs) if not iv.pinned]
-        if len(unknown) > 1:
-            return
-        rest = sum((-1) ** pos * iv.value for pos, iv in enumerate(ivs) if iv.pinned)
-        if not unknown:
+        slot (instance, degree, interval) is pinned, solve it when exactly one
+        is not.  `rule()` names it."""
+        unknown, rest, sign = -1, 0, 1
+        for pos, (_, _, iv) in enumerate(slots):
+            if iv.lo == iv.hi:
+                rest += sign * iv.lo
+            elif unknown >= 0:
+                return
+            else:
+                unknown = pos
+            sign = -sign
+        if unknown < 0:
             if rest != total:
-                terms = ", ".join(f"h{deg}({inst.label})" for inst, deg in slots)
-                raise Contradiction(f"{rule}: pinned values {[iv.value for iv in ivs]} of "
-                                    f"{terms} have alternating sum {rest}, expected {total}")
+                terms = ", ".join(f"h{deg}({inst.label})" for inst, deg, _ in slots)
+                raise Contradiction(
+                    f"{rule()}: pinned values {[iv.value for _, _, iv in slots]} of "
+                    f"{terms} have alternating sum {rest}, expected {total}")
             return
-        pos = unknown[0]
-        target, degree = slots[pos]
-        value = (total - rest) * (-1) ** pos
+        target, degree, _ = slots[unknown]
+        value = (total - rest) * (-1) ** unknown
         if value < 0:
-            raise Contradiction(f"{rule} gives h{degree}({target.label}) = {value} < 0")
-        self._narrow(target, degree, value, value, rule,
-                     [(inst.key, deg) for p, (inst, deg) in enumerate(slots) if p != pos])
+            raise Contradiction(f"{rule()} gives h{degree}({target.label}) = {value} < 0")
+        self._narrow(target, degree, value, value, lambda: (
+            rule(), [(inst.key, deg) for p, (inst, deg, _) in enumerate(slots) if p != unknown]))
 
     def _rule_duality(self, pair: tuple[Instance, Instance]) -> None:
         left, right = pair
+
+        def rule(i: int) -> str:
+            return f"R5 Serre duality h{i}({left.label}) = h{3-i}({right.label})"
+
         for i in range(4):
-            rule = f"R5 Serre duality h{i}({left.label}) = h{3-i}({right.label})"
             li, ri = left.h[i], right.h[3 - i]
-            self._narrow(left, i, ri.lo, ri.hi, rule, [(right.key, 3 - i)])
-            self._narrow(right, 3 - i, li.lo, li.hi, rule, [(left.key, i)])
+            if _tightens(li, ri.lo, ri.hi):
+                self._narrow(left, i, ri.lo, ri.hi, lambda: (rule(i), [(right.key, 3 - i)]))
+            if _tightens(ri, li.lo, li.hi):
+                self._narrow(right, 3 - i, li.lo, li.hi, lambda: (rule(i), [(left.key, i)]))
 
     def _rule_sum(self, group: tuple[Instance, list[Instance], str]) -> None:
         total, parts, rule = group
+
+        def member(part: Instance, deg: int) -> tuple[str, list[tuple]]:
+            """A member's bound comes from the total and the other members."""
+            return rule, [(total.key, deg)] + [(p.key, deg) for p in parts if p is not part]
+
         for deg in range(4):
-            lo_sum = sum(p.h[deg].lo for p in parts)
-            his = [p.h[deg].hi for p in parts]
-            srcs = [(p.key, deg) for p in parts]
+            whole, ivs = total.h[deg], [p.h[deg] for p in parts]
+            lo_sum = sum(iv.lo for iv in ivs)
+            his = [iv.hi for iv in ivs]
             hi_sum = sum(his) if None not in his else None
-            self._narrow(total, deg, lo_sum, hi_sum, rule, srcs)
-            for j, part in enumerate(parts):
-                others_lo = lo_sum - part.h[deg].lo
-                srcs_j = [(total.key, deg)] + [(p.key, deg) for p in parts if p is not part]
-                if total.h[deg].hi is not None:
-                    self._narrow(part, deg, 0, total.h[deg].hi - others_lo, rule, srcs_j)
-                others_hi = [p.h[deg].hi for i2, p in enumerate(parts) if i2 != j]
-                if None not in others_hi:
-                    self._narrow(part, deg, total.h[deg].lo - sum(others_hi), None,
-                                 rule, srcs_j)
+            if _tightens(whole, lo_sum, hi_sum):
+                self._narrow(total, deg, lo_sum, hi_sum,
+                             lambda: (rule, [(p.key, deg) for p in parts]))
+            for j, (part, iv) in enumerate(zip(parts, ivs)):
+                others_lo = lo_sum - iv.lo
+                if whole.hi is not None and _tightens(iv, 0, whole.hi - others_lo):
+                    self._narrow(part, deg, 0, whole.hi - others_lo, lambda: member(part, deg))
+                others_hi = [other.hi for i2, other in enumerate(ivs) if i2 != j]
+                if None not in others_hi and whole.lo - sum(others_hi) > iv.lo:
+                    self._narrow(part, deg, whole.lo - sum(others_hi), None,
+                                 lambda: member(part, deg))
 
     # -- internals -------------------------------------------------------
 
@@ -580,8 +696,8 @@ class DeductionGraph:
         key = instance_key(node, t)
         if key in self.instances:
             return self.instances[key]
-        if node.kind in TABLES:
-            vec = TABLES[node.kind].vector(*key[1:])
+        if node.table is not None:
+            vec = node.table.vector(*key[1:])
             h = [Interval(v, v) for v in vec]
             inst = Instance(key, node.name, t, h, vec.chi(), "closed form")
         else:
@@ -591,33 +707,50 @@ class DeductionGraph:
                 h[3] = Interval(0, 0)
             if node.support_dim == 0:
                 h[1] = Interval(0, 0)
-            chi = (twisted_chi(self._chi_polys[node.name], t, key_label(key))
-                   if node.chern is not None else None)
-            inst = Instance(key, node.name, t, h, chi, "character" if chi is not None else "")
+            inst = Instance(key, node.name, t, h)
+            if node.chern is not None:
+                inst.chi = twisted_chi(self._chi_polys[node.name], t, inst.label)
+                inst.chi_origin = "character"
         self.instances[key] = inst
         inst.stamp = self._bump()
+        inst.chi_rule = self._rule(("chi", key), type(self)._rule_chi, inst, (inst,))
+        self._order = None
         # creating a member instance of a sum keeps R6 complete
         if node.name in self.sums:
             for m in self.sums[node.name]:
                 self._instance(self._node(m), t)
         return inst
 
-    def _narrow(self, inst: Instance, degree: int, lo: int, hi: Optional[int], rule: str,
-                sources: list[tuple]) -> None:
+    def _narrow(self, inst: Instance, degree: int, lo: int, hi: Optional[int],
+                why: Callable[[], tuple[str, list[tuple]]]) -> None:
         """Intersect h^degree(inst) with [lo, hi] (hi None: no upper bound),
-        lo first; record one event and bump the counter if it shrank."""
+        lo first.  If it shrank, record one event (rule, source slots) = why()
+        and mark the instance written."""
         iv = inst.h[degree]
+        if not _tightens(iv, lo, hi):
+            return
         try:
-            changed = iv.tighten_lo(lo)
+            iv.tighten_lo(lo)
             if hi is not None:
-                changed = iv.tighten_hi(hi) or changed
+                iv.tighten_hi(hi)
         except EmptyInterval as exc:
             raise Contradiction(
                 f"h{degree}({inst.label}) in [{lo}, {'inf' if hi is None else hi}] "
-                f"from {rule} contradicts the established range ({exc})") from exc
-        if changed:
-            self.events[(inst.key, degree)] = (rule, sources)
-            inst.stamp = self._bump()
+                f"from {why()[0]} contradicts the established range ({exc})") from exc
+        self.events[(inst.key, degree)] = why()
+        self._wrote(inst)
+
+    def _kill(self, ti: TripleInstance, i: int, origin: str) -> None:
+        """The connecting map out of h^i(C) is zero (the first origin stays);
+        a write to ti either way."""
+        ti.conn_origin.setdefault(i, origin)
+        self._wrote(ti)
+
+    def _wrote(self, obj: Instance | TripleInstance) -> None:
+        """Stamp a written instance or triple instance and mark its readers dirty."""
+        self._changes += 1
+        obj.stamp = self._changes
+        self._mark(map(self._rules.__getitem__, obj.readers))
 
     def _bump(self) -> int:
         """Count one write that could let a rule fire; the count stamps it."""

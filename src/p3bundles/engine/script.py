@@ -37,6 +37,7 @@ import ast
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from math import comb
 
@@ -104,6 +105,22 @@ _ALLOWED_CALLS = {"binom": lambda n, k: comb(n, k) if 0 <= k <= n else 0,
                   "max": max, "min": min, "abs": abs}
 
 
+@lru_cache(maxsize=1024)
+def _parse(expr: str) -> ast.expr:
+    """The AST of a brace expression, parsed once per expression text.  A
+    parse error is not cached: it is raised again wherever the text is met."""
+    return ast.parse(expr, mode="eval").body
+
+
+@lru_cache(maxsize=64)
+def _lines(text: str) -> tuple[tuple[int, str], ...]:
+    """(line number, command) for each line of a script text that holds one
+    once its comment is stripped."""
+    stripped = ((lineno, raw.split("#", 1)[0].strip())
+                for lineno, raw in enumerate(text.splitlines(), 1))
+    return tuple((lineno, line) for lineno, line in stripped if line)
+
+
 def _safe_eval(expr: str, env: dict[str, int]) -> int:
     def ev(node):
         if isinstance(node, ast.Constant) and isinstance(node.value, int):
@@ -144,10 +161,12 @@ def _safe_eval(expr: str, env: dict[str, int]) -> int:
                 raise ScriptError(f"{name}() in {expr!r}: {exc}") from exc
         raise ScriptError(f"construct not allowed in expression {expr!r}")
 
-    return int(ev(ast.parse(expr, mode="eval").body))
+    return int(ev(_parse(expr)))
 
 
 def _as_int(token: str, env: dict[str, int]) -> int:
+    if "{" not in token:  # a bare integer
+        return int(token)
     return int(_BRACE.sub(lambda m: str(_safe_eval(m.group(1), env)), token))
 
 
@@ -182,7 +201,7 @@ class ScriptReport:
 class ScriptRunner:
     def __init__(self, name: str, text: str, params: dict[str, int], seed: int):
         self.name = name
-        self.lines = text.splitlines()
+        self.text = text
         self.env = {k: int(v) for k, v in params.items()}
         self.seed = int(seed)
         self.graph = DeductionGraph()
@@ -221,10 +240,7 @@ class ScriptRunner:
     # -- command handlers ---------------------------------------------------
 
     def run(self) -> ScriptReport:
-        for lineno, raw in enumerate(self.lines, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in _lines(self.text):
             try:
                 self._command(line)
             except (ScriptError, GraphError, OracleFactMismatch, Contradiction) as exc:
@@ -472,10 +488,12 @@ class ScriptRunner:
     def _agreement_sweep(self) -> None:
         checked = 0
         mismatches = []
-        for key in sorted(self.graph.instances, key=lambda k: (str(k[0]), k[1:])):
-            stored = self.graph.instances[key]
-            # the first query settles the graph
-            inst = self.graph.instance(stored.node_name, stored.twist)
+        keys = sorted(self.graph.instances, key=lambda k: (str(k[0]), k[1:]))
+        if keys:  # the first query settles the graph; the rest find it settled
+            first = self.graph.instances[keys[0]]
+            self.graph.instance(first.node_name, first.twist)
+        for key in keys:
+            inst = self.graph.instances[key]
             kind, _ = self.bindings.get(inst.node_name, ("", None))
             node = self.graph.nodes[inst.node_name]
             if kind not in ("ideal", "serre") or node.kind is not Kind.SHEAF:
@@ -505,6 +523,7 @@ def run_script_text(name: str, text: str, params: dict[str, int],
     return report
 
 
+@lru_cache(maxsize=16)
 def load_bundled_script(name: str) -> str:
     fname = name if name.endswith(".les") else f"{name}.les"
     return resources.files("p3bundles.scripts").joinpath(fname).read_text("utf-8")

@@ -11,8 +11,12 @@ import json
 from fractions import Fraction
 from typing import Any
 
+_LEAVES = frozenset({str, int, bool, type(None)})
+
 
 def _normalize(obj: Any) -> Any:
+    if type(obj) in _LEAVES:  # exact types: subclasses take the checks below
+        return obj
     if isinstance(obj, Fraction):
         if obj.denominator == 1:
             return int(obj)
@@ -20,9 +24,9 @@ def _normalize(obj: Any) -> Any:
     if isinstance(obj, float):
         raise TypeError("floats are banned from reports; use Fraction or int")
     if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
+        return {str(k): v if type(v) in _LEAVES else _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
+        return [v if type(v) in _LEAVES else _normalize(v) for v in obj]
     return obj
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping
 
@@ -121,7 +122,7 @@ class MonadSpec:
         """Same as ``MonadSpec(series, m, eps, a)``, under the name callers use."""
         return cls(series, m, eps, a)
 
-    @property
+    @cached_property  # evaluated once, by __post_init__
     def regime(self) -> Regime:
         strict = in_strict_range(self.series, self.m, self.eps, self.a)
         return Regime.STRICT if strict else Regime.EXTENDED

@@ -21,6 +21,7 @@ from p3bundles.atlas import (
     instanton_record,
     records_to_tsv,
 )
+from p3bundles import monad as monad_module
 from p3bundles.monad import (
     EXTENDED_SMALL_CASES,
     MonadSpec,
@@ -49,6 +50,21 @@ def test_enumeration_matches_brute_force(series):
     records = enumerate_series(series, 220)
     got = sorted((r.n, r.params[2], r.params[0], r.params[1]) for r in records)
     assert got == brute_force(series, 220)
+
+
+@pytest.mark.parametrize("series", [Series.SIGMA0, Series.SIGMA1])
+def test_enumeration_evaluates_the_strict_range_once_per_record(monkeypatch, series):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return in_strict_range(*args)
+
+    monkeypatch.setattr(monad_module, "in_strict_range", counted)
+    records = enumerate_series(series, 400)
+    assert records
+    for rec in records:
+        assert calls.count(rec.params) == 1
 
 
 def test_enumeration_is_sorted_and_bounded():

@@ -10,12 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_golden import SCRIPT_HASHES
 
+from p3bundles import monad as monad_module
 from p3bundles.chern import ChernCharacter, NonIntegerChi
 from p3bundles.engine import AssertionNotEntailed, Contradiction, DeductionGraph
 from p3bundles.engine import script as script_module
 from p3bundles.engine.graph import (
     GraphError,
     Kind,
+    MAX_ROUNDS,
     Node,
     chi_polynomial,
     twisted_chi,
@@ -318,11 +320,62 @@ def test_chi_polynomial_is_riemann_roch(rank, c1, c2, c3, t):
         assert twisted_chi(chi_polynomial(ch), t, "F") == expected
 
 
-class NoSkipGraph(DeductionGraph):
-    """Runs every rule body in every round: the reference the skip must match."""
+class LoggedGraph(DeductionGraph):
+    """The worklist, logging the key of every rule body it calls."""
 
-    def _stale(self, last, insts, tinsts) -> bool:
-        return True
+    def __init__(self) -> None:
+        super().__init__()
+        self.fired: list[tuple] = []
+
+    def _fire(self, rule) -> None:
+        self.fired.append(rule.key)
+        super()._fire(rule)
+
+
+class NoSkipGraph(LoggedGraph):
+    """Runs every rule body in every round: the reference the worklist must
+    match.  Each rule stays dirty after its call, so it runs again next round."""
+
+    def _fire(self, rule) -> None:
+        super()._fire(rule)
+        self._mark((rule,))
+
+
+class StaleScanGraph(LoggedGraph):
+    """The round-robin scan the worklist replaced: every round walks every
+    rule instance in order and calls it when one of its inputs carries a
+    stamp newer than the start of its last call that returned."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ran: dict[tuple, int] = {}
+
+    def propagate(self) -> None:
+        rules = {rule.key: rule for rule in self._layout()[0]}
+        early, late = [], []
+        for ti in self.tinsts.values():
+            early += [("additivity", ti.name), ("connecting", ti.name)]
+            late += [("segments", ti.name), ("monotone", ti.name)]
+        late += [("chi", key) for key in self.instances]
+        late += [("duality", pair[0].key) for pair in self._duality_pairs()]
+        late += [("sum", group[0].key) for group in self._sum_groups()]
+        for _ in range(MAX_ROUNDS):
+            start = self._changes
+            self._scan([rules[key] for key in early])
+            self._rule_implications()
+            self._scan([rules[key] for key in late])
+            if self._changes == start:
+                self._fixpoint = start
+                return
+        raise AssertionError("propagation did not stabilize")
+
+    def _scan(self, rules) -> None:
+        for rule in rules:
+            last = self.ran.get(rule.key, -1)
+            if any(x.stamp > last for x in (*rule.insts, *rule.tinsts)):
+                begun = self._changes
+                self._fire(rule)
+                self.ran[rule.key] = begun
 
 
 def replay(monkeypatch, graph_class, name, params, seed):
@@ -338,8 +391,14 @@ def replay(monkeypatch, graph_class, name, params, seed):
     return runner.graph, content_hash(report.to_dict())
 
 
-@pytest.mark.parametrize("case", sorted(SCRIPT_HASHES),
-                         ids=lambda c: f"{c[0]}-{'-'.join(str(v) for _, v in c[1])}-s{c[2]}")
+GOLDEN_CASES = sorted(SCRIPT_HASHES)
+
+
+def case_id(case) -> str:
+    return f"{case[0]}-{'-'.join(str(v) for _, v in case[1])}-s{case[2]}"
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=case_id)
 def test_skipping_unmoved_rules_is_hash_neutral(monkeypatch, case):
     skipping, skipping_hash = replay(monkeypatch, DeductionGraph, *case)
     every, every_hash = replay(monkeypatch, NoSkipGraph, *case)
@@ -357,3 +416,37 @@ def test_skipping_halves_the_rule_bodies_over_the_golden_corpus(monkeypatch):
         for graph_class in calls:
             calls[graph_class] += replay(monkeypatch, graph_class, *case)[0].rule_calls
     assert 2 * calls[DeductionGraph] <= calls[NoSkipGraph]
+
+
+def assert_same_calls(worklist: LoggedGraph, scan: StaleScanGraph) -> None:
+    assert worklist.fired == scan.fired
+    assert worklist.rule_calls == scan.rule_calls == len(scan.fired) > 0
+    assert worklist.events == scan.events
+    assert worklist.table() == scan.table()
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES + [
+    ("thmB-chain", (("m", 3), ("eps", 0), ("a", 9)), 0),
+], ids=case_id)
+def test_the_worklist_calls_the_bodies_the_stale_scan_calls(monkeypatch, case):
+    worklist, worklist_hash = replay(monkeypatch, LoggedGraph, *case)
+    scan, scan_hash = replay(monkeypatch, StaleScanGraph, *case)
+    assert worklist_hash == scan_hash
+    assert_same_calls(worklist, scan)
+
+
+def test_the_worklist_matches_the_stale_scan_on_sums_and_duality(monkeypatch):
+    """R5 and R6 rules, with a triple instance and a fact added after the
+    first propagation."""
+    graphs = []
+    for graph_class in (LoggedGraph, StaleScanGraph):
+        monkeypatch.setattr(monad_module, "DeductionGraph", graph_class)
+        g = monad_graph()
+        g.interval("F", -1, 1)
+        g.materialize("TK", 1)
+        g.add_value_fact("ASSUMED", "K", 1, 0, 0)
+        g.interval("F", 1, 1)
+        graphs.append(g)
+    worklist, scan = graphs
+    assert {key[0] for key in worklist.fired} >= {"duality", "sum"}
+    assert_same_calls(worklist, scan)

@@ -209,6 +209,17 @@ def test_if_line_runs_its_command_only_when_the_condition_holds(eps):
     assert (("T", 2) in runner.graph.tinsts) == (eps == 1)
 
 
+@pytest.mark.parametrize("bad", ["{eps/2}", "{eps+}", "{zzz}"])
+def test_a_bad_brace_expression_raises_at_its_line_each_time_it_is_reached(bad):
+    """Expressions are parsed once per text, but an error is still raised
+    at the line that evaluates it, and not when an `if` skips that line."""
+    text = IF_SCRIPT + f"if {{eps==1}} :: twist T {bad}\n"
+    for _ in range(2):
+        ScriptRunner("bad", text, {"eps": 0}, 0).run()
+        with pytest.raises(ScriptError, match=r"^bad:7: "):
+            ScriptRunner("bad", text, {"eps": 1}, 0).run()
+
+
 def test_conn_facts_record_their_index():
     base = "node O line 0\nnode S quadric 0 0\nnode I sheaf\ntriple T I O S\ntwist T 0\n"
     one, two = (run_script_text("conn", base + f"fact ASSUMED conn T 0 {index}\n", {}, seed=0)
