@@ -21,7 +21,8 @@ Configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from p3bundles.jsonio import content_hash
@@ -50,25 +51,17 @@ def quadric_bilinear(p: Point4, q: Point4) -> int:
     return p[0] * q[3] + q[0] * p[3] - p[1] * q[2] - q[1] * p[2]
 
 
-def _det3(m) -> int:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def det4(rows: tuple[Point4, Point4, Point4, Point4]) -> int:
-    m = [list(r) for r in rows]
-    total = 0
-    for j in range(4):
-        minor = [[m[i][c] for c in range(4) if c != j] for i in range(1, 4)]
-        total += (-1) ** j * m[0][j] * _det3(minor)
-    return total
-
-
 @dataclass(frozen=True)
 class Line:
     p: Point4
     q: Point4
+
+    @cached_property
+    def plucker(self) -> tuple[int, int, int, int, int, int]:
+        """The 2x2 minors p_i q_j - p_j q_i for ij = 01, 02, 03, 12, 13, 23."""
+        p, q = self.p, self.q
+        return tuple(p[i] * q[j] - p[j] * q[i]
+                     for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,11 @@ class MarkedPoint:
 
 
 def lines_disjoint(l1: Line, l2: Line) -> bool:
-    return det4((l1.p, l1.q, l2.p, l2.q)) != 0
+    """Two lines meet iff their Plucker pairing, det(p1, q1, p2, q2) by the
+    Laplace expansion along the first two rows, vanishes."""
+    a, b = l1.plucker, l2.plucker
+    return (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
+            + a[3] * b[2] - a[4] * b[1] + a[5] * b[0]) != 0
 
 
 def line_inside_quadric(line: Line) -> bool:
@@ -99,6 +96,15 @@ class GeometryConfig:
     serre_shift: Optional[tuple[int, int]] = None
     marked: tuple[MarkedPoint, ...] = ()
     ruling_count: int = 0            # for conics: how many leading lines are ruling halves
+
+    def __post_init__(self) -> None:
+        # hashed once: the oracle's caches look configurations up by the hash
+        object.__setattr__(self, "_hash", hash((
+            self.curve, self.components, self.lines, self.serre_shift, self.marked,
+            self.ruling_count)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def config_hash(cfg: GeometryConfig) -> str:

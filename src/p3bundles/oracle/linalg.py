@@ -9,28 +9,52 @@ it exactly if it does so modulo enough primes q < 2^20, each product taken
 as an exact float64 matrix product of residues.  That bounds the rank from
 above.  Fraction-free Bareiss elimination on Python ints is the last resort.
 
+Restriction matrices are written in the quadric's basis of the degree-k
+forms: the multiples Q*m of Q = x0*x3 - x1*x2 by the C(k+1, 3) monomials m
+of degree k-2, then the (k+1)^2 monomials not divisible by x0*x3.  In the
+lex order of ``monomial_exponents`` the leading monomial of Q*m is x0*x3*m,
+and m -> x0*x3*m is a bijection onto the monomials divisible by x0*x3, so
+up to the order of its columns the change of basis from the monomials is
+unitriangular over Z.  Its determinant is +-1, a unit modulo every prime, so
+it keeps the rank of every matrix over Q and modulo every prime.  A Q*m
+column is the x0*x3*m column minus the x1*x2*m column.  On a line inside
+the smooth quadric S: Q = 0 those columns vanish, so such a line's block
+keeps only the (k+1)^2 free columns; stacked under lines off S, its rows are
+zero in the Q columns.  So when every line lies on S, the C(k+1, 3) forms
+Q*m lie in the kernel and the nullity is C(k+1, 3) plus that of the free
+columns; with a line off S, Q*m need not vanish on it, and only the whole
+matrix counts.  The free columns are ordered by the monomial's degree in
+x1, x3 (the t-degree of its restriction to a line of the first ruling,
+s*(u0, 0, u1, 0) + t*(0, u0, 0, u1)), then by its degree in x2, x3, so a
+ruling line's row t^j is nonzero only in the j-th run of k+1 columns and
+the elimination's pivot rows stay short.  For k <= 1 there is no Q column
+and the basis is the monomials.
+
 Line-restriction blocks are built mod p directly, as int64 residues, by a
 degree recursion; the witness's residues mod q come from the same
 recursion, and the recursion over Python ints gives the exact rows, which
-only Bareiss reads.  Point and bidegree evaluation rows are small and stay
-exact int tuples.
+only Bareiss reads.  Point and bidegree evaluation matrices are built the
+same way: residues from powers taken modulo the prime, exact rows only for
+Bareiss.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 import numpy as np
 
-from p3bundles.oracle.configs import Line, Point4, Proj1
+from p3bundles.oracle.configs import Line, line_inside_quadric
 
 PRIME = 2_147_483_647  # 2^31 - 1; squares stay inside int64
 
+Exponents = tuple[int, int, int, int]
 
-def monomial_exponents(k: int) -> list[tuple[int, int, int, int]]:
+
+def monomial_exponents(k: int) -> list[Exponents]:
     """Degree-k monomials in 4 variables, deterministic (lex) order."""
     if k < 0:
         return []
@@ -43,30 +67,40 @@ def monomial_exponents(k: int) -> list[tuple[int, int, int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _degree_step(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the degree-d step of ``_restriction_block``: the degree-(d-1)
-    columns gathered, in order, and the variable x_i each one is scaled by."""
-    counts = [comb(d + 2 - i, 3 - i) for i in range(4)]
-    width = comb(d + 2, 3)
-    return (np.concatenate([np.arange(width - n, width) for n in counts]),
-            np.repeat(np.arange(4), counts))
+def _monomials(d: int, on_quadric: bool) -> tuple[Exponents, ...]:
+    """The degree-d monomials in lex order; ``on_quadric``, only those not
+    divisible by x0*x3.  Either set is closed under dividing by a variable."""
+    return tuple(e for e in monomial_exponents(d) if not (on_quadric and e[0] and e[3]))
 
 
-def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None) -> np.ndarray:
-    """Coefficients of each degree-k monomial restricted to each line s*p + t*q,
-    in the basis s^k, s^{k-1} t, ..., t^k: a (k+1) x C(k+3, 3) block per line,
-    with one row per basis form on the line and one column per ambient
-    monomial, the blocks stacked in the order of ``lines``.
+@lru_cache(maxsize=None)
+def _degree_step(d: int, on_quadric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """For the degree-d step of ``_restriction_block``: per degree-d monomial
+    x^e, the column of x^e / x_i among the degree-(d-1) monomials, with i
+    the first variable with e_i > 0, and that i."""
+    index = {e: j for j, e in enumerate(_monomials(d - 1, on_quadric))}
+    cols, var = [], []
+    for e in _monomials(d, on_quadric):
+        i = next(i for i, n in enumerate(e) if n)
+        cols.append(index[(*e[:i], e[i] - 1, *e[i + 1:])])
+        var.append(i)
+    return np.array(cols), np.array(var)
+
+
+def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None,
+                       on_quadric: bool = False) -> np.ndarray:
+    """Coefficients of each degree-k monomial of ``_monomials(k, on_quadric)``
+    restricted to each line s*p + t*q, in the basis s^k, s^{k-1} t, ..., t^k:
+    a (k+1)-row block per line, with one column per monomial in lex order,
+    the blocks stacked in the order of ``lines``.
 
     Built degree by degree from x^e|_L = (p_i s + q_i t) * (x^e / x_i)|_L, with
-    i the first variable with e_i > 0.  In the lex order of
-    ``monomial_exponents`` the degree-d monomials with first variable i are
-    x_i times the last C(d+2-i, 3-i) monomials of degree d-1, in order, so one
-    step gathers those column tails, scales them by p_i and q_i and shifts the
-    q part one row down, for every line at once.  With a modulus the entries
-    are int64 residues, reduced after every step (products of two residues
-    below 2^31 stay inside int64); without one they are exact Python ints in
-    an object array.
+    i the first variable with e_i > 0: one step gathers the degree-(d-1)
+    columns, scales them by p_i and q_i and shifts the q part one row down,
+    for every line at once.  With a modulus the entries are int64 residues,
+    reduced after every step (products of two residues below 2^31 stay
+    inside int64); without one they are exact Python ints in an object
+    array.
     """
     if modulus is None:
         dtype, p, q = object, [line.p for line in lines], [line.q for line in lines]
@@ -77,7 +111,7 @@ def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None) -> 
     p, q = np.array(p, dtype).reshape(-1, 1, 4), np.array(q, dtype).reshape(-1, 1, 4)
     block = np.ones((len(lines), 1, 1), dtype)
     for d in range(1, k + 1):
-        cols, var = _degree_step(d)
+        cols, var = _degree_step(d, on_quadric)
         tails = block.take(cols, axis=2)
         block = np.zeros((len(lines), d + 1, len(cols)), dtype)
         block[:, :-1] = tails * p.take(var, axis=2)
@@ -87,24 +121,78 @@ def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None) -> 
     return block.reshape(-1, block.shape[2])
 
 
+@lru_cache(maxsize=None)
+def _basis_columns(k: int, on_quadric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the quadric basis reads the lex columns of ``_monomials(k,
+    on_quadric)``: per Q*m, m of degree k-2 in lex order, the columns of
+    x0*x3*m and of x1*x2*m (none ``on_quadric``); then the columns of the
+    monomials not divisible by x0*x3, by (t-degree, u-degree)."""
+    index = {e: j for j, e in enumerate(_monomials(k, on_quadric))}
+    free = sorted(_monomials(k, True), key=lambda e: (e[1] + e[3], e[2] + e[3]))
+    multiples = [] if on_quadric else monomial_exponents(k - 2)
+    return (np.array([index[(a + 1, b, c, d + 1)] for a, b, c, d in multiples], dtype=np.intp),
+            np.array([index[(a, b + 1, c + 1, d)] for a, b, c, d in multiples], dtype=np.intp),
+            np.array([index[e] for e in free], dtype=np.intp))
+
+
+def to_quadric_basis(block: np.ndarray, k: int, modulus: int | None = None,
+                     on_quadric: bool = False) -> np.ndarray:
+    """A matrix whose columns are the degree-k monomials in lex order (only
+    those not divisible by x0*x3, ``on_quadric``), in the quadric basis."""
+    plus, minus, free = _basis_columns(k, on_quadric)
+    multiples = block[:, plus] - block[:, minus]
+    if modulus is not None:
+        multiples %= modulus
+    return np.concatenate([multiples, block[:, free]], axis=1)
+
+
+def _line_block(line: Line, k: int, modulus: int | None) -> np.ndarray:
+    """One line's restriction block in the quadric basis: its (k+1)^2 free
+    columns alone for a line on S, all C(k+3, 3) columns for a line off S."""
+    on_quadric = line_inside_quadric(line)
+    return to_quadric_basis(_restriction_block((line,), k, modulus, on_quadric),
+                            k, modulus, on_quadric)
+
+
 @lru_cache(maxsize=4096)
 def line_restriction_block(line: Line, k: int) -> np.ndarray:
-    """The restriction block of ``_restriction_block`` reduced mod PRIME, as a
-    read-only int64 array.
+    """``_line_block`` reduced mod PRIME, as a read-only int64 array.
 
     Reduction mod PRIME is a ring map, so this is the exact block reduced
     cell by cell.  One repetition of the largest benchmark workload asks for
     under 1,700 distinct (line, k), so the bound does not evict within a run.
     """
-    block = _restriction_block((line,), k, PRIME)
+    block = _line_block(line, k, PRIME)
     block.flags.writeable = False
     return block
 
 
+def stack_restriction_rows(lines: tuple[Line, ...], k: int,
+                           block: Callable[[Line, int], np.ndarray]) -> list[np.ndarray]:
+    """The rows of the restriction matrix of ``lines`` in the quadric basis,
+    from each line's ``block(line, k)``: the blocks of the lines off S, then
+    the rows of the lines on S by power of t, line by line within a power,
+    padded with zeros in the C(k+1, 3) Q columns unless every line lies on S.
+    Only rows of lines off S can then take a pivot in a Q column, and since a
+    ruling line's row t^j lives in the j-th run of k+1 free columns, each
+    run's rows reach the elimination together."""
+    on_quadric = [line_inside_quadric(line) for line in lines]
+    rows = [row for line, on in zip(lines, on_quadric) if not on for row in block(line, k)]
+    blocks = [block(line, k) for line, on in zip(lines, on_quadric) if on]
+    on_rows = [b[j] for j in range(k + 1) for b in blocks]
+    if rows and on_rows:
+        padded = np.zeros((len(on_rows), comb(k + 3, 3)), dtype=on_rows[0].dtype)
+        padded[:, comb(k + 1, 3):] = on_rows
+        on_rows = list(padded)
+    return rows + on_rows
+
+
 def exact_restriction_rows(lines: tuple[Line, ...], k: int) -> list[tuple[int, ...]]:
-    """The stacked restriction blocks of ``lines`` over the integers, for the
-    exact fallback only; not cached."""
-    return [tuple(row) for row in _restriction_block(lines, k, None).tolist()]
+    """The restriction matrix of ``lines`` in the quadric basis over the
+    integers, stacked as ``stack_restriction_rows`` stacks it, for the exact
+    fallback only; not cached."""
+    return [tuple(row.tolist())
+            for row in stack_restriction_rows(lines, k, lambda l, d: _line_block(l, d, None))]
 
 
 # the kernel witness's primes: the 32 largest below 2^20, descending; their
@@ -134,71 +222,119 @@ class IntegerMatrix(NamedTuple):
 
 
 def restriction_matrix(lines: tuple[Line, ...], k: int) -> IntegerMatrix:
-    """The stacked restriction blocks of ``lines`` as an ``IntegerMatrix``:
+    """The restriction matrix of ``lines`` in the quadric basis, stacked as
+    ``stack_restriction_rows`` stacks it, as an ``IntegerMatrix``:
     residues from the recursion mod q, exact rows only when asked for.  Every
     coefficient of a product of linear forms is at most the product of their
-    coefficient sums, so max_i (|p_i| + |q_i|)^k bounds a line's block."""
+    coefficient sums, so max_i (|p_i| + |q_i|)^k bounds a line's monomial
+    columns, and twice that its Q columns, each a difference of two."""
     bound = max((max(abs(a) + abs(b) for a, b in zip(line.p, line.q)) ** k
                  for line in lines), default=0)
-    return IntegerMatrix(bound,
-                         lambda q: _restriction_block(lines, k, q),
-                         lambda: exact_restriction_rows(lines, k))
+    return IntegerMatrix(
+        2 * bound,
+        lambda q: np.vstack(stack_restriction_rows(lines, k, lambda l, d: _line_block(l, d, q))),
+        lambda: exact_restriction_rows(lines, k))
 
 
-def point_evaluation_row(point: Point4, k: int) -> tuple[int, ...]:
-    row = []
-    for expo in monomial_exponents(k):
-        val = 1
-        for i in range(4):
-            val *= point[i] ** expo[i]
-        row.append(val)
-    return tuple(row)
+def bidegree_exponents(p: int, q: int) -> list[Exponents]:
+    """The (p, q) monomial basis u0^{p-i} u1^i v0^{q-j} v1^j of P^1 x P^1, as
+    exponents of (u0, u1, v0, v1), i before j."""
+    return [(p - i, i, q - j, j) for i in range(p + 1) for j in range(q + 1)]
 
 
-def bidegree_evaluation_row(u: Proj1, v: Proj1, p: int, q: int) -> tuple[int, ...]:
-    """Evaluate the (p, q) monomial basis u0^{p-i} u1^i v0^{q-j} v1^j at a
-    point of P^1 x P^1."""
-    row = []
-    for i in range(p + 1):
-        for j in range(q + 1):
-            row.append(u[0] ** (p - i) * u[1] ** i * v[0] ** (q - j) * v[1] ** j)
-    return tuple(row)
+def _evaluation_residues(points: list[tuple[int, ...]], exponents: np.ndarray,
+                         modulus: int) -> np.ndarray:
+    """Each monomial, a row of ``exponents``, evaluated at each of the
+    4-coordinate ``points`` mod ``modulus`` as int64: each coordinate's
+    powers taken mod ``modulus`` one product at a time, then multiplied
+    across the coordinates, every product of two residues reduced."""
+    base = np.array([[x % modulus for x in point] for point in points],
+                    dtype=np.int64).reshape(-1, 4)
+    powers = np.ones((int(exponents.max()) + 1, *base.shape), dtype=np.int64)
+    for e in range(1, len(powers)):
+        powers[e] = powers[e - 1] * base % modulus
+    out = np.ones((len(base), len(exponents)), dtype=np.int64)
+    for i in range(4):
+        out = out * powers[exponents[:, i], :, i].T % modulus
+    return out
+
+
+def evaluation_matrix(points: list[tuple[int, ...]],
+                      exponents: list[Exponents]) -> IntegerMatrix:
+    """The monomials of ``exponents`` evaluated at ``points``, one row per
+    point, as an ``IntegerMatrix``: residues by ``_evaluation_residues``,
+    exact rows only when asked for.  No entry exceeds the largest
+    coordinate's absolute value to the largest degree."""
+    table = np.array(exponents, dtype=np.intp).reshape(-1, 4)
+    bound = max((abs(x) for point in points for x in point), default=0) ** int(table.sum(1).max())
+    return IntegerMatrix(
+        bound, lambda q: _evaluation_residues(points, table, q),
+        lambda: [tuple(prod(x ** n for x, n in zip(point, e)) for e in exponents)
+                 for point in points])
+
+
+def _pivot_end(m: np.ndarray, row: int, col: int) -> int:
+    """One past the last nonzero of row ``row``, a pivot row whose pivot is in
+    column ``col``."""
+    return col + 1 + int(m[row, col:].nonzero()[0][-1])
+
+
+def _eliminate(m: np.ndarray, pivot: np.ndarray, rows: np.ndarray, col: int, end: int) -> None:
+    """Subtract from each of ``rows`` (indices in increasing order) its entry
+    in column ``col`` times ``pivot``, the pivot row's columns col..end-1,
+    mod PRIME; through a view when the rows are consecutive."""
+    consecutive = rows[-1] - rows[0] + 1 == len(rows)
+    block = m[rows[0]:rows[-1] + 1, col:end] if consecutive else m[rows, col:end]
+    block -= block[:, :1] * pivot
+    block %= PRIME
+    if not consecutive:
+        m[rows, col:end] = block
 
 
 def _row_reduce_mod_p(m: np.ndarray) -> list[int]:
     """Row-reduce the int64 residues ``m`` in place over F_PRIME to row
     echelon form; the pivot columns, in order.  Each pivot row is scaled to a
-    leading 1 and its column cleared below it."""
+    leading 1 and its column cleared below it.
+
+    From the current row down, every column left of the pivot column is
+    already zero, and the pivot row is zero past its last nonzero, so the
+    swap, the scaling and the update touch only the columns from the pivot
+    to that last nonzero: the result is byte for byte that of whole-row
+    operations on reduced residues, at the cost of the pivot row's span.
+    The rows to clear are the nonzeros the pivot search found below the
+    pivot; the swap only moved a zero among them."""
     n_rows, n_cols = m.shape
     pivots: list[int] = []
     for col in range(n_cols):
         row = len(pivots)
         if row >= n_rows:
             break
-        nonzero = np.nonzero(m[row:, col])[0]
-        if nonzero.size == 0:
+        below = m[row:, col].nonzero()[0]
+        if below.size == 0:
             continue
-        pivot_row = row + int(nonzero[0])
-        if pivot_row != row:
-            m[[row, pivot_row]] = m[[pivot_row, row]]
-        inv = pow(int(m[row, col]), -1, PRIME)
-        m[row] = (m[row] * inv) % PRIME
-        hit = np.nonzero(m[row + 1:, col])[0]
-        if hit.size:
-            hit += row + 1
-            m[hit] = (m[hit] - m[hit, col][:, None] * m[row]) % PRIME
+        if below[0]:
+            pivot_row = row + int(below[0])
+            m[[row, pivot_row], col:] = m[[pivot_row, row], col:]
+        end = _pivot_end(m, row, col)
+        pivot = m[row, col:end]
+        pivot *= pow(int(pivot[0]), -1, PRIME)
+        pivot %= PRIME
+        if below.size > 1:
+            _eliminate(m, pivot, below[1:] + row, col, end)
         pivots.append(col)
     return pivots
 
 
 def _back_substitute(m: np.ndarray, pivots: list[int]) -> None:
     """Clear each pivot column above its pivot, last pivot first, which turns
-    the row echelon form of ``_row_reduce_mod_p`` into the reduced one."""
+    the row echelon form of ``_row_reduce_mod_p`` into the reduced one; each
+    update spans the pivot row's nonzeros only, as there."""
     for row in range(len(pivots) - 1, 0, -1):
         col = pivots[row]
-        hit = np.nonzero(m[:row, col])[0]
-        if hit.size:
-            m[hit] = (m[hit] - m[hit, col][:, None] * m[row]) % PRIME
+        above = m[:row, col].nonzero()[0]
+        if above.size:
+            end = _pivot_end(m, row, col)
+            _eliminate(m, m[row, col:end], above, col, end)
 
 
 Echelon = tuple[np.ndarray, list[int]]  # a matrix in row echelon form mod PRIME, its pivots

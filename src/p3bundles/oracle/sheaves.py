@@ -19,6 +19,19 @@ exact rank checks a kernel witness modulo small primes from the same
 recursion, and the exact integer rows are built only for Bareiss (see
 ``linalg``).
 
+The matrix is written in the quadric's basis (see ``linalg``): the multiples
+Q*m of Q = x0*x3 - x1*x2 by the C(k+1, 3) monomials of degree k-2, then the
+(k+1)^2 monomials not divisible by x0*x3.  Up to the order of its columns
+the change of basis is unitriangular over Z, with determinant +-1, so every
+rank, over Q and modulo every prime, and with it h^0 and each certificate's
+bound, is that of the monomial matrix.  The lines off S are stacked first,
+so only their rows can take a pivot in a Q column.  When every line lies on
+S, every Q*m vanishes on Y and the Q columns of the matrix are zero:
+h^0(I_Y(k)) = C(k+1, 3) + the nullity of the (k+1)^2 free columns alone,
+and only those are built, certified against the chi bound minus C(k+1, 3).
+With one line off S, Q*m need not vanish on Y, C(k+1, 3) is no lower bound,
+and the whole matrix is eliminated against the chi bound itself.
+
 Above the regularity of I_Y no matrix is needed.  By Mumford's lemma, if
 h^1(I_Y(k)) = 0, h^2(I_Y(k-1)) = h^1(O_Y(k-1)) = 0 and
 h^3(I_Y(k-2)) = h^3(O_P3(k-2)) = 0, then I_Y is (k+1)-regular, so
@@ -27,8 +40,10 @@ identity above then reads h^0(I_Y(j)) = chi(I_Y(j)) - h^1(O_Y(j)), which is
 exactly the chi bound ``lower`` that certifies every rank.  ``h0_ideal``
 records, per configuration, the least twist at which a computed h^0 met that
 bound while both side conditions hold in the tables, and answers every
-higher twist with the bound.  The record is read, never forced: no twist is
-computed to extend it.  It only answers twists above one already computed,
+higher twist with the bound.  The record is keyed on the chi bound, never on
+the raised bound of a configuration on S: h^0 meets C(k+1, 3) where h^1
+does not vanish.  The record is read, never forced: no twist is computed to
+extend it.  It only answers twists above one already computed,
 so callers that need a range of twists ask them lowest first, as
 ``monad`` does for the Serre-dual half of a profile.
 """
@@ -41,14 +56,17 @@ from math import comb
 import numpy as np
 
 from p3bundles.oracle import linalg
-from p3bundles.oracle.configs import GeometryConfig, MarkedPoint, Point4
+from p3bundles.oracle.configs import GeometryConfig, MarkedPoint, Point4, line_inside_quadric
 from p3bundles.oracle.linalg import (
-    bidegree_evaluation_row,
+    PRIME,
+    bidegree_exponents,
+    evaluation_matrix,
     full_row_rank,
     line_restriction_block,
+    monomial_exponents,
     nullity_certified,
-    point_evaluation_row,
     restriction_matrix,
+    stack_restriction_rows,
 )
 from p3bundles.tables import (
     CohomologyVector,
@@ -76,8 +94,9 @@ def chi_ideal(cfg: GeometryConfig, k: int) -> int:
 
 
 def _restriction_rows(cfg: GeometryConfig, k: int) -> list[np.ndarray]:
-    """The int64 rows (residues mod p) of the stacked restriction matrix."""
-    return [row for line in cfg.lines for row in line_restriction_block(line, k)]
+    """The int64 rows (residues mod p) of the restriction matrix in the
+    quadric basis, from the cached line blocks."""
+    return stack_restriction_rows(cfg.lines, k, line_restriction_block)
 
 
 # configuration -> least twist k computed with h^1(I_Y(k)) = 0 at which I_Y
@@ -93,8 +112,13 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
     lower = chi_ideal(cfg, k) - structure_cohomology(cfg, k).h1  # h^1(I) >= 0; h^3(O(k)) = 0
     if k >= _regular_from.get(cfg, k + 1):
         return lower
-    h0 = nullity_certified(_restriction_rows(cfg, k), comb(k + 3, 3), lower,
-                           restriction_matrix(cfg.lines, k))
+    rows, matrix = _restriction_rows(cfg, k), restriction_matrix(cfg.lines, k)
+    if all(map(line_inside_quadric, cfg.lines)):
+        # Q * S_{k-2} vanishes on Y, and the rows are the other (k+1)^2 columns
+        multiples = comb(k + 1, 3)
+        h0 = multiples + nullity_certified(rows, (k + 1) ** 2, lower - multiples, matrix)
+    else:
+        h0 = nullity_certified(rows, comb(k + 3, 3), lower, matrix)
     if (h0 == lower and structure_cohomology(cfg, k - 1).h1 == 0
             and h_p3_line_bundle(k - 2).h3 == 0):
         _regular_from[cfg] = k
@@ -102,11 +126,14 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
 
 
 def clear_caches() -> None:
-    """Forget every memoised h0, regularity record and line-restriction block."""
+    """Forget every memoised h0, regularity record, line-restriction block and
+    monomial table."""
     h0_ideal.cache_clear()
     _regular_from.clear()
     # through its owner: a caller may have rebound this module's name to a wrapper
     linalg.line_restriction_block.cache_clear()
+    for table in (linalg._monomials, linalg._degree_step, linalg._basis_columns):
+        table.cache_clear()
 
 
 def ideal_cohomology(cfg: GeometryConfig, k: int) -> CohomologyVector:
@@ -138,11 +165,18 @@ def serre_cohomology(cfg: GeometryConfig, l: int) -> CohomologyVector:
     return CohomologyVector(h0, h1, h2, h3)
 
 
+def _evaluation_surjective(points: list[tuple[int, ...]], exponents) -> bool:
+    """Do the values of the monomials of ``exponents`` at the points, one row
+    per point, have full row rank?"""
+    matrix = evaluation_matrix(points, exponents)
+    return full_row_rank(list(matrix.residues(PRIME)), matrix)
+
+
 def restriction_onto_points_surjective(points: list[Point4], k: int) -> bool:
     """Is H0(O_P3(k)) -> functions on the given points surjective?"""
     if k < 0:
         return len(points) == 0
-    return full_row_rank([point_evaluation_row(p, k) for p in points])
+    return _evaluation_surjective(points, monomial_exponents(k))
 
 
 def quadric_restriction_onto_points_surjective(points: tuple[MarkedPoint, ...],
@@ -150,7 +184,7 @@ def quadric_restriction_onto_points_surjective(points: tuple[MarkedPoint, ...],
     """Is H0(O_S(p, q)) -> functions on the given quadric points surjective?"""
     if p < 0 or q < 0:
         return len(points) == 0
-    return full_row_rank([bidegree_evaluation_row(mp.u, mp.v, p, q) for mp in points])
+    return _evaluation_surjective([(*mp.u, *mp.v) for mp in points], bidegree_exponents(p, q))
 
 
 def restriction_onto_lines_surjective(cfg: GeometryConfig, k: int) -> bool:

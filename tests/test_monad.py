@@ -251,6 +251,24 @@ def test_the_paper_scale_sigma0_spectrum_needs_no_bareiss(monkeypatch):
     assert runs == []
 
 
+def test_a_ruling_spectrum_at_paper_scale_needs_no_exact_rank(monkeypatch):
+    # every summand curve is ruling lines on S, so each certificate closes
+    # in the (k+1)^2 free columns
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rank_exact(*args, **kwargs)
+
+    rank_exact = linalg.rank_exact
+    monkeypatch.setattr(linalg, "rank_exact", counting)
+    clear_caches()
+    entries = spectrum(MonadSpec.create(Series.SIGMA0, 25, 1, 25))
+    clear_caches()
+    assert len(entries) == 676 and entries == tuple(sorted(-k for k in entries))
+    assert calls == []
+
+
 def test_recovery_rejects_gaps():
     with pytest.raises(InconsistentProfile):
         recover_spectrum({-1: 4, -3: 0, -4: 0}, 0, 4)

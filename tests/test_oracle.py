@@ -5,13 +5,14 @@ fixed seeds and double-checked against the engine during agreement sweeps; the
 rest are structural invariants that hold for every sample.
 """
 
+from dataclasses import replace
 from itertools import combinations
 from math import comb, prod
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, isprime
 
@@ -39,11 +40,14 @@ from p3bundles.oracle.configs import (
     lines_disjoint,
     line_inside_quadric,
     quadric_value,
+    ruling_line,
 )
 from p3bundles.oracle.linalg import (
     PRIME,
     WITNESS_PRIMES,
     IntegerMatrix,
+    bidegree_exponents,
+    evaluation_matrix,
     exact_restriction_rows,
     full_row_rank,
     line_restriction_block,
@@ -52,6 +56,7 @@ from p3bundles.oracle.linalg import (
     rank_exact,
     rank_mod_p,
     restriction_matrix,
+    to_quadric_basis,
 )
 from p3bundles.tables import chi_p3_line_bundle
 
@@ -119,6 +124,24 @@ def test_sampling_is_seed_deterministic():
     c = sample_ruling(3, 18)
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
+
+
+@given(st.lists(st.integers(min_value=-2, max_value=2), min_size=16, max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_lines_meet_exactly_where_their_determinant_vanishes(xs):
+    first = Line(tuple(xs[0:4]), tuple(xs[4:8]))
+    second = Line(tuple(xs[8:12]), tuple(xs[12:16]))
+    assert lines_disjoint(first, second) == (Matrix(4, 4, xs).det() != 0)
+
+
+def test_equal_configurations_compare_and_hash_equal():
+    a, b = sample_conics(3, 5), sample_conics(3, 5)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert ruling_part(a) == ruling_part(b) and hash(ruling_part(a)) == hash(ruling_part(b))
+    rebuilt = GeometryConfig(a.curve, a.components, tuple(list(a.lines)), a.serre_shift,
+                             a.marked, a.ruling_count)
+    assert rebuilt == a and hash(rebuilt) == hash(a) and len({a, b, rebuilt}) == 1
+    assert a != sample_conics(3, 6) and a != replace(a, ruling_count=0)
 
 
 def test_join_rejects_meeting_lines():
@@ -196,6 +219,25 @@ def test_charge_reads_off_at_twist_minus_one(m, seed):
     assert serre_cohomology(cfg, -1).as_tuple() == (0, m, 0, 0)
 
 
+small_points = st.lists(st.tuples(*[st.integers(min_value=-9, max_value=9)] * 4),
+                        min_size=0, max_size=12)
+
+
+@given(small_points, st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_evaluation_residues_are_the_exact_rows_reduced(coords, p, q):
+    for exponents in (monomial_exponents(p), bidegree_exponents(p, q)):
+        matrix = evaluation_matrix(coords, exponents)
+        exact = matrix.rows()
+        assert exact == [tuple(prod(x ** n for x, n in zip(point, e)) for e in exponents)
+                         for point in coords]
+        assert all(abs(x) <= matrix.bound for row in exact for x in row)
+        for modulus in (PRIME, WITNESS_PRIMES[-1]):
+            assert matrix.residues(modulus).tolist() == [
+                [x % modulus for x in row] for row in exact]
+        assert full_row_rank(list(matrix.residues(PRIME)), matrix) == full_row_rank(exact)
+
+
 def test_marked_point_evaluation():
     cfg = sample_modification(2, 0)
     assert marked_point_evaluation_surjective(cfg, 2)
@@ -206,23 +248,146 @@ coords = st.integers(min_value=-2 ** 40, max_value=2 ** 40)
 points = st.tuples(coords, coords, coords, coords)
 
 
+def _quadric_basis_values(x, k):
+    """The quadric basis of the degree-k forms, as the linalg docstring states
+    it, evaluated at x: Q*m for the monomials m of degree k-2 in lex order,
+    then the monomials not divisible by x0*x3 by degree in (x1, x3), then in
+    (x2, x3)."""
+    def value(e):
+        return prod(a ** n for a, n in zip(x, e))
+
+    quadric = x[0] * x[3] - x[1] * x[2]
+    free = sorted((e for e in monomial_exponents(k) if not (e[0] and e[3])),
+                  key=lambda e: (e[1] + e[3], e[2] + e[3]))
+    return [quadric * value(e) for e in monomial_exponents(k - 2)] + [value(e) for e in free]
+
+
 @given(points, points, st.integers(min_value=0, max_value=25))
+@example((3, 0, -2, 0), (0, 3, 0, -2), 6)  # a ruling line: (k+1)^2 columns only
 @settings(max_examples=30, deadline=None)
 def test_restriction_block_mod_p_is_the_exact_block_reduced(p, q, k):
     line = Line(p, q)
     exact = exact_restriction_rows((line,), k)
     block = line_restriction_block(line, k)
-    assert block.dtype == np.int64 and block.shape == (k + 1, comb(k + 3, 3))
+    width = (k + 1) ** 2 if line_inside_quadric(line) else comb(k + 3, 3)
+    assert block.dtype == np.int64 and block.shape == (k + 1, width)
     assert block.tolist() == [[x % PRIME for x in row] for row in exact]
-    # column j holds the coefficients of x^e restricted to s*p + t*q in the
-    # basis s^k, s^(k-1) t, ..., t^k.  A binary form of degree k is fixed by
-    # its values at k+1 points (1, t), so comparing those checks every entry.
+    # column j holds the coefficients of the j-th basis form restricted to
+    # s*p + t*q in the basis s^k, s^(k-1) t, ..., t^k.  A binary form of
+    # degree k is fixed by its values at k+1 points (1, t), so comparing
+    # those checks every entry; a line on S keeps the columns after the Q*m.
     columns = np.array(exact, dtype=object).T
     for t in range(-(k // 2), k + 1 - k // 2):
         powers = np.array([t ** r for r in range(k + 1)], dtype=object)
         on_line = [a + t * b for a, b in zip(p, q)]
-        assert columns.dot(powers).tolist() == [
-            prod(x ** n for x, n in zip(on_line, e)) for e in monomial_exponents(k)]
+        assert columns.dot(powers).tolist() == _quadric_basis_values(on_line, k)[-width:]
+
+
+@given(charges, seeds, st.integers(min_value=0, max_value=12))
+@settings(max_examples=15, deadline=None)
+def test_the_q_columns_vanish_on_ruling_lines(m, seed, k):
+    conics = sample_conics(m, seed)
+    for lines in (sample_ruling(m, seed).lines, ruling_part(conics).lines):
+        assert all(line_inside_quadric(l) for l in lines)
+        full = to_quadric_basis(linalg._restriction_block(lines, k, None), k)
+        assert not full[:, :comb(k + 1, 3)].any()
+        # the cached narrow blocks are the other (k+1)^2 columns
+        assert full[:, comb(k + 1, 3):].tolist() == [
+            list(row) for line in lines for row in exact_restriction_rows((line,), k)]
+    if k >= 2:  # a partner line leaves S, and Q*m does not vanish on it
+        for line in partner_part(conics).lines:
+            assert to_quadric_basis(linalg._restriction_block((line,), k, None), k)[
+                :, :comb(k + 1, 3)].any()
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_the_quadric_basis_is_unimodular(k):
+    # the basis forms' monomial coordinates, one column each
+    change = to_quadric_basis(np.eye(comb(k + 3, 3), dtype=np.int64).astype(object), k)
+    assert change.shape == (comb(k + 3, 3), comb(k + 3, 3))
+    assert abs(Matrix(change.tolist()).det()) == 1
+
+
+small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def monomial_blocks(draw):
+    """A*B with small entries and an inner dimension up to the column count,
+    whose columns are the degree-k monomials, k <= 4."""
+    k = draw(st.integers(min_value=0, max_value=4))
+    n_rows, inner = (draw(st.integers(min_value=0, max_value=9)) for _ in range(2))
+    n_cols = comb(k + 3, 3)
+    a = draw(st.lists(st.lists(small, min_size=inner, max_size=inner),
+                      min_size=n_rows, max_size=n_rows))
+    b = draw(st.lists(st.lists(small, min_size=n_cols, max_size=n_cols),
+                      min_size=inner, max_size=inner))
+    return k, [tuple(sum(x * b[i][j] for i, x in enumerate(row)) for j in range(n_cols))
+               for row in a]
+
+
+@given(monomial_blocks())
+@settings(max_examples=80, deadline=None)
+def test_the_quadric_basis_keeps_every_rank(case):
+    k, rows = case
+    moved = [tuple(row) for row in to_quadric_basis(
+        np.array(rows, dtype=object).reshape(len(rows), comb(k + 3, 3)), k).tolist()]
+    assert rank_exact(moved) == rank_exact(rows)
+    assert rank_mod_p(moved) == rank_mod_p(rows)
+
+
+def _whole_row_reduce(m):
+    """Row echelon form mod PRIME by whole-row swaps, scalings and updates."""
+    n_rows, n_cols = m.shape
+    pivots = []
+    for col in range(n_cols):
+        row = len(pivots)
+        if row >= n_rows:
+            break
+        nonzero = np.nonzero(m[row:, col])[0]
+        if nonzero.size == 0:
+            continue
+        pivot_row = row + int(nonzero[0])
+        if pivot_row != row:
+            m[[row, pivot_row]] = m[[pivot_row, row]]
+        m[row] = (m[row] * pow(int(m[row, col]), -1, PRIME)) % PRIME
+        hit = np.nonzero(m[row + 1:, col])[0] + row + 1
+        m[hit] = (m[hit] - m[hit, col][:, None] * m[row]) % PRIME
+        pivots.append(col)
+    for row in range(len(pivots) - 1, 0, -1):
+        hit = np.nonzero(m[:row, pivots[row]])[0]
+        m[hit] = (m[hit] - m[hit, pivots[row]][:, None] * m[row]) % PRIME
+    return pivots
+
+
+residues = st.one_of(st.just(0), st.just(0), st.just(1), st.just(PRIME - 1),
+                     st.integers(min_value=0, max_value=PRIME - 1))
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.lists(st.lists(residues, min_size=n, max_size=n), min_size=1, max_size=12)))
+@settings(max_examples=200, deadline=None)
+def test_trimmed_elimination_is_the_whole_row_elimination(rows):
+    trimmed = np.array(rows, dtype=np.int64)
+    whole = trimmed.copy()
+    pivots = linalg._row_reduce_mod_p(trimmed)
+    linalg._back_substitute(trimmed, pivots)
+    assert pivots == _whole_row_reduce(whole)
+    assert trimmed.tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("cfg", [
+    sample_conics(2, 1), sample_ruling(5, 0),
+    join_configs(sample_ruling(3, 0), sample_modification(2, 0, avoid=sample_ruling(3, 0))),
+], ids=["conics", "ruling", "join"])
+def test_trimmed_elimination_on_restriction_matrices(cfg, k):
+    trimmed = np.vstack(sheaves._restriction_rows(cfg, k))
+    whole = trimmed.copy()
+    pivots = linalg._row_reduce_mod_p(trimmed)
+    linalg._back_substitute(trimmed, pivots)
+    assert pivots == _whole_row_reduce(whole)
+    assert trimmed.tolist() == whole.tolist()
 
 
 @pytest.mark.parametrize("m, seed", [(16, 0), (17, 1), (25, 2)])
@@ -278,25 +443,66 @@ def fallbacks(monkeypatch):
     return calls
 
 
+# five disjoint lines with coordinates in {-1, 0, 1}, the second and fourth
+# on S: they lie on two independent cubics where the chi bound allows none,
+# and the lifted mod-p kernel of their restriction matrix at k = 3 is exact
+MIXED = GeometryConfig("lines", 5, (
+    Line((1, 0, -1, 1), (1, 0, 1, -1)), Line((0, 1, 0, 1), (-1, 1, -1, 1)),
+    Line((1, 0, 0, 1), (1, 1, 0, 1)), Line((-1, -1, 1, 1), (0, -1, 0, 1)),
+    Line((0, -1, -1, -1), (0, 0, 0, -1))))
+
+
 def test_exact_rows_are_built_only_on_fallback(exact_builds, fallbacks, monkeypatch):
-    big = sample_ruling(4, 0)
     # h^1(I(4)) = 0: the chi bound pinches the modular rank
-    assert h0_ideal(big, 4) == 10 and restriction_onto_lines_surjective(big, 4)
+    assert h0_ideal(MIXED, 4) == 10 and restriction_onto_lines_surjective(MIXED, 4)
     assert fallbacks == [] and exact_builds == []
-    # h^0(I(3)) = h^1(I(3)) = 4: the certificate leaves a gap, and the kernel
+    # h^0(I(3)) = h^1(I(3)) = 2: the certificate leaves a gap, and the kernel
     # witness closes it from residues of the restriction recursion
-    assert h0_ideal(big, 3) == 4
-    assert not restriction_onto_lines_surjective(big, 3)
+    assert h0_ideal(MIXED, 3) == 2
+    assert not restriction_onto_lines_surjective(MIXED, 3)
     assert fallbacks == [20, 20] and exact_builds == []
     # only Bareiss reads the integer rows
     clear_caches()
     monkeypatch.setattr(linalg, "_kills", lambda matrix, kernel: False)
-    assert h0_ideal(big, 3) == 4 and exact_builds == [3]
+    assert h0_ideal(MIXED, 3) == 2 and exact_builds == [3]
+
+
+def test_ruling_lines_certify_in_the_free_columns(fallbacks, monkeypatch):
+    # five ruling lines at k = 3: h^0 = h^1 = 4, all of it the multiples of Q,
+    # which the certificate counts without eliminating their columns
+    shapes = []
+
+    def recording(m):
+        shapes.append(m.shape)
+        return row_reduce(m)
+
+    row_reduce = linalg._row_reduce_mod_p
+    monkeypatch.setattr(linalg, "_row_reduce_mod_p", recording)
+    clear_caches()
+    big = sample_ruling(4, 0)
+    assert [h0_ideal(big, k) for k in range(2, 9)] == [1, 4, 10, 26, 49, 80, 120]
+    # 20 rows in 16 columns: no elimination needed to refuse surjectivity
+    assert not restriction_onto_lines_surjective(big, 3)
+    # (k+1)^2 columns at k = 2, 3, 4; the regularity record answers k >= 5
+    assert fallbacks == [] and shapes == [(15, 9), (20, 16), (25, 25)]
+    clear_caches()
+
+
+def test_the_regularity_record_stays_keyed_on_the_chi_bound():
+    # at k = 2 the 13 lines lie only on Q, so h^0 meets C(k+1, 3), the bound
+    # the free columns are certified against, while h^1(I_Y(2)) = 30
+    clear_caches()
+    cfg = sample_ruling(12, 0)
+    assert h0_ideal(cfg, 2) == 1 and ideal_cohomology(cfg, 2).h1 == 30
+    assert cfg not in sheaves._regular_from
+    clear_caches()
 
 
 def _full_matrix_nullity(cfg, k):
     """h^0(I_Y(k)) from the whole restriction matrix, certified against the
-    chi bound h^1(I_Y(k)) >= 0 as at every twist, with no regularity record."""
+    chi bound h^1(I_Y(k)) >= 0 as at every twist, with no regularity record.
+    When every line lies on S the rows are its (k+1)^2 free columns, which
+    have its rank: its Q columns are zero."""
     lower = sheaves.chi_ideal(cfg, k) - structure_cohomology(cfg, k).h1
     return nullity_certified(sheaves._restriction_rows(cfg, k), comb(k + 3, 3), lower,
                              restriction_matrix(cfg.lines, k))
@@ -373,12 +579,11 @@ def test_each_exact_fallback_eliminates_mod_p_once(exact_builds, fallbacks, monk
 
     row_reduce = linalg._row_reduce_mod_p
     monkeypatch.setattr(linalg, "_row_reduce_mod_p", counting)
-    big = sample_ruling(4, 0)
-    assert h0_ideal(big, 3) == 4 and fallbacks == [20]
+    assert h0_ideal(MIXED, 3) == 2 and fallbacks == [20]
     assert passes == [(20, 20)]
-    assert not restriction_onto_lines_surjective(big, 3) and fallbacks == [20, 20]
+    assert not restriction_onto_lines_surjective(MIXED, 3) and fallbacks == [20, 20]
     assert passes == [(20, 20)] * 2
-    assert rank_exact(exact_restriction_rows(big.lines, 3)) == 16
+    assert rank_exact(exact_restriction_rows(MIXED.lines, 3)) == 18
     assert passes == [(20, 20)] * 3
 
 
@@ -402,7 +607,6 @@ def test_rank_mod_p_takes_int_tuples_and_int64_rows_alike(matrix):
         assert full_row_rank(rows, exact) == (rank_exact(tuples) == len(tuples))
 
 
-small = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
@@ -446,10 +650,10 @@ def bareiss_runs(monkeypatch):
 
 
 def test_kernel_witness_closes_on_restriction_rows_with_h1(bareiss_runs):
-    # five ruling lines at k = 3: h^0(I(3)) = h^1(I(3)) = 4, so the rank is
-    # 20 - 4 = 16 and the chi bound alone does not pinch it
-    rows = exact_restriction_rows(sample_ruling(4, 0).lines, 3)
-    assert len(rows) == 20 and rank_exact(rows) == 16
+    # five mixed lines at k = 3: h^0(I(3)) = h^1(I(3)) = 2, so the rank is
+    # 20 - 2 = 18 and the chi bound alone does not pinch it
+    rows = exact_restriction_rows(MIXED.lines, 3)
+    assert len(rows) == 20 and rank_exact(rows) == 18
     assert bareiss_runs == []
 
 
