@@ -2,9 +2,9 @@
 
 Everything in this package computes over the rationals: dimensions are
 Python ints and intermediate characteristic-class data are
-`fractions.Fraction`.  No computed quantity is rounded: the only float64
-arithmetic is the exact rank's kernel check, on residues small enough that
-every sum is an exact integer.
+`fractions.Fraction`.  No computed quantity is rounded: the oracle's matrices
+are int64 residues mod a prime or exact Python ints, and floats appear only
+in wall-clock timings and a density's decimal display.
 """
 
 from p3bundles.chern import ChernCharacter

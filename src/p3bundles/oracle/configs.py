@@ -32,7 +32,7 @@ Point4 = tuple[int, int, int, int]
 Proj1 = tuple[int, int]
 
 COORD_POOL = tuple(range(-9, 10))
-RETRY_BUDGET = 64  # draws per sampled object
+RETRY_BUDGET = 64  # draws per sampled object, and per kind of draw of a secant
 
 
 class SamplingFailed(RuntimeError):
@@ -211,18 +211,23 @@ def sample_modification(d: int, seed: int,
         raise ValueError("need d >= 1")
     rng = child_rng(seed, f"modification:{d}")
     avoid_lines = avoid.lines if avoid is not None else ()
-    # first-ruling values of the ruling lines to avoid; once they leave at
-    # most two pool values free, draw the secant's ua, ub clear of them (the
-    # window widens as needed), as a pool draw would almost never be accepted
+    # first-ruling values of the ruling lines to avoid.  A pool draw of the
+    # secant's ua, ub is clear of them with chance free*(free-1)/(19*18); when
+    # the budget's pool draws cannot expect one such draw, or have all been
+    # refused, ua, ub are drawn clear of them (the window widens as needed),
+    # so only a meeting with a line not of the first ruling can refuse a draw
     blocked = {l.p[0] for l in avoid_lines if l == ruling_line((l.p[0], 1))}
-    avoid_ruling = sum(u not in blocked for u in COORD_POOL) <= 2
+    free = sum(u not in blocked for u in COORD_POOL)
+    pool_draws = 0
+    if free * (free - 1) * RETRY_BUDGET >= len(COORD_POOL) * (len(COORD_POOL) - 1):
+        pool_draws = RETRY_BUDGET
     lines: list[Line] = []
     marks: list[MarkedPoint] = []
     used_vs: set[int] = set()
     for _ in range(d):
-        for _ in range(RETRY_BUDGET):
+        for draw in range(pool_draws + RETRY_BUDGET):
             va, vb = _draw_distinct(rng, COORD_POOL, 2, forbidden=used_vs)
-            if avoid_ruling:
+            if draw >= pool_draws:
                 ua, ub = _draw_distinct(rng, COORD_POOL, 2, forbidden=blocked)
             else:
                 ua = rng.choice(COORD_POOL)

@@ -1,13 +1,11 @@
 """Exact integer linear algebra for evaluation/restriction matrices.
 
 A single-prime modular elimination (fast, vectorized) gives a certified
-*lower* bound on the rational rank.  Callers combine it with an a-priori
-bound from the other side to certify answers without ever trusting the
-prime alone.  Where the two do not meet, ``rank_exact`` decides.  The
-reduced echelon form mod p gives a kernel witness; the integer matrix kills
-it exactly if it does so modulo enough primes q < 2^20, each product taken
-as an exact float64 matrix product of residues.  That bounds the rank from
-above.  Fraction-free Bareiss elimination on Python ints is the last resort.
+*lower* bound on the rational rank, so an *upper* bound on the nullity.
+Callers combine it with a lower bound on the nullity from the other side,
+their own and the one the row count gives, to certify answers without ever
+trusting the prime alone.  Where the two do not meet, fraction-free Bareiss
+elimination on the exact integer rows decides: it is the one exact path.
 
 Restriction matrices are written in the quadric's basis of the degree-k
 forms: the multiples Q*m of Q = x0*x3 - x1*x2 by the C(k+1, 3) monomials m
@@ -31,11 +29,10 @@ the elimination's pivot rows stay short.  For k <= 1 there is no Q column
 and the basis is the monomials.
 
 Line-restriction blocks are built mod p directly, as int64 residues, by a
-degree recursion; the witness's residues mod q come from the same
-recursion, and the recursion over Python ints gives the exact rows, which
-only Bareiss reads.  Point and bidegree evaluation matrices are built the
-same way: residues from powers taken modulo the prime, exact rows only for
-Bareiss.
+degree recursion; the same recursion over Python ints gives the exact rows,
+which only Bareiss reads.  Point and bidegree evaluation matrices are built
+the same way: residues from powers taken modulo the prime, exact rows only
+for Bareiss.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 from math import comb, prod
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +48,7 @@ from p3bundles.oracle.configs import Line, line_inside_quadric
 PRIME = 2_147_483_647  # 2^31 - 1; squares stay inside int64
 
 Exponents = tuple[int, int, int, int]
+ExactRows = Callable[[], list[tuple[int, ...]]]  # builds a matrix's integer rows
 
 
 def monomial_exponents(k: int) -> list[Exponents]:
@@ -195,88 +192,36 @@ def exact_restriction_rows(lines: tuple[Line, ...], k: int) -> list[tuple[int, .
             for row in stack_restriction_rows(lines, k, lambda l, d: _line_block(l, d, None))]
 
 
-# the kernel witness's primes: the 32 largest below 2^20, descending; their
-# product is about 2^640
-WITNESS_PRIMES = (
-    1_048_573, 1_048_571, 1_048_559, 1_048_549, 1_048_517, 1_048_507, 1_048_447, 1_048_433,
-    1_048_423, 1_048_391, 1_048_387, 1_048_367, 1_048_361, 1_048_357, 1_048_343, 1_048_309,
-    1_048_291, 1_048_273, 1_048_261, 1_048_219, 1_048_217, 1_048_213, 1_048_193, 1_048_189,
-    1_048_139, 1_048_129, 1_048_127, 1_048_123, 1_048_063, 1_048_051, 1_048_049, 1_048_043,
-)
-
-
-class IntegerMatrix(NamedTuple):
-    """What ``rank_exact`` needs of an integer matrix beyond its modular
-    echelon form: a bound on the absolute value of its entries, its residues
-    mod a small prime q as an int64 array, and, for Bareiss only, its rows
-    over the integers."""
-    bound: int
-    residues: Callable[[int], np.ndarray]
-    rows: Callable[[], list[tuple[int, ...]]]
-
-    @classmethod
-    def of_rows(cls, rows: list[tuple[int, ...]]) -> IntegerMatrix:
-        return cls(max((abs(x) for row in rows for x in row), default=0),
-                   lambda q: np.array([[x % q for x in row] for row in rows], dtype=np.int64),
-                   lambda: rows)
-
-
-def restriction_matrix(lines: tuple[Line, ...], k: int) -> IntegerMatrix:
-    """The restriction matrix of ``lines`` in the quadric basis, stacked as
-    ``stack_restriction_rows`` stacks it, as an ``IntegerMatrix``:
-    residues from the recursion mod q, exact rows only when asked for.  Every
-    coefficient of a product of linear forms is at most the product of their
-    coefficient sums, so max_i (|p_i| + |q_i|)^k bounds a line's monomial
-    columns, and twice that its Q columns, each a difference of two."""
-    bound = max((max(abs(a) + abs(b) for a, b in zip(line.p, line.q)) ** k
-                 for line in lines), default=0)
-    return IntegerMatrix(
-        2 * bound,
-        lambda q: np.vstack(stack_restriction_rows(lines, k, lambda l, d: _line_block(l, d, q))),
-        lambda: exact_restriction_rows(lines, k))
-
-
 def bidegree_exponents(p: int, q: int) -> list[Exponents]:
     """The (p, q) monomial basis u0^{p-i} u1^i v0^{q-j} v1^j of P^1 x P^1, as
     exponents of (u0, u1, v0, v1), i before j."""
     return [(p - i, i, q - j, j) for i in range(p + 1) for j in range(q + 1)]
 
 
-def _evaluation_residues(points: list[tuple[int, ...]], exponents: np.ndarray,
-                         modulus: int) -> np.ndarray:
+def _evaluation_residues(points: list[tuple[int, ...]], exponents: np.ndarray) -> np.ndarray:
     """Each monomial, a row of ``exponents``, evaluated at each of the
-    4-coordinate ``points`` mod ``modulus`` as int64: each coordinate's
-    powers taken mod ``modulus`` one product at a time, then multiplied
-    across the coordinates, every product of two residues reduced."""
-    base = np.array([[x % modulus for x in point] for point in points],
+    4-coordinate ``points`` mod PRIME as int64: each coordinate's powers taken
+    mod PRIME one product at a time, then multiplied across the coordinates,
+    every product of two residues reduced."""
+    base = np.array([[x % PRIME for x in point] for point in points],
                     dtype=np.int64).reshape(-1, 4)
     powers = np.ones((int(exponents.max()) + 1, *base.shape), dtype=np.int64)
     for e in range(1, len(powers)):
-        powers[e] = powers[e - 1] * base % modulus
+        powers[e] = powers[e - 1] * base % PRIME
     out = np.ones((len(base), len(exponents)), dtype=np.int64)
     for i in range(4):
-        out = out * powers[exponents[:, i], :, i].T % modulus
+        out = out * powers[exponents[:, i], :, i].T % PRIME
     return out
 
 
 def evaluation_matrix(points: list[tuple[int, ...]],
-                      exponents: list[Exponents]) -> IntegerMatrix:
+                      exponents: list[Exponents]) -> tuple[list[np.ndarray], ExactRows]:
     """The monomials of ``exponents`` evaluated at ``points``, one row per
-    point, as an ``IntegerMatrix``: residues by ``_evaluation_residues``,
-    exact rows only when asked for.  No entry exceeds the largest
-    coordinate's absolute value to the largest degree."""
-    table = np.array(exponents, dtype=np.intp).reshape(-1, 4)
-    bound = max((abs(x) for point in points for x in point), default=0) ** int(table.sum(1).max())
-    return IntegerMatrix(
-        bound, lambda q: _evaluation_residues(points, table, q),
-        lambda: [tuple(prod(x ** n for x, n in zip(point, e)) for e in exponents)
-                 for point in points])
-
-
-def _pivot_end(m: np.ndarray, row: int, col: int) -> int:
-    """One past the last nonzero of row ``row``, a pivot row whose pivot is in
-    column ``col``."""
-    return col + 1 + int(m[row, col:].nonzero()[0][-1])
+    point: the int64 rows mod PRIME by ``_evaluation_residues``, and a
+    callable that builds the exact integer rows, for Bareiss only."""
+    residues = _evaluation_residues(points, np.array(exponents, dtype=np.intp).reshape(-1, 4))
+    return list(residues), lambda: [tuple(prod(x ** n for x, n in zip(point, e))
+                                          for e in exponents) for point in points]
 
 
 def _eliminate(m: np.ndarray, pivot: np.ndarray, rows: np.ndarray, col: int, end: int) -> None:
@@ -315,7 +260,7 @@ def _row_reduce_mod_p(m: np.ndarray) -> list[int]:
         if below[0]:
             pivot_row = row + int(below[0])
             m[[row, pivot_row], col:] = m[[pivot_row, row], col:]
-        end = _pivot_end(m, row, col)
+        end = col + 1 + int(m[row, col:].nonzero()[0][-1])
         pivot = m[row, col:end]
         pivot *= pow(int(pivot[0]), -1, PRIME)
         pivot %= PRIME
@@ -325,108 +270,30 @@ def _row_reduce_mod_p(m: np.ndarray) -> list[int]:
     return pivots
 
 
-def _back_substitute(m: np.ndarray, pivots: list[int]) -> None:
-    """Clear each pivot column above its pivot, last pivot first, which turns
-    the row echelon form of ``_row_reduce_mod_p`` into the reduced one; each
-    update spans the pivot row's nonzeros only, as there."""
-    for row in range(len(pivots) - 1, 0, -1):
-        col = pivots[row]
-        above = m[:row, col].nonzero()[0]
-        if above.size:
-            end = _pivot_end(m, row, col)
-            _eliminate(m, m[row, col:end], above, col, end)
-
-
-Echelon = tuple[np.ndarray, list[int]]  # a matrix in row echelon form mod PRIME, its pivots
-
-
-def _echelon_mod_p(rows: list) -> Echelon:
-    """The rows reduced mod PRIME into a fresh int64 matrix, int64 arrays in
-    one vectorised pass and tuples of Python ints of any size and sign cell
-    by cell, then row-reduced to echelon form."""
-    if not rows:
-        m = np.zeros((0, 0), dtype=np.int64)
-    elif isinstance(rows[0], np.ndarray):
-        m = np.vstack(rows) % PRIME
-    else:
-        m = np.array([[x % PRIME for x in row] for row in rows], dtype=np.int64)
-    return m, _row_reduce_mod_p(m)
-
-
-def rank_mod_p(rows: list, *, echelon: bool = False) -> int | Echelon:
+def rank_mod_p(rows: list) -> int:
     """Rank over F_PRIME of a list of rows (0 for no rows).
 
     A row is an int64 array, such as a row of ``line_restriction_block``, or
-    a tuple of Python ints of any size and sign.  With ``echelon`` the result
-    is the ``Echelon`` instead, whose pivot count is the rank, for
-    ``rank_exact`` to finish.
+    a tuple of Python ints of any size and sign.  The rows are reduced mod
+    PRIME into a fresh int64 matrix, int64 arrays in one vectorised pass and
+    tuples cell by cell, then row-reduced.
     """
-    reduced = _echelon_mod_p(rows)
-    return reduced if echelon else len(reduced[1])
-
-
-def rank_exact(rows: list, echelon: Echelon | None = None,
-               exact: IntegerMatrix | None = None) -> int:
-    """Rank over Q of an integer matrix (0 for no rows).
-
-    ``rows`` are exact int tuples, or, when ``exact`` stands for the matrix,
-    its int64 residues mod PRIME as for ``rank_mod_p``.  The rank r mod PRIME
-    bounds the rational rank from below.  The reduced echelon form mod PRIME
-    gives one kernel vector per free column: 1 there, minus that column of
-    the echelon form at the pivot columns, each residue lifted to the
-    symmetric range.  Those vectors are independent, so if the integer matrix
-    kills them exactly its nullity is at least n_cols - r and its rank is r;
-    ``_kills`` checks that modulo small primes.  When the lifted vectors are
-    not a kernel, fraction-free elimination on the exact rows decides.
-
-    ``echelon`` is the caller's ``rank_mod_p(..., echelon=True)`` of the same
-    matrix; it is finished in place instead of eliminating the rows again.
-    """
-    if not rows or len(rows[0]) == 0:
+    if not rows:
         return 0
-    m, pivots = echelon if echelon is not None else _echelon_mod_p(rows)
-    rank = len(pivots)
-    if rank == min(m.shape):  # rank_p is already the most the shape allows
-        return rank
-    _back_substitute(m, pivots)
-    free = sorted(set(range(m.shape[1])) - set(pivots))
-    kernel = np.zeros((m.shape[1], len(free)), dtype=np.int64)
-    kernel[free, range(len(free))] = 1
-    kernel[pivots] = -m[:rank, free] % PRIME
-    kernel[kernel > PRIME // 2] -= PRIME
-    matrix = exact if exact is not None else IntegerMatrix.of_rows(rows)
-    return rank if _kills(matrix, kernel) else _rank_bareiss(matrix.rows())
+    if isinstance(rows[0], np.ndarray):
+        m = np.vstack(rows) % PRIME
+    else:
+        m = np.array([[x % PRIME for x in row] for row in rows], dtype=np.int64)
+    return len(_row_reduce_mod_p(m))
 
 
-def _kills(matrix: IntegerMatrix, kernel: np.ndarray) -> bool:
-    """Is the integer product matrix @ kernel zero?
-
-    Its entries are at most bound = max|M| * max|V| * n_cols in absolute
-    value, computed in Python ints, so it is zero once it is zero modulo
-    primes whose product exceeds 2 * bound.  Each product mod q is a float64
-    matrix product of residues, exact while n_cols * (q - 1)^2 < 2^53.
-    Where that guard fails or the fixed primes run out, the answer is no,
-    which leaves the rank to Bareiss.
-    """
-    n_cols = kernel.shape[0]
-    bound = matrix.bound * int(np.abs(kernel).max()) * n_cols
-    modulus = 1
-    for q in WITNESS_PRIMES:
-        if modulus > 2 * bound:
-            return True
-        if n_cols * (q - 1) ** 2 >= 2 ** 53:
-            return False
-        product = matrix.residues(q).astype(np.float64) @ (kernel % q).astype(np.float64)
-        if np.fmod(product, q).any():
-            return False
-        modulus *= q
-    return modulus > 2 * bound
-
-
-def _rank_bareiss(rows: list[tuple[int, ...]]) -> int:
-    """Rank over Q by fraction-free Gaussian elimination on Python ints
+def rank_exact(rows: list) -> int:
+    """Rank over Q of an integer matrix, given by its exact integer rows (0
+    for no rows), by fraction-free Gaussian elimination on Python ints
     (Bareiss, 1968).  After each step every entry is a minor of the row
     permuted matrix, so the division by the previous pivot is exact."""
+    if not rows or len(rows[0]) == 0:
+        return 0
     m = np.array([[int(x) for x in row] for row in rows], dtype=object)
     n_rows, n_cols = m.shape
     rank, prev = 0, 1
@@ -448,40 +315,38 @@ def _rank_bareiss(rows: list[tuple[int, ...]]) -> int:
 
 
 def nullity_certified(rows: list, n_cols: int, lower_bound: int = 0,
-                      exact: IntegerMatrix | None = None) -> int:
+                      exact: ExactRows | None = None) -> int:
     """Exact kernel dimension of an integer matrix with n_cols columns.
 
     The modular rank bounds the rational rank from below, so
-    n_cols - rank_p bounds the nullity from above; when that pinches against
-    a caller-supplied valid lower bound the answer is certified without
-    exact elimination.  ``rows`` may be int64 residue rows, in which case
-    ``exact`` is the same matrix over the integers; it is read only when the
-    certificate does not close, and ``rank_exact`` finishes the modular
-    echelon form already computed.  Without it ``rows`` must be exact int
-    tuples.
+    n_cols - rank_p bounds the nullity from above.  The caller's lower bound,
+    which must be valid, and n_cols minus the row count bound it from below;
+    where the two sides meet the answer is certified, and where they do not,
+    ``rank_exact`` decides on the integer rows.  ``rows`` may be int64
+    residue rows, in which case ``exact`` builds the same matrix's integer
+    rows, and is called only when the certificate does not close.  Without
+    it ``rows`` must be exact int tuples.
     """
     if n_cols == 0:
         return 0
     if not rows:
         return n_cols
-    echelon = rank_mod_p(rows, echelon=True)
-    upper = n_cols - len(echelon[1])
-    lower = max(0, lower_bound)
+    upper = n_cols - rank_mod_p(rows)
+    lower = max(0, lower_bound, n_cols - len(rows))
     if upper < lower:
         raise AssertionError(
             f"caller lower bound {lower} exceeds certified upper bound {upper}")
     if upper == lower:
         return upper
-    return n_cols - rank_exact(rows, echelon, exact)
+    return n_cols - rank_exact(exact() if exact is not None else rows)
 
 
-def full_row_rank(rows: list, exact: IntegerMatrix | None = None) -> bool:
+def full_row_rank(rows: list, exact: ExactRows | None = None) -> bool:
     """Do the rows have full rank?  ``exact`` as in ``nullity_certified``."""
     if not rows:
         return True
     if len(rows) > len(rows[0]):
         return False
-    echelon = rank_mod_p(rows, echelon=True)
-    if len(echelon[1]) == len(rows):
+    if rank_mod_p(rows) == len(rows):
         return True
-    return rank_exact(rows, echelon, exact) == len(rows)
+    return rank_exact(exact() if exact is not None else rows) == len(rows)

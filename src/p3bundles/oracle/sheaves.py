@@ -14,10 +14,8 @@ P^3 vanishes identically.  Rank-2 bundles arriving through an extension
 same way, and the top half of their vector comes from Serre duality.
 
 The restriction matrix is stacked from int64 blocks of residues mod p, which
-give the modular rank; where that rank does not certify the answer, the
-exact rank checks a kernel witness modulo small primes from the same
-recursion, and the exact integer rows are built only for Bareiss (see
-``linalg``).
+give the modular rank; only where that rank does not certify the answer are
+the exact integer rows built, for Bareiss to decide (see ``linalg``).
 
 The matrix is written in the quadric's basis (see ``linalg``): the multiples
 Q*m of Q = x0*x3 - x1*x2 by the C(k+1, 3) monomials of degree k-2, then the
@@ -58,14 +56,12 @@ import numpy as np
 from p3bundles.oracle import linalg
 from p3bundles.oracle.configs import GeometryConfig, MarkedPoint, Point4, line_inside_quadric
 from p3bundles.oracle.linalg import (
-    PRIME,
     bidegree_exponents,
     evaluation_matrix,
     full_row_rank,
     line_restriction_block,
     monomial_exponents,
     nullity_certified,
-    restriction_matrix,
     stack_restriction_rows,
 )
 from p3bundles.tables import (
@@ -99,6 +95,12 @@ def _restriction_rows(cfg: GeometryConfig, k: int) -> list[np.ndarray]:
     return stack_restriction_rows(cfg.lines, k, line_restriction_block)
 
 
+def _exact_rows(cfg: GeometryConfig, k: int) -> linalg.ExactRows:
+    """Builds the same matrix's integer rows, for the exact fallback; through
+    the module, where a caller may have rebound the name."""
+    return lambda: linalg.exact_restriction_rows(cfg.lines, k)
+
+
 # configuration -> least twist k computed with h^1(I_Y(k)) = 0 at which I_Y
 # is known to be (k+1)-regular; see the module docstring
 _regular_from: dict[GeometryConfig, int] = {}
@@ -112,13 +114,13 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
     lower = chi_ideal(cfg, k) - structure_cohomology(cfg, k).h1  # h^1(I) >= 0; h^3(O(k)) = 0
     if k >= _regular_from.get(cfg, k + 1):
         return lower
-    rows, matrix = _restriction_rows(cfg, k), restriction_matrix(cfg.lines, k)
+    rows, exact = _restriction_rows(cfg, k), _exact_rows(cfg, k)
     if all(map(line_inside_quadric, cfg.lines)):
         # Q * S_{k-2} vanishes on Y, and the rows are the other (k+1)^2 columns
         multiples = comb(k + 1, 3)
-        h0 = multiples + nullity_certified(rows, (k + 1) ** 2, lower - multiples, matrix)
+        h0 = multiples + nullity_certified(rows, (k + 1) ** 2, lower - multiples, exact)
     else:
-        h0 = nullity_certified(rows, comb(k + 3, 3), lower, matrix)
+        h0 = nullity_certified(rows, comb(k + 3, 3), lower, exact)
     if (h0 == lower and structure_cohomology(cfg, k - 1).h1 == 0
             and h_p3_line_bundle(k - 2).h3 == 0):
         _regular_from[cfg] = k
@@ -168,8 +170,7 @@ def serre_cohomology(cfg: GeometryConfig, l: int) -> CohomologyVector:
 def _evaluation_surjective(points: list[tuple[int, ...]], exponents) -> bool:
     """Do the values of the monomials of ``exponents`` at the points, one row
     per point, have full row rank?"""
-    matrix = evaluation_matrix(points, exponents)
-    return full_row_rank(list(matrix.residues(PRIME)), matrix)
+    return full_row_rank(*evaluation_matrix(points, exponents))
 
 
 def restriction_onto_points_surjective(points: list[Point4], k: int) -> bool:
@@ -194,7 +195,7 @@ def restriction_onto_lines_surjective(cfg: GeometryConfig, k: int) -> bool:
     """
     if k < 0:
         return not cfg.lines
-    return full_row_rank(_restriction_rows(cfg, k), restriction_matrix(cfg.lines, k))
+    return full_row_rank(_restriction_rows(cfg, k), _exact_rows(cfg, k))
 
 
 def marked_point_evaluation_surjective(cfg: GeometryConfig, k: int) -> bool:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from p3bundles import monad
+from p3bundles.atlas import enumerate_series
 from p3bundles.monad import (
     EXTENDED_SMALL_CASES,
     InconsistentProfile,
@@ -235,38 +236,40 @@ def test_a_profile_builds_no_twist_above_a_regularity_record(monkeypatch):
     assert [(cfg, k) for cfg, k in builds if k > records[cfg]] == []
 
 
-def test_the_paper_scale_sigma0_spectrum_needs_no_bareiss(monkeypatch):
-    runs = []
-
-    def counting(rows):
-        runs.append(len(rows))
-        return bareiss(rows)
-
-    bareiss = linalg._rank_bareiss
-    monkeypatch.setattr(linalg, "_rank_bareiss", counting)
-    clear_caches()
-    entries = spectrum(MonadSpec.create(Series.SIGMA0, 19, 0, 24))
-    clear_caches()
-    assert len(entries) == 614 and entries == tuple(sorted(-k for k in entries))
-    assert runs == []
-
-
-def test_a_ruling_spectrum_at_paper_scale_needs_no_exact_rank(monkeypatch):
-    # every summand curve is ruling lines on S, so each certificate closes
-    # in the (k+1)^2 free columns
+@pytest.fixture
+def exact_ranks(monkeypatch):
+    """Count the `rank_exact` calls, from cold caches."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return rank_exact(*args, **kwargs)
+    def counting(rows):
+        calls.append(len(rows))
+        return rank_exact(rows)
 
     rank_exact = linalg.rank_exact
+    clear_caches()
     monkeypatch.setattr(linalg, "rank_exact", counting)
+    yield calls
     clear_caches()
-    entries = spectrum(MonadSpec.create(Series.SIGMA0, 25, 1, 25))
-    clear_caches()
-    assert len(entries) == 676 and entries == tuple(sorted(-k for k in entries))
-    assert calls == []
+
+
+@pytest.mark.parametrize("m, eps, a, n", [(19, 0, 24, 614), (25, 1, 25, 676)])
+def test_a_ruling_spectrum_at_paper_scale_needs_no_exact_rank(exact_ranks, m, eps, a, n):
+    # every summand curve is ruling lines on S, so each certificate closes
+    # in the (k+1)^2 free columns
+    entries = spectrum(MonadSpec.create(Series.SIGMA0, m, eps, a))
+    assert len(entries) == n and entries == tuple(sorted(-k for k in entries))
+    assert exact_ranks == []
+
+
+def test_the_sigma0_series_replays_from_n_146(exact_ranks):
+    records = [r for r in enumerate_series(Series.SIGMA0, 170) if r.n >= 146]
+    assert len(records) == 25
+    for record in records:
+        spec = MonadSpec.create(Series.SIGMA0, *record.params)
+        assert middle_term_checks(spec)["established"], record.params
+        entries = spectrum(spec)
+        assert len(entries) == record.n and entries == tuple(sorted(-k for k in entries))
+    assert exact_ranks == []
 
 
 def test_recovery_rejects_gaps():
