@@ -79,6 +79,10 @@ def lines_disjoint(l1: Line, l2: Line) -> bool:
             + a[3] * b[2] - a[4] * b[1] + a[5] * b[0]) != 0
 
 
+def lines_pairwise_disjoint(lines: tuple[Line, ...]) -> bool:
+    return all(lines_disjoint(a, b) for i, a in enumerate(lines) for b in lines[i + 1:])
+
+
 def line_inside_quadric(line: Line) -> bool:
     return (quadric_value(line.p) == 0 and quadric_value(line.q) == 0
             and quadric_bilinear(line.p, line.q) == 0)
@@ -163,7 +167,7 @@ def sample_ruling(m: int, seed: int) -> GeometryConfig:
     for _ in range(RETRY_BUDGET):
         us = _draw_distinct(rng, COORD_POOL, m + 1)
         lines = tuple(ruling_line((u, 1)) for u in sorted(us))
-        if all(lines_disjoint(a, b) for i, a in enumerate(lines) for b in lines[i + 1:]):
+        if lines_pairwise_disjoint(lines):
             return GeometryConfig("lines", m + 1, lines, serre_shift=(-1, 1))
     raise SamplingFailed("ruling configuration")
 

@@ -28,11 +28,15 @@ ruling line's row t^j is nonzero only in the j-th run of k+1 columns and
 the elimination's pivot rows stay short.  For k <= 1 there is no Q column
 and the basis is the monomials.
 
-Line-restriction blocks are built mod p directly, as int64 residues, by a
+Line-restriction rows are built mod p directly, as int64 residues, by a
 degree recursion; the same recursion over Python ints gives the exact rows,
-which only Bareiss reads.  Point and bidegree evaluation matrices are built
-the same way: residues from powers taken modulo the prime, exact rows only
-for Bareiss.
+which only Bareiss reads.  Only the blocks of lines on S are cached, per
+(line, k): ruling lines recur across configurations, and their blocks are
+narrow.  The rows of the lines off S, secant and partner lines that rarely
+recur and take all C(k+3, 3) columns, are built per matrix, all of them in
+one recursion, and not kept.  Point and bidegree evaluation matrices are
+built the same way: residues from powers taken modulo the prime, exact rows
+only for Bareiss.
 """
 
 from __future__ import annotations
@@ -156,8 +160,10 @@ def line_restriction_block(line: Line, k: int) -> np.ndarray:
     """``_line_block`` reduced mod PRIME, as a read-only int64 array.
 
     Reduction mod PRIME is a ring map, so this is the exact block reduced
-    cell by cell.  One repetition of the largest benchmark workload asks for
-    under 1,700 distinct (line, k), so the bound does not evict within a run.
+    cell by cell.  ``stack_restriction_rows`` asks it only for lines on S,
+    whose narrow blocks recur across configurations: one repetition of the
+    largest benchmark workload asks for about 130 distinct (line, k) of them
+    and hits the rest of its calls, so the bound does not evict within a run.
     """
     block = _line_block(line, k, PRIME)
     block.flags.writeable = False
@@ -165,16 +171,23 @@ def line_restriction_block(line: Line, k: int) -> np.ndarray:
 
 
 def stack_restriction_rows(lines: tuple[Line, ...], k: int,
-                           block: Callable[[Line, int], np.ndarray]) -> list[np.ndarray]:
-    """The rows of the restriction matrix of ``lines`` in the quadric basis,
-    from each line's ``block(line, k)``: the blocks of the lines off S, then
-    the rows of the lines on S by power of t, line by line within a power,
-    padded with zeros in the C(k+1, 3) Q columns unless every line lies on S.
-    Only rows of lines off S can then take a pivot in a Q column, and since a
-    ruling line's row t^j lives in the j-th run of k+1 free columns, each
-    run's rows reach the elimination together."""
+                           block: Callable[[Line, int], np.ndarray],
+                           modulus: int | None = PRIME) -> list[np.ndarray]:
+    """The rows of the restriction matrix of ``lines`` in the quadric basis:
+    the rows of the lines off S, then the rows of the lines on S by power of
+    t, line by line within a power, padded with zeros in the C(k+1, 3) Q
+    columns unless every line lies on S.  Only rows of lines off S can then
+    take a pivot in a Q column, and since a ruling line's row t^j lives in
+    the j-th run of k+1 free columns, each run's rows reach the elimination
+    together.
+
+    A line on S gives ``block(line, k)``, its (k+1)^2 free columns.  The
+    lines off S are built here, all of them in one ``_restriction_block``
+    recursion modulo ``modulus`` (over the integers for None), and are not
+    kept: a secant or partner line rarely recurs, while ruling lines do."""
     on_quadric = [line_inside_quadric(line) for line in lines]
-    rows = [row for line, on in zip(lines, on_quadric) if not on for row in block(line, k)]
+    off = tuple(line for line, on in zip(lines, on_quadric) if not on)
+    rows = list(to_quadric_basis(_restriction_block(off, k, modulus), k, modulus)) if off else []
     blocks = [block(line, k) for line, on in zip(lines, on_quadric) if on]
     on_rows = [b[j] for j in range(k + 1) for b in blocks]
     if rows and on_rows:
@@ -188,8 +201,8 @@ def exact_restriction_rows(lines: tuple[Line, ...], k: int) -> list[tuple[int, .
     """The restriction matrix of ``lines`` in the quadric basis over the
     integers, stacked as ``stack_restriction_rows`` stacks it, for the exact
     fallback only; not cached."""
-    return [tuple(row.tolist())
-            for row in stack_restriction_rows(lines, k, lambda l, d: _line_block(l, d, None))]
+    return [tuple(row.tolist()) for row in
+            stack_restriction_rows(lines, k, lambda l, d: _line_block(l, d, None), None)]
 
 
 def bidegree_exponents(p: int, q: int) -> list[Exponents]:

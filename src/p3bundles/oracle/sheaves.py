@@ -13,9 +13,12 @@ P^3 vanishes identically.  Rank-2 bundles arriving through an extension
 0 -> O(s) -> E -> I_Y(t) -> 0 inherit h^0 and h^1 from the ideal side the
 same way, and the top half of their vector comes from Serre duality.
 
-The restriction matrix is stacked from int64 blocks of residues mod p, which
-give the modular rank; only where that rank does not certify the answer are
-the exact integer rows built, for Bareiss to decide (see ``linalg``).
+The restriction matrix is stacked from int64 residues mod p, which give the
+modular rank; only where that rank does not certify the answer are the
+exact integer rows built, for Bareiss to decide (see ``linalg``).  The
+blocks of lines on S, which recur across configurations, come from the
+cached ``line_restriction_block``; the rows of the lines off S are built
+per matrix, all in one recursion, and are not kept.
 
 The matrix is written in the quadric's basis (see ``linalg``): the multiples
 Q*m of Q = x0*x3 - x1*x2 by the C(k+1, 3) monomials of degree k-2, then the
@@ -54,7 +57,13 @@ from math import comb
 import numpy as np
 
 from p3bundles.oracle import linalg
-from p3bundles.oracle.configs import GeometryConfig, MarkedPoint, Point4, line_inside_quadric
+from p3bundles.oracle.configs import (
+    GeometryConfig,
+    MarkedPoint,
+    Point4,
+    line_inside_quadric,
+    lines_pairwise_disjoint,
+)
 from p3bundles.oracle.linalg import (
     bidegree_exponents,
     evaluation_matrix,
@@ -91,7 +100,8 @@ def chi_ideal(cfg: GeometryConfig, k: int) -> int:
 
 def _restriction_rows(cfg: GeometryConfig, k: int) -> list[np.ndarray]:
     """The int64 rows (residues mod p) of the restriction matrix in the
-    quadric basis, from the cached line blocks."""
+    quadric basis: the lines on S from the cached blocks, the lines off S
+    built afresh."""
     return stack_restriction_rows(cfg.lines, k, line_restriction_block)
 
 
@@ -128,9 +138,10 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
 
 
 def clear_caches() -> None:
-    """Forget every memoised h0, regularity record, line-restriction block and
-    monomial table."""
+    """Forget every memoised h0, regularity record, quadric-point answer,
+    line-restriction block and monomial table."""
     h0_ideal.cache_clear()
+    quadric_restriction_onto_points_surjective.cache_clear()
     _regular_from.clear()
     # through its owner: a caller may have rebound this module's name to a wrapper
     linalg.line_restriction_block.cache_clear()
@@ -180,9 +191,11 @@ def restriction_onto_points_surjective(points: list[Point4], k: int) -> bool:
     return _evaluation_surjective(points, monomial_exponents(k))
 
 
+@lru_cache(maxsize=None)
 def quadric_restriction_onto_points_surjective(points: tuple[MarkedPoint, ...],
                                                p: int, q: int) -> bool:
-    """Is H0(O_S(p, q)) -> functions on the given quadric points surjective?"""
+    """Is H0(O_S(p, q)) -> functions on the given quadric points surjective?
+    Memoised: later runs of a pass ask the same points and bidegree again."""
     if p < 0 or q < 0:
         return len(points) == 0
     return _evaluation_surjective([(*mp.u, *mp.v) for mp in points], bidegree_exponents(p, q))
@@ -191,10 +204,16 @@ def quadric_restriction_onto_points_surjective(points: tuple[MarkedPoint, ...],
 def restriction_onto_lines_surjective(cfg: GeometryConfig, k: int) -> bool:
     """Is H0(O_P3(k)) -> (+) H0(O_line(k)) over the component lines surjective?
 
-    Equivalent to h^1(I(k)) = 0 when the components are disjoint lines.
+    Equivalent to h^1(I(k)) = 0 when the components are disjoint lines.  When
+    two components meet, as the lines of a nodal conic do, it is not, at any
+    k >= 0: every form restricts to the same value at the common point on
+    both lines, while the target has sections that differ there.  So that
+    case is answered without a rank.
     """
     if k < 0:
         return not cfg.lines
+    if not lines_pairwise_disjoint(cfg.lines):
+        return False
     return full_row_rank(_restriction_rows(cfg, k), _exact_rows(cfg, k))
 
 

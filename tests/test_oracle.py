@@ -27,6 +27,7 @@ from p3bundles.oracle import (
     join_configs,
     marked_point_evaluation_surjective,
     partner_part,
+    quadric_restriction_onto_points_surjective,
     restriction_onto_lines_surjective,
     ruling_part,
     sample_conics,
@@ -410,11 +411,14 @@ def test_modification_sampling_reaches_the_paper_scale_series(m, d):
 def test_clear_caches_empties_every_oracle_cache():
     cfg = sample_ruling(2, 0)
     ideal_cohomology(cfg, 3)
+    quadric_restriction_onto_points_surjective(sample_modification(1, 0).marked, 1, 1)
     assert h0_ideal.cache_info().currsize and line_restriction_block.cache_info().currsize
+    assert quadric_restriction_onto_points_surjective.cache_info().currsize
     assert sheaves._regular_from
     clear_caches()
     assert h0_ideal.cache_info().currsize == 0
     assert line_restriction_block.cache_info().currsize == 0
+    assert quadric_restriction_onto_points_surjective.cache_info().currsize == 0
     assert not sheaves._regular_from
 
 
@@ -589,6 +593,69 @@ def test_each_exact_fallback_eliminates_mod_p_once(exact_builds, fallbacks, monk
     # Bareiss reads the integer rows and eliminates nothing mod p
     assert rank_exact(exact_restriction_rows(MIXED.lines, 3)) == 18
     assert passes == [(20, 20)] * 2
+
+
+def _per_line_rows(lines, k, modulus):
+    """The restriction matrix stacked from each line's own block: the lines
+    off S first, then the rows of the lines on S by power of t, zero in the
+    Q columns when a line leaves S."""
+    blocks = [(line_inside_quadric(line), linalg._line_block(line, k, modulus))
+              for line in lines]
+    off = [row for on, block in blocks if not on for row in block]
+    width = comb(k + 3, 3) if off else (k + 1) ** 2
+    return off + [np.concatenate([np.zeros(width - (k + 1) ** 2, block.dtype), block[j]])
+                  for j in range(k + 1) for on, block in blocks if on]
+
+
+_RULING = sample_ruling(3, 0)
+STACKED = [sample_ruling(4, 0), sample_conics(2, 1), sample_modification(3, 2),
+           join_configs(_RULING, sample_modification(2, 0, avoid=_RULING)), MIXED]
+
+
+@pytest.mark.parametrize("cfg", STACKED,
+                         ids=lambda cfg: f"{cfg.curve}-{len(cfg.lines)}-{config_hash(cfg)[:6]}")
+def test_stacked_rows_are_the_per_line_blocks(cfg):
+    for k in range(12):
+        residues, reference = sheaves._restriction_rows(cfg, k), _per_line_rows(cfg.lines, k, PRIME)
+        assert len(residues) == len(reference) == len(cfg.lines) * (k + 1)
+        assert all(row.dtype == np.int64 and row.tobytes() == ref.tobytes()
+                   for row, ref in zip(residues, reference))
+        assert exact_restriction_rows(cfg.lines, k) == [
+            tuple(row.tolist()) for row in _per_line_rows(cfg.lines, k, None)]
+
+
+@pytest.mark.parametrize("cfg", [sample_conics(3, 0), sample_modification(3, 0), STACKED[3]],
+                         ids=["conics", "modification", "joined"])
+def test_only_blocks_of_lines_on_s_are_cached(cfg, monkeypatch):
+    asked = set()
+
+    def recording(line, k):
+        asked.add((line, k))
+        return block(line, k)
+
+    block = sheaves.line_restriction_block
+    clear_caches()
+    monkeypatch.setattr(sheaves, "line_restriction_block", recording)
+    for k in range(8):
+        h0_ideal(cfg, k)
+    assert all(line_inside_quadric(line) for line, _ in asked)
+    assert line_restriction_block.cache_info().currsize == len(asked)
+    assert bool(asked) == any(map(line_inside_quadric, cfg.lines))
+    clear_caches()
+
+
+def test_meeting_lines_refuse_surjectivity_without_a_rank(fallbacks, monkeypatch):
+    eliminations = []
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows: eliminations.append(rows))
+    for m in range(4):
+        for seed in range(2):
+            cfg = sample_conics(m, seed)
+            assert all(not restriction_onto_lines_surjective(cfg, k) for k in range(1, 8))
+    assert fallbacks == [] and eliminations == []
+    # the exact rows agree: a nodal conic's two lines never have full row rank
+    for m, k in ((0, 1), (0, 3), (1, 2)):
+        rows = exact_restriction_rows(sample_conics(m, 0).lines, k)
+        assert rank_exact(rows) < len(rows)
 
 
 huge = st.one_of(st.integers(min_value=-50, max_value=50),
