@@ -282,19 +282,16 @@ def recover_spectrum(profile: Mapping[int, int], e: int, expected_len: int) -> t
     counts = {j: above[j] - above.get(j + 1, 0) for j in above}
     if any(v < 0 for v in counts.values()):
         raise InconsistentProfile("first differences of the profile are not non-increasing")
-    entries: list[int] = []
-    for j, c in counts.items():
-        entries.extend([j] * c)
-        if e - j != j:
-            entries.extend([e - j] * c)
-    entries.sort()
-    if len(entries) != expected_len:
-        raise InconsistentProfile(
-            f"recovered {len(entries)} entries, expected {expected_len}")
+    # entry -> multiplicity; the mirrors e - j are negative, so no key repeats
+    multiplicity = {**counts, **{e - j: c for j, c in counts.items() if e - j != j}}
+    total = sum(multiplicity.values())
+    if total != expected_len:
+        raise InconsistentProfile(f"recovered {total} entries, expected {expected_len}")
+    # spectrum_h1 over the distinct entries, each term times its multiplicity
     for s in range(1, depth + 1):
-        if spectrum_h1(entries, -s) != f[s]:
+        if sum(c * max(0, k - s + 2) for k, c in multiplicity.items()) != f[s]:
             raise InconsistentProfile(f"recovered multiset misses the profile at -{s}")
-    return tuple(entries)
+    return tuple(k for k in sorted(multiplicity) for _ in range(multiplicity[k]))
 
 
 def spectrum(spec: MonadSpec, seed: int = 0) -> tuple[int, ...]:

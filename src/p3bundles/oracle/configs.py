@@ -83,6 +83,15 @@ def lines_pairwise_disjoint(lines: tuple[Line, ...]) -> bool:
     return all(lines_disjoint(a, b) for i, a in enumerate(lines) for b in lines[i + 1:])
 
 
+def point_on_line(x: Point4, line: Line) -> bool:
+    """x lies on the line iff x, p and q span at most a plane: every 3x3
+    minor of the rows (p, q, x) vanishes, each by the Laplace expansion
+    along x."""
+    pl = dict(zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), line.plucker))
+    return all(x[i] * pl[j, l] - x[j] * pl[i, l] + x[l] * pl[i, j] == 0
+               for i, j, l in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+
+
 def line_inside_quadric(line: Line) -> bool:
     return (quadric_value(line.p) == 0 and quadric_value(line.q) == 0
             and quadric_bilinear(line.p, line.q) == 0)

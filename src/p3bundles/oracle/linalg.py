@@ -7,47 +7,37 @@ their own and the one the row count gives, to certify answers without ever
 trusting the prime alone.  Where the two do not meet, fraction-free Bareiss
 elimination on the exact integer rows decides: it is the one exact path.
 
-Restriction matrices are written in the quadric's basis of the degree-k
-forms: the multiples Q*m of Q = x0*x3 - x1*x2 by the C(k+1, 3) monomials m
-of degree k-2, then the (k+1)^2 monomials not divisible by x0*x3.  In the
-lex order of ``monomial_exponents`` the leading monomial of Q*m is x0*x3*m,
-and m -> x0*x3*m is a bijection onto the monomials divisible by x0*x3, so
-up to the order of its columns the change of basis from the monomials is
-unitriangular over Z.  Its determinant is +-1, a unit modulo every prime, so
-it keeps the rank of every matrix over Q and modulo every prime.  A Q*m
-column is the x0*x3*m column minus the x1*x2*m column.  On a line inside
-the smooth quadric S: Q = 0 those columns vanish, so such a line's block
-keeps only the (k+1)^2 free columns; stacked under lines off S, its rows are
-zero in the Q columns.  So when every line lies on S, the C(k+1, 3) forms
-Q*m lie in the kernel and the nullity is C(k+1, 3) plus that of the free
-columns; with a line off S, Q*m need not vanish on it, and only the whole
-matrix counts.  The free columns are ordered by the monomial's degree in
-x1, x3 (the t-degree of its restriction to a line of the first ruling,
+Restriction matrices have one column per monomial, in one of two bases.  In
+P^3 they are the C(k+3, 3) degree-k monomials in lex order.  On the smooth
+quadric S: Q = x0*x3 - x1*x2 = 0 they are the (k+1)^2 monomials not
+divisible by x0*x3, which restrict to a basis of H^0(O_S(k)): rewriting
+x0*x3 as x1*x2 modulo Q lowers the degree in x0, so they span, and there
+are C(k+3, 3) - C(k+1, 3) = h^0(O_S(k)) of them.  A line inside S, or a
+point of S, needs only those columns.  They are ordered by the monomial's degree in x1, x3 (the
+t-degree of its restriction to a line of the first ruling,
 s*(u0, 0, u1, 0) + t*(0, u0, 0, u1)), then by its degree in x2, x3, so a
 ruling line's row t^j is nonzero only in the j-th run of k+1 columns and
-the elimination's pivot rows stay short.  For k <= 1 there is no Q column
-and the basis is the monomials.
+the elimination's pivot rows stay short.
 
 Line-restriction rows are built mod p directly, as int64 residues, by a
 degree recursion; the same recursion over Python ints gives the exact rows,
 which only Bareiss reads.  Only the blocks of lines on S are cached, per
 (line, k): ruling lines recur across configurations, and their blocks are
 narrow.  The rows of the lines off S, secant and partner lines that rarely
-recur and take all C(k+3, 3) columns, are built per matrix, all of them in
-one recursion, and not kept.  Point and bidegree evaluation matrices are
-built the same way: residues from powers taken modulo the prime, exact rows
-only for Bareiss.
+recur, are built per matrix, all of them in one recursion, and not kept.
+Point and bidegree evaluation matrices are built the same way: residues
+from powers taken modulo the prime, exact rows only for Bareiss.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from functools import lru_cache
-from math import comb, prod
+from math import prod
 
 import numpy as np
 
-from p3bundles.oracle.configs import Line, line_inside_quadric
+from p3bundles.oracle.configs import Line
 
 PRIME = 2_147_483_647  # 2^31 - 1; squares stay inside int64
 
@@ -70,8 +60,18 @@ def monomial_exponents(k: int) -> list[Exponents]:
 @lru_cache(maxsize=None)
 def _monomials(d: int, on_quadric: bool) -> tuple[Exponents, ...]:
     """The degree-d monomials in lex order; ``on_quadric``, only those not
-    divisible by x0*x3.  Either set is closed under dividing by a variable."""
-    return tuple(e for e in monomial_exponents(d) if not (on_quadric and e[0] and e[3]))
+    divisible by x0*x3, by degree in (x1, x3), then in (x2, x3).  Either set
+    is closed under dividing by a variable."""
+    if not on_quadric:
+        return tuple(monomial_exponents(d))
+    return tuple(sorted((e for e in monomial_exponents(d) if not (e[0] and e[3])),
+                        key=lambda e: (e[1] + e[3], e[2] + e[3])))
+
+
+def quadric_exponents(k: int) -> list[Exponents]:
+    """The (k+1)^2 degree-k monomials not divisible by x0*x3, in the order
+    of the columns of a line on S."""
+    return list(_monomials(k, True))
 
 
 @lru_cache(maxsize=None)
@@ -92,8 +92,9 @@ def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None,
                        on_quadric: bool = False) -> np.ndarray:
     """Coefficients of each degree-k monomial of ``_monomials(k, on_quadric)``
     restricted to each line s*p + t*q, in the basis s^k, s^{k-1} t, ..., t^k:
-    a (k+1)-row block per line, with one column per monomial in lex order,
-    the blocks stacked in the order of ``lines``.
+    a (k+1)-row block per line, with one column per monomial in that order,
+    the blocks stacked in the order of ``lines``; no rows for k < 0 or no
+    lines.
 
     Built degree by degree from x^e|_L = (p_i s + q_i t) * (x^e / x_i)|_L, with
     i the first variable with e_i > 0: one step gathers the degree-(d-1)
@@ -103,10 +104,12 @@ def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None,
     inside int64); without one they are exact Python ints in an object
     array.
     """
+    dtype = object if modulus is None else np.int64
+    if k < 0 or not lines:
+        return np.zeros((0, 0), dtype)
     if modulus is None:
-        dtype, p, q = object, [line.p for line in lines], [line.q for line in lines]
+        p, q = [line.p for line in lines], [line.q for line in lines]
     else:
-        dtype = np.int64
         p = [[x % modulus for x in line.p] for line in lines]
         q = [[x % modulus for x in line.q] for line in lines]
     p, q = np.array(p, dtype).reshape(-1, 1, 4), np.array(q, dtype).reshape(-1, 1, 4)
@@ -122,87 +125,42 @@ def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None,
     return block.reshape(-1, block.shape[2])
 
 
-@lru_cache(maxsize=None)
-def _basis_columns(k: int, on_quadric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the quadric basis reads the lex columns of ``_monomials(k,
-    on_quadric)``: per Q*m, m of degree k-2 in lex order, the columns of
-    x0*x3*m and of x1*x2*m (none ``on_quadric``); then the columns of the
-    monomials not divisible by x0*x3, by (t-degree, u-degree)."""
-    index = {e: j for j, e in enumerate(_monomials(k, on_quadric))}
-    free = sorted(_monomials(k, True), key=lambda e: (e[1] + e[3], e[2] + e[3]))
-    multiples = [] if on_quadric else monomial_exponents(k - 2)
-    return (np.array([index[(a + 1, b, c, d + 1)] for a, b, c, d in multiples], dtype=np.intp),
-            np.array([index[(a, b + 1, c + 1, d)] for a, b, c, d in multiples], dtype=np.intp),
-            np.array([index[e] for e in free], dtype=np.intp))
-
-
-def to_quadric_basis(block: np.ndarray, k: int, modulus: int | None = None,
-                     on_quadric: bool = False) -> np.ndarray:
-    """A matrix whose columns are the degree-k monomials in lex order (only
-    those not divisible by x0*x3, ``on_quadric``), in the quadric basis."""
-    plus, minus, free = _basis_columns(k, on_quadric)
-    multiples = block[:, plus] - block[:, minus]
-    if modulus is not None:
-        multiples %= modulus
-    return np.concatenate([multiples, block[:, free]], axis=1)
-
-
-def _line_block(line: Line, k: int, modulus: int | None) -> np.ndarray:
-    """One line's restriction block in the quadric basis: its (k+1)^2 free
-    columns alone for a line on S, all C(k+3, 3) columns for a line off S."""
-    on_quadric = line_inside_quadric(line)
-    return to_quadric_basis(_restriction_block((line,), k, modulus, on_quadric),
-                            k, modulus, on_quadric)
-
-
 @lru_cache(maxsize=4096)
 def line_restriction_block(line: Line, k: int) -> np.ndarray:
-    """``_line_block`` reduced mod PRIME, as a read-only int64 array.
+    """The (k+1)^2 quadric columns of a line on S, reduced mod PRIME, as a
+    read-only int64 array.
 
     Reduction mod PRIME is a ring map, so this is the exact block reduced
-    cell by cell.  ``stack_restriction_rows`` asks it only for lines on S,
-    whose narrow blocks recur across configurations: one repetition of the
-    largest benchmark workload asks for about 130 distinct (line, k) of them
-    and hits the rest of its calls, so the bound does not evict within a run.
+    cell by cell.  Only lines on S are asked for: their narrow blocks recur
+    across configurations, and one repetition of the largest benchmark
+    workload asks for about 130 distinct (line, k) of them and hits the rest
+    of its calls, so the bound does not evict within a run.
     """
-    block = _line_block(line, k, PRIME)
+    block = _restriction_block((line,), k, PRIME, on_quadric=True)
     block.flags.writeable = False
     return block
 
 
-def stack_restriction_rows(lines: tuple[Line, ...], k: int,
-                           block: Callable[[Line, int], np.ndarray],
-                           modulus: int | None = PRIME) -> list[np.ndarray]:
-    """The rows of the restriction matrix of ``lines`` in the quadric basis:
-    the rows of the lines off S, then the rows of the lines on S by power of
-    t, line by line within a power, padded with zeros in the C(k+1, 3) Q
-    columns unless every line lies on S.  Only rows of lines off S can then
-    take a pivot in a Q column, and since a ruling line's row t^j lives in
-    the j-th run of k+1 free columns, each run's rows reach the elimination
-    together.
-
-    A line on S gives ``block(line, k)``, its (k+1)^2 free columns.  The
-    lines off S are built here, all of them in one ``_restriction_block``
-    recursion modulo ``modulus`` (over the integers for None), and are not
-    kept: a secant or partner line rarely recurs, while ruling lines do."""
-    on_quadric = [line_inside_quadric(line) for line in lines]
-    off = tuple(line for line, on in zip(lines, on_quadric) if not on)
-    rows = list(to_quadric_basis(_restriction_block(off, k, modulus), k, modulus)) if off else []
-    blocks = [block(line, k) for line, on in zip(lines, on_quadric) if on]
-    on_rows = [b[j] for j in range(k + 1) for b in blocks]
-    if rows and on_rows:
-        padded = np.zeros((len(on_rows), comb(k + 3, 3)), dtype=on_rows[0].dtype)
-        padded[:, comb(k + 1, 3):] = on_rows
-        on_rows = list(padded)
-    return rows + on_rows
-
-
 def exact_restriction_rows(lines: tuple[Line, ...], k: int) -> list[tuple[int, ...]]:
-    """The restriction matrix of ``lines`` in the quadric basis over the
-    integers, stacked as ``stack_restriction_rows`` stacks it, for the exact
+    """The restriction matrix of ``lines`` in the monomials of P^3 over the
+    integers, a (k+1)-row block per line, for the exact fallback only; not
+    cached."""
+    return [tuple(row) for row in _restriction_block(lines, k, None).tolist()]
+
+
+def exact_quadric_rows(lines: tuple[Line, ...], k: int) -> list[tuple[int, ...]]:
+    """The blocks of ``lines`` on S in their (k+1)^2 quadric columns over the
+    integers, as ``line_restriction_block`` before reduction, for the exact
     fallback only; not cached."""
-    return [tuple(row.tolist()) for row in
-            stack_restriction_rows(lines, k, lambda l, d: _line_block(l, d, None), None)]
+    return [tuple(row) for row in _restriction_block(lines, k, None, True).tolist()]
+
+
+def restriction_matrix(lines: tuple[Line, ...], k: int) -> tuple[list[np.ndarray], ExactRows]:
+    """The restriction matrix of ``lines`` in the C(k+3, 3) monomials of
+    P^3: the int64 rows mod PRIME, all lines in one recursion, and a
+    callable that builds the exact integer rows, for Bareiss only."""
+    return (list(_restriction_block(lines, k, PRIME)),
+            lambda: exact_restriction_rows(lines, k))
 
 
 def bidegree_exponents(p: int, q: int) -> list[Exponents]:
@@ -232,6 +190,8 @@ def evaluation_matrix(points: list[tuple[int, ...]],
     """The monomials of ``exponents`` evaluated at ``points``, one row per
     point: the int64 rows mod PRIME by ``_evaluation_residues``, and a
     callable that builds the exact integer rows, for Bareiss only."""
+    if not points:
+        return [], lambda: []
     residues = _evaluation_residues(points, np.array(exponents, dtype=np.intp).reshape(-1, 4))
     return list(residues), lambda: [tuple(prod(x ** n for x, n in zip(point, e))
                                           for e in exponents) for point in points]

@@ -13,25 +13,34 @@ P^3 vanishes identically.  Rank-2 bundles arriving through an extension
 0 -> O(s) -> E -> I_Y(t) -> 0 inherit h^0 and h^1 from the ideal side the
 same way, and the top half of their vector comes from Serre duality.
 
-The restriction matrix is stacked from int64 residues mod p, which give the
-modular rank; only where that rank does not certify the answer are the
-exact integer rows built, for Bareiss to decide (see ``linalg``).  The
-blocks of lines on S, which recur across configurations, come from the
-cached ``line_restriction_block``; the rows of the lines off S are built
-per matrix, all in one recursion, and are not kept.
+h^0 is counted along the quadric S: Q = x0*x3 - x1*x2 = 0, by the
+residual exact sequence of Y with respect to S (the methode d'Horace:
+Hirschowitz 1981, Hartshorne-Hirschowitz 1982).  Split the lines of Y into
+L, those inside S, and M, those off it.  No line of M lies in S, so the
+residual (I_Y : Q) is I_M and
 
-The matrix is written in the quadric's basis (see ``linalg``): the multiples
-Q*m of Q = x0*x3 - x1*x2 by the C(k+1, 3) monomials of degree k-2, then the
-(k+1)^2 monomials not divisible by x0*x3.  Up to the order of its columns
-the change of basis is unitriangular over Z, with determinant +-1, so every
-rank, over Q and modulo every prime, and with it h^0 and each certificate's
-bound, is that of the monomial matrix.  The lines off S are stacked first,
-so only their rows can take a pivot in a Q column.  When every line lies on
-S, every Q*m vanishes on Y and the Q columns of the matrix are zero:
-h^0(I_Y(k)) = C(k+1, 3) + the nullity of the (k+1)^2 free columns alone,
-and only those are built, certified against the chi bound minus C(k+1, 3).
-With one line off S, Q*m need not vanish on Y, C(k+1, 3) is no lower bound,
-and the whole matrix is eliminated against the chi bound itself.
+    0 -> I_M(k-2) --Q--> I_Y(k) -> I_{Y cap S, S}(k) -> 0
+
+is exact.  When both ends of every line of M lie on S and the lines of M
+are disjoint, each line of M meets S transversally in exactly its two ends,
+so the trace Y cap S is reduced: L plus the ends of M that lie on no line
+of L (a conic's node lies on its ruling half).  Piece A is the restriction
+matrix of M at twist k-2, in the C(k+1, 3) monomials of P^3.  When A has
+full row rank mod p, so over Q, h^1(I_M(k-2)) = 0 and
+
+    h^0(I_Y(k)) = C(k+1, 3) - rows(A) + h^0(I_{Y cap S, S}(k)).
+
+The last term is the nullity of piece B in the (k+1)^2 quadric columns (see
+``linalg``): the cached ``line_restriction_block`` rows of the lines of L,
+then one evaluation row at each trace point.  B is certified against the
+chi bound minus h^0(I_M(k-2)).  With M empty, A has no rows and h^0 is
+C(k+1, 3) plus the nullity of B.  Where A is not surjective mod p, or an
+end of M leaves S, the whole restriction matrix in the C(k+3, 3) monomials
+is certified against the chi bound itself.  Every matrix is stacked from
+int64 residues mod p, which give the modular rank; only where that rank
+does not certify the answer are the exact integer rows built, for Bareiss
+to decide.  The count depends on the lines alone, so it is memoised per
+(lines, k), and configurations that hold the same lines share it.
 
 Above the regularity of I_Y no matrix is needed.  By Mumford's lemma, if
 h^1(I_Y(k)) = 0, h^2(I_Y(k-1)) = h^1(O_Y(k-1)) = 0 and
@@ -42,8 +51,8 @@ exactly the chi bound ``lower`` that certifies every rank.  ``h0_ideal``
 records, per configuration, the least twist at which a computed h^0 met that
 bound while both side conditions hold in the tables, and answers every
 higher twist with the bound.  The record is keyed on the chi bound, never on
-the raised bound of a configuration on S: h^0 meets C(k+1, 3) where h^1
-does not vanish.  The record is read, never forced: no twist is computed to
+the bound of piece B: with every line on S, h^0 meets C(k+1, 3) where
+h^1 does not vanish.  The record is read, never forced: no twist is computed to
 extend it.  It only answers twists above one already computed,
 so callers that need a range of twists ask them lowest first, as
 ``monad`` does for the Serre-dual half of a profile.
@@ -54,15 +63,16 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 from p3bundles.oracle import linalg
 from p3bundles.oracle.configs import (
     GeometryConfig,
+    Line,
     MarkedPoint,
     Point4,
     line_inside_quadric,
     lines_pairwise_disjoint,
+    point_on_line,
+    quadric_value,
 )
 from p3bundles.oracle.linalg import (
     bidegree_exponents,
@@ -71,7 +81,8 @@ from p3bundles.oracle.linalg import (
     line_restriction_block,
     monomial_exponents,
     nullity_certified,
-    stack_restriction_rows,
+    quadric_exponents,
+    restriction_matrix,
 )
 from p3bundles.tables import (
     CohomologyVector,
@@ -98,18 +109,45 @@ def chi_ideal(cfg: GeometryConfig, k: int) -> int:
     return chi_p3_line_bundle(k) - structure_cohomology(cfg, k).chi()
 
 
-def _restriction_rows(cfg: GeometryConfig, k: int) -> list[np.ndarray]:
-    """The int64 rows (residues mod p) of the restriction matrix in the
-    quadric basis: the lines on S from the cached blocks, the lines off S
-    built afresh."""
-    return stack_restriction_rows(cfg.lines, k, line_restriction_block)
+def _ends_on_quadric(line: Line) -> bool:
+    return quadric_value(line.p) == 0 and quadric_value(line.q) == 0
 
 
-def _exact_rows(cfg: GeometryConfig, k: int) -> linalg.ExactRows:
-    """Builds the same matrix's integer rows, for the exact fallback; through
-    the module, where a caller may have rebound the name."""
-    return lambda: linalg.exact_restriction_rows(cfg.lines, k)
+def _trace_nullity(on: tuple[Line, ...], points: list[Point4], k: int, lower: int) -> int:
+    """Piece B: the dimension of the forms of O_S(k) that vanish on the lines
+    ``on`` of S and at the ``points`` of S, certified against ``lower``.  The
+    rows of the lines come from their cached blocks by power of t, so each
+    run of k+1 columns reaches the elimination together; one evaluation row
+    per point follows."""
+    blocks = [line_restriction_block(line, k) for line in on]
+    values, exact_values = evaluation_matrix(points, quadric_exponents(k))
+    rows = [b[j] for j in range(k + 1) for b in blocks] + values
+    return nullity_certified(rows, (k + 1) ** 2, lower,
+                             lambda: linalg.exact_quadric_rows(on, k) + exact_values())
 
+
+def _count(lines: tuple[Line, ...], k: int, lower: int) -> int:
+    """h^0(I_Y(k)) for the union Y of ``lines``, k >= 0, given the chi bound
+    ``lower``: split along S by the residual sequence where it applies (see
+    the module docstring), else from the whole restriction matrix."""
+    on = tuple(filter(line_inside_quadric, lines))
+    off = tuple(line for line in lines if not line_inside_quadric(line))
+    if all(map(_ends_on_quadric, off)) and lines_pairwise_disjoint(off):
+        residual, _ = restriction_matrix(off, k - 2)
+        if not residual or (len(residual) <= len(residual[0])
+                            and linalg.rank_mod_p(residual) == len(residual)):
+            # the split's two facts: (I_Y : Q) = I_M, and M meets S at its ends
+            assert not any(map(line_inside_quadric, off)) and all(map(_ends_on_quadric, off))
+            trace = [x for line in off for x in (line.p, line.q)
+                     if not any(point_on_line(x, l) for l in on)]
+            h0_residual = comb(k + 1, 3) - len(residual)
+            return h0_residual + _trace_nullity(on, trace, k, lower - h0_residual)
+    rows, exact = restriction_matrix(lines, k)
+    return nullity_certified(rows, comb(k + 3, 3), lower, exact)
+
+
+# (lines, k) -> h^0(I_Y(k)); the count depends on the lines alone
+_counts: dict[tuple[tuple[Line, ...], int], int] = {}
 
 # configuration -> least twist k computed with h^1(I_Y(k)) = 0 at which I_Y
 # is known to be (k+1)-regular; see the module docstring
@@ -124,13 +162,10 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
     lower = chi_ideal(cfg, k) - structure_cohomology(cfg, k).h1  # h^1(I) >= 0; h^3(O(k)) = 0
     if k >= _regular_from.get(cfg, k + 1):
         return lower
-    rows, exact = _restriction_rows(cfg, k), _exact_rows(cfg, k)
-    if all(map(line_inside_quadric, cfg.lines)):
-        # Q * S_{k-2} vanishes on Y, and the rows are the other (k+1)^2 columns
-        multiples = comb(k + 1, 3)
-        h0 = multiples + nullity_certified(rows, (k + 1) ** 2, lower - multiples, exact)
-    else:
-        h0 = nullity_certified(rows, comb(k + 3, 3), lower, exact)
+    key = (cfg.lines, k)
+    if key not in _counts:
+        _counts[key] = _count(cfg.lines, k, lower)
+    h0 = _counts[key]
     if (h0 == lower and structure_cohomology(cfg, k - 1).h1 == 0
             and h_p3_line_bundle(k - 2).h3 == 0):
         _regular_from[cfg] = k
@@ -138,14 +173,15 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
 
 
 def clear_caches() -> None:
-    """Forget every memoised h0, regularity record, quadric-point answer,
-    line-restriction block and monomial table."""
+    """Forget every memoised h0 and count, regularity record, quadric-point
+    answer, line-restriction block and monomial table."""
     h0_ideal.cache_clear()
     quadric_restriction_onto_points_surjective.cache_clear()
+    _counts.clear()
     _regular_from.clear()
     # through its owner: a caller may have rebound this module's name to a wrapper
     linalg.line_restriction_block.cache_clear()
-    for table in (linalg._monomials, linalg._degree_step, linalg._basis_columns):
+    for table in (linalg._monomials, linalg._degree_step):
         table.cache_clear()
 
 
@@ -204,17 +240,18 @@ def quadric_restriction_onto_points_surjective(points: tuple[MarkedPoint, ...],
 def restriction_onto_lines_surjective(cfg: GeometryConfig, k: int) -> bool:
     """Is H0(O_P3(k)) -> (+) H0(O_line(k)) over the component lines surjective?
 
-    Equivalent to h^1(I(k)) = 0 when the components are disjoint lines.  When
-    two components meet, as the lines of a nodal conic do, it is not, at any
-    k >= 0: every form restricts to the same value at the common point on
-    both lines, while the target has sections that differ there.  So that
-    case is answered without a rank.
+    Below twist 0 the target is 0, so it is.  When two components meet, as
+    the lines of a nodal conic do, it is not, at any k >= 0: every form
+    restricts to the same value at the common point on both lines, while
+    the target has sections that differ there.  For disjoint lines the
+    cokernel is H^1(I_Y(k)), as H^1(O_P3(k)) = 0, so the memoised h^0
+    answers.
     """
     if k < 0:
-        return not cfg.lines
+        return True
     if not lines_pairwise_disjoint(cfg.lines):
         return False
-    return full_row_rank(_restriction_rows(cfg, k), _exact_rows(cfg, k))
+    return ideal_cohomology(cfg, k).h1 == 0
 
 
 def marked_point_evaluation_surjective(cfg: GeometryConfig, k: int) -> bool:

@@ -219,21 +219,21 @@ def test_spectrum_is_seed_independent(seed):
 def test_a_profile_builds_no_twist_above_a_regularity_record(monkeypatch):
     builds = []
 
-    def counting(cfg, k):
-        builds.append((cfg, k))
-        return restriction_rows(cfg, k)
+    def counting(lines, k, lower):
+        builds.append((lines, k))
+        return count(lines, k, lower)
 
-    restriction_rows = sheaves._restriction_rows
+    count = sheaves._count
     clear_caches()
-    monkeypatch.setattr(sheaves, "_restriction_rows", counting)
+    monkeypatch.setattr(sheaves, "_count", counting)
     spec = MonadSpec.create(Series.SIGMA0, 2, 1, 9)
     monad.h1_intervals(spec, -spec.a - 3, -1)
-    records = dict(sheaves._regular_from)
+    records = {cfg.lines: k for cfg, k in sheaves._regular_from.items()}
     clear_caches()
     # the Serre half asks the ideal twists -2..a lowest first, so the record
     # answers every twist above it
-    assert len(records) == 2 and {cfg for cfg, _ in builds} == set(records)
-    assert [(cfg, k) for cfg, k in builds if k > records[cfg]] == []
+    assert len(records) == 2 and {lines for lines, _ in builds} == set(records)
+    assert [(lines, k) for lines, k in builds if k > records[lines]] == []
 
 
 @pytest.fixture
@@ -255,7 +255,7 @@ def exact_ranks(monkeypatch):
 @pytest.mark.parametrize("m, eps, a, n", [(19, 0, 24, 614), (25, 1, 25, 676)])
 def test_a_ruling_spectrum_at_paper_scale_needs_no_exact_rank(exact_ranks, m, eps, a, n):
     # every summand curve is ruling lines on S, so each certificate closes
-    # in the (k+1)^2 free columns
+    # in the (k+1)^2 quadric columns of piece B
     entries = spectrum(MonadSpec.create(Series.SIGMA0, m, eps, a))
     assert len(entries) == n and entries == tuple(sorted(-k for k in entries))
     assert exact_ranks == []
@@ -270,6 +270,32 @@ def test_the_sigma0_series_replays_from_n_146(exact_ranks):
         entries = spectrum(spec)
         assert len(entries) == record.n and entries == tuple(sorted(-k for k in entries))
     assert exact_ranks == []
+
+
+def test_a_sigma1_spectrum_with_eleven_conics_splits_along_the_quadric(monkeypatch):
+    # the first record whose summands need 11 and 12 conics: every exact
+    # rank left is piece B of the residual split, in (k+1)^2 columns
+    shapes = []
+
+    def recording(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return rank_exact(rows)
+
+    rank_exact = linalg.rank_exact
+    clear_caches()
+    monkeypatch.setattr(linalg, "rank_exact", recording)
+    entries = spectrum(MonadSpec.create(Series.SIGMA1, 10, 1, 25))
+    clear_caches()
+    assert len(entries) == 692 and entries == tuple(sorted(-1 - k for k in entries))
+    assert shapes == [(143, 12 ** 2), (168, 13 ** 2)]
+
+
+def test_recovery_checks_the_profile_from_the_entry_counts(monkeypatch):
+    # the check costs O(distinct entries) per twist, not one sum over all n
+    entries = [0] * 4000 + [1] * 300 + [-1] * 300 + [2, -2]
+    profile = {-s: spectrum_h1(entries, -s) for s in range(1, 6)}
+    monkeypatch.setattr(monad, "spectrum_h1", None)
+    assert recover_spectrum(profile, 0, len(entries)) == tuple(sorted(entries))
 
 
 def test_recovery_rejects_gaps():

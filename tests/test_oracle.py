@@ -12,7 +12,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
@@ -40,6 +40,7 @@ from p3bundles.oracle import linalg, sheaves
 from p3bundles.oracle.configs import (
     lines_disjoint,
     line_inside_quadric,
+    point_on_line,
     quadric_value,
     ruling_line,
 )
@@ -47,14 +48,16 @@ from p3bundles.oracle.linalg import (
     PRIME,
     bidegree_exponents,
     evaluation_matrix,
+    exact_quadric_rows,
     exact_restriction_rows,
     full_row_rank,
     line_restriction_block,
     monomial_exponents,
     nullity_certified,
+    quadric_exponents,
     rank_exact,
     rank_mod_p,
-    to_quadric_basis,
+    restriction_matrix,
 )
 from p3bundles.tables import chi_p3_line_bundle
 
@@ -132,6 +135,15 @@ def test_lines_meet_exactly_where_their_determinant_vanishes(xs):
     assert lines_disjoint(first, second) == (Matrix(4, 4, xs).det() != 0)
 
 
+@given(st.lists(st.integers(min_value=-2, max_value=2), min_size=12, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_a_point_lies_on_a_line_exactly_where_the_three_rows_are_dependent(xs):
+    line, x = Line(tuple(xs[0:4]), tuple(xs[4:8])), tuple(xs[8:12])
+    assume(Matrix(2, 4, xs[:8]).rank() == 2)
+    assert point_on_line(x, line) == (Matrix(3, 4, xs).rank() == 2)
+    assert point_on_line(line.p, line) and point_on_line(line.q, line)
+
+
 def test_equal_configurations_compare_and_hash_equal():
     a, b = sample_conics(3, 5), sample_conics(3, 5)
     assert a is not b and a == b and hash(a) == hash(b)
@@ -169,9 +181,21 @@ def test_h0_ideal_monotone_in_degree(m, seed):
 @given(charges, seeds)
 @settings(max_examples=15, deadline=None)
 def test_restriction_surjectivity_matches_h1(m, seed):
-    cfg = sample_ruling(m, seed)
-    for k in range(0, 5):
-        assert restriction_onto_lines_surjective(cfg, k) == (ideal_cohomology(cfg, k).h1 == 0)
+    ruling = sample_ruling(m, seed)
+    for cfg in (ruling, sample_modification(m, seed),
+                join_configs(ruling, sample_modification(m, seed, avoid=ruling))):
+        for k in range(-3, 9):
+            onto = restriction_onto_lines_surjective(cfg, k)
+            assert onto == (ideal_cohomology(cfg, k).h1 == 0)
+            # below twist 0 the target is 0; above, the whole matrix decides
+            assert onto == (k < 0 or full_row_rank(*restriction_matrix(cfg.lines, k)))
+
+
+def test_restriction_onto_lines_at_a_negative_twist_is_surjective():
+    # the target (+) H^0(O_line(k)) is 0 for k < 0, whatever the lines
+    for cfg in (sample_ruling(2, 0), sample_conics(1, 0), sample_modification(2, 0)):
+        assert all(restriction_onto_lines_surjective(cfg, k) for k in range(-4, 0))
+        assert ideal_cohomology(cfg, -1).as_tuple()[:2] == (0, 0)
 
 
 def test_forms_through_ruling_lines():
@@ -244,92 +268,88 @@ coords = st.integers(min_value=-2 ** 40, max_value=2 ** 40)
 points = st.tuples(coords, coords, coords, coords)
 
 
-def _quadric_basis_values(x, k):
-    """The quadric basis of the degree-k forms, as the linalg docstring states
-    it, evaluated at x: Q*m for the monomials m of degree k-2 in lex order,
-    then the monomials not divisible by x0*x3 by degree in (x1, x3), then in
-    (x2, x3)."""
-    def value(e):
-        return prod(a ** n for a, n in zip(x, e))
-
-    quadric = x[0] * x[3] - x[1] * x[2]
-    free = sorted((e for e in monomial_exponents(k) if not (e[0] and e[3])),
-                  key=lambda e: (e[1] + e[3], e[2] + e[3]))
-    return [quadric * value(e) for e in monomial_exponents(k - 2)] + [value(e) for e in free]
+def _assert_columns_restrict(exact, p, q, k, exponents):
+    """Column j of ``exact`` holds the coefficients of the j-th monomial of
+    ``exponents`` restricted to s*p + t*q in the basis s^k, s^(k-1) t, ...,
+    t^k.  A binary form of degree k is fixed by its values at k+1 points
+    (1, t), so comparing those checks every entry."""
+    columns = np.array(exact, dtype=object).reshape(k + 1, len(exponents)).T
+    for t in range(-(k // 2), k + 1 - k // 2):
+        powers = np.array([t ** r for r in range(k + 1)], dtype=object)
+        on_line = [a + t * b for a, b in zip(p, q)]
+        assert columns.dot(powers).tolist() == [
+            prod(a ** n for a, n in zip(on_line, e)) for e in exponents]
 
 
 @given(points, points, st.integers(min_value=0, max_value=25))
-@example((3, 0, -2, 0), (0, 3, 0, -2), 6)  # a ruling line: (k+1)^2 columns only
+@example((3, 0, -2, 0), (0, 3, 0, -2), 6)  # a ruling line: (k+1)^2 columns too
 @settings(max_examples=30, deadline=None)
 def test_restriction_block_mod_p_is_the_exact_block_reduced(p, q, k):
     line = Line(p, q)
     exact = exact_restriction_rows((line,), k)
-    block = line_restriction_block(line, k)
-    width = (k + 1) ** 2 if line_inside_quadric(line) else comb(k + 3, 3)
-    assert block.dtype == np.int64 and block.shape == (k + 1, width)
-    assert block.tolist() == [[x % PRIME for x in row] for row in exact]
-    # column j holds the coefficients of the j-th basis form restricted to
-    # s*p + t*q in the basis s^k, s^(k-1) t, ..., t^k.  A binary form of
-    # degree k is fixed by its values at k+1 points (1, t), so comparing
-    # those checks every entry; a line on S keeps the columns after the Q*m.
-    columns = np.array(exact, dtype=object).T
-    for t in range(-(k // 2), k + 1 - k // 2):
-        powers = np.array([t ** r for r in range(k + 1)], dtype=object)
-        on_line = [a + t * b for a, b in zip(p, q)]
-        assert columns.dot(powers).tolist() == _quadric_basis_values(on_line, k)[-width:]
+    residues, build = restriction_matrix((line,), k)
+    assert all(row.dtype == np.int64 for row in residues) and build() == exact
+    assert [row.tolist() for row in residues] == [[x % PRIME for x in row] for row in exact]
+    _assert_columns_restrict(exact, p, q, k, monomial_exponents(k))
+    if line_inside_quadric(line):  # the cached block keeps the quadric columns
+        exact = exact_quadric_rows((line,), k)
+        block = line_restriction_block(line, k)
+        assert block.dtype == np.int64 and block.shape == (k + 1, (k + 1) ** 2)
+        assert block.tolist() == [[x % PRIME for x in row] for row in exact]
+        _assert_columns_restrict(exact, p, q, k, quadric_exponents(k))
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_the_quadric_columns_are_the_monomials_off_x0_x3(k):
+    # by degree in (x1, x3), then in (x2, x3): one monomial per pair of degrees
+    exponents = quadric_exponents(k)
+    assert all(sum(e) == k and not (e[0] and e[3]) for e in exponents)
+    assert [(e[1] + e[3], e[2] + e[3]) for e in exponents] == [
+        (a, b) for a in range(k + 1) for b in range(k + 1)]
+
+
+def _quadric_multiples(k):
+    """Per monomial m of degree k-2, lex order: the positions of x0*x3*m and
+    x1*x2*m among the degree-k monomials, so Q*m is the first minus the
+    second."""
+    index = {e: i for i, e in enumerate(monomial_exponents(k))}
+    return ([index[(a + 1, b, c, d + 1)] for a, b, c, d in monomial_exponents(k - 2)],
+            [index[(a, b + 1, c + 1, d)] for a, b, c, d in monomial_exponents(k - 2)],
+            [index[e] for e in quadric_exponents(k)])
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_the_quadric_basis_is_unimodular(k):
+    # the multiples Q*m and the quadric columns, in monomial coordinates, one
+    # column each, span the degree-k forms over Z: so the quadric columns
+    # restrict to a basis of H^0(O_S(k)), the columns of piece B
+    plus, minus, free = _quadric_multiples(k)
+    change = np.zeros((comb(k + 3, 3), comb(k + 3, 3)), dtype=np.int64)
+    for j, (a, b) in enumerate(zip(plus, minus)):
+        change[a, j], change[b, j] = 1, -1
+    for j, row in enumerate(free, start=len(plus)):
+        change[row, j] = 1
+    assert abs(Matrix(change.tolist()).det()) == 1
 
 
 @given(charges, seeds, st.integers(min_value=0, max_value=12))
 @settings(max_examples=15, deadline=None)
 def test_the_q_columns_vanish_on_ruling_lines(m, seed, k):
+    # Q*m vanishes on a line of S, so with every line on S the whole matrix
+    # has the rank of the cached blocks, and h^0 is C(k+1, 3) plus B's nullity
+    plus, minus, free = _quadric_multiples(k)
     conics = sample_conics(m, seed)
     for lines in (sample_ruling(m, seed).lines, ruling_part(conics).lines):
-        assert all(line_inside_quadric(l) for l in lines)
-        full = to_quadric_basis(linalg._restriction_block(lines, k, None), k)
-        assert not full[:, :comb(k + 1, 3)].any()
-        # the cached narrow blocks are the other (k+1)^2 columns
-        assert full[:, comb(k + 1, 3):].tolist() == [
-            list(row) for line in lines for row in exact_restriction_rows((line,), k)]
+        full = np.array(exact_restriction_rows(lines, k), dtype=object)
+        assert not (full[:, plus] - full[:, minus]).any()
+        assert full[:, free].tolist() == [list(row) for row in exact_quadric_rows(lines, k)]
     if k >= 2:  # a partner line leaves S, and Q*m does not vanish on it
         for line in partner_part(conics).lines:
-            assert to_quadric_basis(linalg._restriction_block((line,), k, None), k)[
-                :, :comb(k + 1, 3)].any()
-
-
-@pytest.mark.parametrize("k", range(6))
-def test_the_quadric_basis_is_unimodular(k):
-    # the basis forms' monomial coordinates, one column each
-    change = to_quadric_basis(np.eye(comb(k + 3, 3), dtype=np.int64).astype(object), k)
-    assert change.shape == (comb(k + 3, 3), comb(k + 3, 3))
-    assert abs(Matrix(change.tolist()).det()) == 1
+            full = np.array(exact_restriction_rows((line,), k), dtype=object)
+            assert (full[:, plus] - full[:, minus]).any()
 
 
 small = st.integers(min_value=-3, max_value=3)
-
-
-@st.composite
-def monomial_blocks(draw):
-    """A*B with small entries and an inner dimension up to the column count,
-    whose columns are the degree-k monomials, k <= 4."""
-    k = draw(st.integers(min_value=0, max_value=4))
-    n_rows, inner = (draw(st.integers(min_value=0, max_value=9)) for _ in range(2))
-    n_cols = comb(k + 3, 3)
-    a = draw(st.lists(st.lists(small, min_size=inner, max_size=inner),
-                      min_size=n_rows, max_size=n_rows))
-    b = draw(st.lists(st.lists(small, min_size=n_cols, max_size=n_cols),
-                      min_size=inner, max_size=inner))
-    return k, [tuple(sum(x * b[i][j] for i, x in enumerate(row)) for j in range(n_cols))
-               for row in a]
-
-
-@given(monomial_blocks())
-@settings(max_examples=80, deadline=None)
-def test_the_quadric_basis_keeps_every_rank(case):
-    k, rows = case
-    moved = [tuple(row) for row in to_quadric_basis(
-        np.array(rows, dtype=object).reshape(len(rows), comb(k + 3, 3)), k).tolist()]
-    assert rank_exact(moved) == rank_exact(rows)
-    assert rank_mod_p(moved) == rank_mod_p(rows)
 
 
 def _whole_row_reduce(m):
@@ -374,7 +394,7 @@ def test_trimmed_elimination_is_the_whole_row_elimination(rows):
     join_configs(sample_ruling(3, 0), sample_modification(2, 0, avoid=sample_ruling(3, 0))),
 ], ids=["conics", "ruling", "join"])
 def test_trimmed_elimination_on_restriction_matrices(cfg, k):
-    trimmed = np.vstack(sheaves._restriction_rows(cfg, k))
+    trimmed = np.vstack(restriction_matrix(cfg.lines, k)[0])
     whole = trimmed.copy()
     pivots = linalg._row_reduce_mod_p(trimmed)
     assert pivots == _whole_row_reduce(whole)
@@ -414,9 +434,9 @@ def test_clear_caches_empties_every_oracle_cache():
     quadric_restriction_onto_points_surjective(sample_modification(1, 0).marked, 1, 1)
     assert h0_ideal.cache_info().currsize and line_restriction_block.cache_info().currsize
     assert quadric_restriction_onto_points_surjective.cache_info().currsize
-    assert sheaves._regular_from
+    assert sheaves._regular_from and sheaves._counts
     clear_caches()
-    assert h0_ideal.cache_info().currsize == 0
+    assert h0_ideal.cache_info().currsize == 0 and not sheaves._counts
     assert line_restriction_block.cache_info().currsize == 0
     assert quadric_restriction_onto_points_surjective.cache_info().currsize == 0
     assert not sheaves._regular_from
@@ -468,10 +488,10 @@ def test_exact_rows_are_built_only_on_fallback(exact_builds, fallbacks):
     assert h0_ideal(MIXED, 4) == 10 and restriction_onto_lines_surjective(MIXED, 4)
     assert fallbacks == [] and exact_builds == []
     # h^0(I(3)) = h^1(I(3)) = 2: the certificate leaves a gap, and Bareiss
-    # closes it on the integer rows, built once per fallback
+    # closes it on the integer rows, built once; surjectivity reads that h^0
     assert h0_ideal(MIXED, 3) == 2
     assert not restriction_onto_lines_surjective(MIXED, 3)
-    assert fallbacks == [20, 20] and exact_builds == [3, 3]
+    assert fallbacks == [20] and exact_builds == [3]
 
 
 def test_ruling_lines_certify_in_the_free_columns(fallbacks, monkeypatch):
@@ -497,7 +517,7 @@ def test_ruling_lines_certify_in_the_free_columns(fallbacks, monkeypatch):
 
 def test_the_regularity_record_stays_keyed_on_the_chi_bound():
     # at k = 2 the 13 lines lie only on Q, so h^0 meets C(k+1, 3), the bound
-    # the free columns are certified against, while h^1(I_Y(2)) = 30
+    # piece B is certified against, while h^1(I_Y(2)) = 30
     clear_caches()
     cfg = sample_ruling(12, 0)
     assert h0_ideal(cfg, 2) == 1 and ideal_cohomology(cfg, 2).h1 == 30
@@ -506,13 +526,12 @@ def test_the_regularity_record_stays_keyed_on_the_chi_bound():
 
 
 def _full_matrix_nullity(cfg, k):
-    """h^0(I_Y(k)) from the whole restriction matrix, certified against the
-    chi bound h^1(I_Y(k)) >= 0 as at every twist, with no regularity record.
-    When every line lies on S the rows are its (k+1)^2 free columns, which
-    have its rank: its Q columns are zero."""
+    """h^0(I_Y(k)) from the whole restriction matrix in the monomials of
+    P^3, certified against the chi bound h^1(I_Y(k)) >= 0 as at every twist,
+    with no regularity record and no split along S."""
     lower = sheaves.chi_ideal(cfg, k) - structure_cohomology(cfg, k).h1
-    return nullity_certified(sheaves._restriction_rows(cfg, k), comb(k + 3, 3), lower,
-                             lambda: exact_restriction_rows(cfg.lines, k))
+    rows, exact = restriction_matrix(cfg.lines, k)
+    return nullity_certified(rows, comb(k + 3, 3), lower, exact)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -534,6 +553,77 @@ def test_h0_above_the_regularity_record_is_the_full_nullity(cfg, order):
     assert got == {k: _full_matrix_nullity(cfg, k) for k in twists}
 
 
+def _split_grid():
+    """Ruling, conic, partner, modification and ruling+modification samples
+    for m <= 5 at seeds 0 and 1, with the twists -1..2m+8."""
+    for m in range(6):
+        for seed in range(2):
+            ruling, conics = sample_ruling(m, seed), sample_conics(m, seed)
+            yield from (pytest.param(m, cfg, id=f"{kind}-m{m}-s{seed}") for kind, cfg in (
+                ("ruling", ruling), ("conics", conics), ("partner", partner_part(conics)),
+                ("modification", sample_modification(m + 1, seed)),
+                ("ruling+modification",
+                 join_configs(ruling, sample_modification(m + 1, seed + 100, avoid=ruling)))))
+
+
+@pytest.mark.parametrize("m, cfg", [*_split_grid(), pytest.param(4, MIXED, id="mixed")])
+def test_the_residual_split_is_the_whole_matrix(m, cfg, monkeypatch):
+    splits = []
+
+    def recording(on, points, k, lower):
+        splits.append(k)
+        return trace_nullity(on, points, k, lower)
+
+    trace_nullity = sheaves._trace_nullity
+    monkeypatch.setattr(sheaves, "_trace_nullity", recording)
+    # each twist from cold caches, so no regularity record answers it
+    for k in range(-1, 2 * m + 9):
+        clear_caches()
+        assert h0_ideal(cfg, k) == (_full_matrix_nullity(cfg, k) if k >= 0 else 0), k
+    clear_caches()
+    # MIXED has lines off S whose ends leave S, so it takes the whole matrix;
+    # every other sample splits at least at the top twist
+    assert (2 * m + 8 in splits) == (cfg != MIXED)
+
+
+def test_ten_conics_split_where_the_whole_matrix_needs_bareiss(monkeypatch):
+    # at k = 8, 9, 10 h^1 > 0 and each conic's node makes the whole matrix's
+    # rows dependent, so its certificate cannot close (180 x 165, 200 x 220
+    # and 220 x 286 went to Bareiss); split along S, the partners' rows at
+    # k-2 are independent, and only B at k = 10 is left to Bareiss
+    shapes = []
+
+    def recording(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return rank_exact(rows)
+
+    monkeypatch.setattr(linalg, "rank_exact", recording)
+    conics = sample_conics(9, 0)
+    for k, h0 in ((8, 14), (9, 40), (10, 78)):
+        clear_caches()
+        assert h0_ideal(conics, k) == h0
+    assert shapes == [(120, 11 ** 2)]
+    clear_caches()
+
+
+def test_configurations_with_the_same_lines_share_one_count(monkeypatch):
+    shapes = []
+
+    def recording(m):
+        shapes.append(m.shape)
+        return row_reduce(m)
+
+    row_reduce = linalg._row_reduce_mod_p
+    monkeypatch.setattr(linalg, "_row_reduce_mod_p", recording)
+    clear_caches()
+    cfg = sample_ruling(3, 0)
+    shifted = replace(cfg, serre_shift=(-2, 1))
+    assert cfg != shifted and cfg.lines == shifted.lines
+    assert h0_ideal(cfg, 2) == h0_ideal(shifted, 2) == 1
+    assert h0_ideal.cache_info().misses == 2 and shapes == [(12, 9)]
+    clear_caches()
+
+
 def test_four_ruling_lines_have_h1_at_twist_two():
     # the agreement sample with h^1(I_Y(k)) > 0 at a k >= 0
     cfg = sample_ruling(3, 0)
@@ -542,16 +632,16 @@ def test_four_ruling_lines_have_h1_at_twist_two():
 
 @pytest.fixture
 def row_builds(monkeypatch):
-    """Count the restriction matrices `h0_ideal` stacks, from cold caches."""
+    """Count the twists `h0_ideal` counts with matrices, from cold caches."""
     calls = []
 
-    def counting(cfg, k):
+    def counting(lines, k, lower):
         calls.append(k)
-        return restriction_rows(cfg, k)
+        return count(lines, k, lower)
 
-    restriction_rows = sheaves._restriction_rows
+    count = sheaves._count
     clear_caches()
-    monkeypatch.setattr(sheaves, "_restriction_rows", counting)
+    monkeypatch.setattr(sheaves, "_count", counting)
     yield calls
     clear_caches()
 
@@ -586,25 +676,15 @@ def test_each_exact_fallback_eliminates_mod_p_once(exact_builds, fallbacks, monk
 
     row_reduce = linalg._row_reduce_mod_p
     monkeypatch.setattr(linalg, "_row_reduce_mod_p", counting)
+    # the ends of MIXED's lines off S leave S, so the whole matrix is eliminated
     assert h0_ideal(MIXED, 3) == 2 and fallbacks == [20]
     assert passes == [(20, 20)]
-    assert not restriction_onto_lines_surjective(MIXED, 3) and fallbacks == [20, 20]
-    assert passes == [(20, 20)] * 2
+    # surjectivity reads the memoised h^0 and eliminates nothing
+    assert not restriction_onto_lines_surjective(MIXED, 3) and fallbacks == [20]
+    assert passes == [(20, 20)]
     # Bareiss reads the integer rows and eliminates nothing mod p
     assert rank_exact(exact_restriction_rows(MIXED.lines, 3)) == 18
-    assert passes == [(20, 20)] * 2
-
-
-def _per_line_rows(lines, k, modulus):
-    """The restriction matrix stacked from each line's own block: the lines
-    off S first, then the rows of the lines on S by power of t, zero in the
-    Q columns when a line leaves S."""
-    blocks = [(line_inside_quadric(line), linalg._line_block(line, k, modulus))
-              for line in lines]
-    off = [row for on, block in blocks if not on for row in block]
-    width = comb(k + 3, 3) if off else (k + 1) ** 2
-    return off + [np.concatenate([np.zeros(width - (k + 1) ** 2, block.dtype), block[j]])
-                  for j in range(k + 1) for on, block in blocks if on]
+    assert passes == [(20, 20)]
 
 
 _RULING = sample_ruling(3, 0)
@@ -615,13 +695,17 @@ STACKED = [sample_ruling(4, 0), sample_conics(2, 1), sample_modification(3, 2),
 @pytest.mark.parametrize("cfg", STACKED,
                          ids=lambda cfg: f"{cfg.curve}-{len(cfg.lines)}-{config_hash(cfg)[:6]}")
 def test_stacked_rows_are_the_per_line_blocks(cfg):
+    # one recursion over all the lines gives each line's own block, in order
     for k in range(12):
-        residues, reference = sheaves._restriction_rows(cfg, k), _per_line_rows(cfg.lines, k, PRIME)
+        residues, build = restriction_matrix(cfg.lines, k)
+        reference = [row for line in cfg.lines for row in restriction_matrix((line,), k)[0]]
         assert len(residues) == len(reference) == len(cfg.lines) * (k + 1)
         assert all(row.dtype == np.int64 and row.tobytes() == ref.tobytes()
                    for row, ref in zip(residues, reference))
-        assert exact_restriction_rows(cfg.lines, k) == [
-            tuple(row.tolist()) for row in _per_line_rows(cfg.lines, k, None)]
+        assert build() == [row for line in cfg.lines for row in exact_restriction_rows((line,), k)]
+        on = tuple(filter(line_inside_quadric, cfg.lines))
+        assert [row.tobytes() for row in linalg._restriction_block(on, k, PRIME, True)] == [
+            row.tobytes() for line in on for row in line_restriction_block(line, k)]
 
 
 @pytest.mark.parametrize("cfg", [sample_conics(3, 0), sample_modification(3, 0), STACKED[3]],
