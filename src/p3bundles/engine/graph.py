@@ -36,25 +36,27 @@ let a rule fire (a narrowing, a rule setting chi or a connecting map, and
 each declaration), and the query `instance` propagates first when it has
 moved since `propagate` last finished cleanly.
 
-Rule bodies run from a worklist.  A rule instance is one body applied to one
-object: chi-additivity, R7, R2/R4 segments and R3 per triple instance, R1 per
-instance, R5 per dual pair and R6 per sum group (the R8 implications run
-every round).  Its inputs are every instance it reads or narrows, plus the
-triple instance itself for R7 and the segments.  Each input keeps the list
-of rule instances that read it, and every write to it marks them dirty: an
-instance when a narrowing shrinks it and when its chi is set, a triple
-instance when a connecting map is killed.  A new rule instance starts dirty.
-`propagate` walks rounds in the fixed order: early rules (chi-additivity and
-R7 per triple instance), R8, then late rules (segments and R3 per triple
-instance, R1, R5, R6).  A rule marked at a position after the one running
-runs in this round; any other waits for the next.  Rounds repeat until one
-writes nothing.  So exactly the bodies whose inputs moved since their last
-call began are called, in the order of calling every body every round, and
-the events, `explain()` chains and reports are those of that walk: a body
-reads and writes only its inputs, so unmoved inputs mean the last call found
-them as they are now and narrowed nothing.  A body that raises records
-nothing and stays dirty, so the next propagation meets the contradiction
-again.  Each write also stamps what it wrote with the counter's new value.
+Rule bodies run when they are dirty.  A rule instance is one body applied to
+one object: chi-additivity, R7, R2/R4 segments and R3 per triple instance,
+R1 per instance, R5 per dual pair and R6 per sum group (the R8 implications
+run every round).  Its inputs are every instance it reads or narrows, plus
+the triple instance itself for R7 and the segments.  Each input keeps the
+list of rule instances that read it, and every write to it sets their dirty
+flags: an instance when a narrowing shrinks it and when its chi is set, a
+triple instance when a connecting map is killed.  A new rule instance starts
+dirty.  Each round of `propagate` scans the fixed order: early rules
+(chi-additivity and R7 per triple instance), R8, then late rules (segments
+and R3 per triple instance, R1, R5, R6), and calls each rule whose flag is
+set, clearing it first.  So a rule marked after the scan has passed it waits
+for the next round, and one marked ahead of the scan runs in this one.
+Rounds repeat until one writes nothing.  Thus exactly the bodies whose
+inputs moved since their last call began are called, in the order of calling
+every body every round, and the events, `explain()` chains and reports are
+those of that walk: a body reads and writes only its inputs, so unmoved
+inputs mean the last call found them as they are now and narrowed nothing.
+A body that raises records nothing and stays dirty, and so do the rules the
+scan had not reached, so the next propagation meets the contradiction again.
+Each write also stamps what it wrote with the counter's new value.
 A node's character is set once.  Its chi enters as the integer cubic
 6 chi(F(t)) of Riemann-Roch, built when the node gets the character and
 evaluated at each new instance's twist.
@@ -62,7 +64,6 @@ evaluated at each new instance's twist.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -81,7 +82,6 @@ from p3bundles.tables import (
 )
 
 MAX_ROUNDS = 10000
-_IDLE = float("inf")  # the running position outside propagate: every mark waits
 EXPLAIN_MAX_LINES = 40  # a derivation chain is cut after this many slots
 
 
@@ -217,16 +217,16 @@ class TripleInstance:
 
 class Rule:
     """One rule body applied to one object: `body(graph, arg)` reads and
-    narrows only `insts` and `tinsts`.  `pos` is its place in the propagation
-    order.  Instances name their readers by rule id, so a finished graph
-    holds no reference cycle and is freed as soon as it is dropped."""
+    narrows only `insts` and `tinsts`; `dirty` is set when one of them moved
+    since its last call began.  Instances name their readers by rule id, so
+    a finished graph holds no reference cycle and is freed as soon as it is
+    dropped."""
 
-    __slots__ = ("key", "body", "arg", "insts", "tinsts", "pos", "dirty")
+    __slots__ = ("key", "body", "arg", "insts", "tinsts", "dirty")
 
     def __init__(self, key: tuple, body: Callable, arg, insts: tuple, tinsts: tuple):
         self.key, self.body, self.arg = key, body, arg
         self.insts, self.tinsts = insts, tinsts
-        self.pos = -1
         self.dirty = True
 
 
@@ -255,12 +255,6 @@ class DeductionGraph:
         # the rule instances in propagation order and the number of early
         # ones; None once an instance, triple instance or character is added
         self._order: Optional[tuple[list[Rule], int]] = None
-        # the worklist: negated positions of the dirty rules to run this
-        # round, sorted so that the lowest position is last, and the dirty
-        # rules that wait for the next round or propagation
-        self._queue: list[int] = []
-        self._later: list[Rule] = []
-        self._at = _IDLE  # position of the running rule; _IDLE outside propagate
         self.rule_calls = 0  # rule-instance bodies run, clean ones not counted
 
     # -- declarations --------------------------------------------------
@@ -412,55 +406,38 @@ class DeductionGraph:
 
     def propagate(self) -> None:
         order, split = self._layout()
-        queue, later = self._queue, self._later
-        try:
-            for _ in range(MAX_ROUNDS):
-                start = self._changes
-                queue += [-rule.pos for rule in later]
-                later.clear()
-                queue.sort()
-                self._at = -1
-                self._settle(order, split)
-                self._at = split - 1  # R8 sits between the early and late rules
-                self._rule_implications()
-                self._settle(order, len(order))
-                if self._changes == start:
-                    self._fixpoint = start
-                    return
-        finally:
-            # a raise part way leaves the rest of this round dirty for the next call
-            later += [order[-neg] for neg in queue]
-            queue.clear()
-            self._at = _IDLE
+        early, late = order[:split], order[split:]
+        for _ in range(MAX_ROUNDS):
+            start = self._changes
+            self._settle(early)
+            self._rule_implications()
+            self._settle(late)
+            if self._changes == start:
+                self._fixpoint = start
+                return
         raise EngineError("propagation did not stabilize")
 
-    def _settle(self, order: list[Rule], end: int) -> None:
-        """Run the queued rules before position `end`, lowest position first."""
-        queue = self._queue
-        while queue and -queue[-1] < end:
-            rule = order[-queue.pop()]
-            self._at = rule.pos
-            rule.dirty = False
-            try:
-                self._fire(rule)
-            except BaseException:
-                self._mark((rule,))
-                raise
+    def _settle(self, rules: list[Rule]) -> None:
+        """Call the dirty rules in order, each with its flag cleared; a rule
+        that raises is dirty again."""
+        for rule in rules:
+            if rule.dirty:
+                rule.dirty = False
+                try:
+                    self._fire(rule)
+                except BaseException:
+                    rule.dirty = True
+                    raise
 
     def _fire(self, rule: Rule) -> None:
         self.rule_calls += 1
         rule.body(self, rule.arg)
 
     def _mark(self, rules: Iterable[Rule]) -> None:
-        """Mark rules dirty: later in this round if they come after the
-        running rule, else in the next round."""
+        """Mark rules dirty: this round if the scan has not reached them yet,
+        else the next."""
         for rule in rules:
-            if not rule.dirty:
-                rule.dirty = True
-                if rule.pos > self._at:
-                    insort(self._queue, -rule.pos)
-                else:
-                    self._later.append(rule)
+            rule.dirty = True
 
     def _layout(self) -> tuple[list[Rule], int]:
         """The rule instances in propagation order, and how many are early.
@@ -476,10 +453,7 @@ class DeductionGraph:
             for group in self._sum_groups():
                 late.append(self._found(("sum", group[0].key), cls._rule_sum, group,
                                         (group[0], *group[1])))
-            order = [self._rules[i] for i in early + late]
-            for pos, r in enumerate(order):
-                r.pos = pos
-            self._order = (order, len(early))
+            self._order = ([self._rules[i] for i in early + late], len(early))
         return self._order
 
     def _rule(self, key: tuple, body: Callable, arg, insts: tuple, tinsts: tuple = ()) -> int:
@@ -491,7 +465,6 @@ class DeductionGraph:
             read.readers.append(rule_id)
         for read in tinsts:
             read.readers.append(rule_id)
-        self._later.append(rule)
         return rule_id
 
     def _found(self, key: tuple, body: Callable, arg, insts: tuple) -> int:

@@ -2,15 +2,19 @@
 
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from p3bundles import cli
 from p3bundles.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -231,15 +235,32 @@ def test_catalog_tsv_lists_all_rows():
     assert len(out.strip().splitlines()) == 13
 
 
-@pytest.mark.skipif(shutil.which("p3bundles") is None,
-                    reason="console script not installed")
+def console_script() -> tuple[list[str], dict]:
+    """The installed `p3bundles` command, or else the `[project.scripts]`
+    target of pyproject.toml run from the source tree: argv prefix and env."""
+    if shutil.which("p3bundles") is not None:
+        return ["p3bundles"], dict(os.environ)
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["p3bundles"]
+    module, func = target.split(":")
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return [sys.executable, "-c", code], env
+
+
 def test_console_script_runs():
+    argv, env = console_script()
     proc = subprocess.run(
-        ["p3bundles", "spectrum", "--series", "sigma0", "--m", "1",
-         "--eps", "0", "--a", "2"],
-        capture_output=True, text=True, timeout=120)
+        argv + ["spectrum", "--series", "sigma0", "--m", "1", "--eps", "0", "--a", "2"],
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "(-1,0^4,1)\n"
+    invalid = subprocess.run(
+        argv + ["spectrum", "--series", "sigma0", "--m", "1", "--eps", "0", "--a", "1"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert invalid.returncode == 2
 
 
 def test_out_file_respects_env_dir(tmp_path, monkeypatch):

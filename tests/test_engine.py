@@ -28,11 +28,11 @@ from p3bundles.monad import MonadSpec, Series, _profile_graph, _summand_configs
 from p3bundles.oracle import h0_ideal, ideal_cohomology, sample_ruling
 
 
-def ideal_graph(k: int, twists, facts=True, seed=0):
+def ideal_graph(k: int, twists, facts=True, seed=0, graph_class=DeductionGraph):
     """LES bookkeeping for k disjoint lines, seeded with oracle h0 facts;
     unpropagated until the first query."""
     cfg = sample_ruling(k - 1, seed)
-    g = DeductionGraph()
+    g = graph_class()
     g.add_node(Node("O", Kind.LINE, params=(0,)))
     g.add_node(Node("C", Kind.LINES, params=(k, 0)))
     g.add_node(Node("I", Kind.SHEAF))
@@ -321,7 +321,8 @@ def test_chi_polynomial_is_riemann_roch(rank, c1, c2, c3, t):
 
 
 class LoggedGraph(DeductionGraph):
-    """The worklist, logging the key of every rule body it calls."""
+    """The engine's dirty-flag scan, logging the key of every rule body it
+    calls."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -333,7 +334,7 @@ class LoggedGraph(DeductionGraph):
 
 
 class NoSkipGraph(LoggedGraph):
-    """Runs every rule body in every round: the reference the worklist must
+    """Runs every rule body in every round: the reference the flag scan must
     match.  Each rule stays dirty after its call, so it runs again next round."""
 
     def _fire(self, rule) -> None:
@@ -342,9 +343,9 @@ class NoSkipGraph(LoggedGraph):
 
 
 class StaleScanGraph(LoggedGraph):
-    """The round-robin scan the worklist replaced: every round walks every
-    rule instance in order and calls it when one of its inputs carries a
-    stamp newer than the start of its last call that returned."""
+    """The stamp scan the dirty flags replaced: every round walks every rule
+    instance in order and calls it when one of its inputs carries a stamp
+    newer than the start of its last call that returned."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -450,3 +451,43 @@ def test_the_worklist_matches_the_stale_scan_on_sums_and_duality(monkeypatch):
     worklist, scan = graphs
     assert {key[0] for key in worklist.fired} >= {"duality", "sum"}
     assert_same_calls(worklist, scan)
+
+
+def ideal_contradiction(graph_class):
+    """The contradiction of `test_a_contradiction_leaves_the_graph_off_its_fixpoint`,
+    and the query that meets it again."""
+    g, _ = ideal_graph(3, range(0, 4), graph_class=graph_class)
+    g.add_value_fact("ASSUMED", "I", 3, 1, 5)  # h1(I(3)) is 0
+    return g, ("I", 2, 1)
+
+
+def duality_contradiction(graph_class):
+    """R5 narrows E(-4) from E(0), which marks E(-4)'s R1 after the scan has
+    passed it; then R5 meets h0(E(-1)) = 0 against h3(E(-3)) = 1."""
+    g = graph_class()
+    g.add_node(Node("E", Kind.SHEAF, locally_free=True,
+                    chern=ChernCharacter.from_classes(2, 0, 2, 0)))
+    for t in (-4, -3, -1, 0):
+        g.instance("E", t)
+    g.add_value_fact("ASSUMED", "E", 0, 1, 3)
+    g.add_value_fact("ASSUMED", "E", -1, 0, 0)
+    g.add_value_fact("ASSUMED", "E", -3, 3, 1)
+    return g, ("E", 0, 2)
+
+
+@pytest.mark.parametrize("scenario", [ideal_contradiction, duality_contradiction],
+                         ids=lambda scenario: scenario.__name__)
+def test_the_worklist_matches_the_stale_scan_across_a_contradiction(scenario):
+    """A propagation that raises part way, then a query that raises again:
+    the rules the aborted round left dirty are the ones the stamps call."""
+    graphs = []
+    for graph_class in (LoggedGraph, StaleScanGraph):
+        g, query = scenario(graph_class)
+        with pytest.raises(Contradiction):
+            g.propagate()
+        raised = len(g.fired)
+        with pytest.raises(Contradiction):
+            g.interval(*query)
+        assert len(g.fired) > raised
+        graphs.append(g)
+    assert_same_calls(*graphs)
