@@ -10,5 +10,19 @@ in wall-clock timings and a density's decimal display.
 from p3bundles.chern import ChernCharacter
 from p3bundles.tables import CohomologyVector
 
-__all__ = ["ChernCharacter", "CohomologyVector"]
+__all__ = ["ChernCharacter", "CohomologyVector", "clear_caches"]
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Forget everything memoised, so the next run recomputes from scratch:
+    the oracle's caches, the deductions of script replays and the h^1
+    intervals of monad profiles."""
+    # imported here: the package namespace loads before its layers
+    from p3bundles import monad
+    from p3bundles.engine import script
+    from p3bundles.oracle import sheaves
+
+    sheaves.clear_caches()
+    script._deduction.cache_clear()
+    monad._pinned_h1.cache_clear()

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from typing import Callable
 
+from p3bundles import clear_caches
 from p3bundles.atlas import (
     Flag,
     coverage_sigma0,
@@ -28,7 +29,6 @@ from p3bundles.monad import (
     identity_report,
     spectrum,
 )
-from p3bundles.oracle import clear_caches
 from p3bundles.rng import child_seed
 
 # Wall-clock budgets per criterion, in seconds; enforced by the test suite.

@@ -5,8 +5,9 @@ Exit codes (`main` alone decides them): 0 success; 1 a run that did not verify
 SamplingFailed, an unpinned or inconsistent profile, a failed acceptance
 criterion); 2 a usage error (bad or out-of-range options, an invalid spec,
 an unreadable --script-file, an unwritable --out, a malformed script:
-ScriptError, GraphError).  Each ends in a one-line message on stderr, not a
-traceback.  Every JSON report embeds the seed and a hash of the resolved
+ScriptError, GraphError, and any other ValueError a library call raises;
+InconsistentProfile, a ValueError too, stays 1).  Each ends in a one-line
+message on stderr, not a traceback.  Every JSON report embeds the seed and a hash of the resolved
 configuration; identical configuration and seed give byte-identical output.
 
 The only environment variable honoured is P3BUNDLES_OUT_DIR, the default
@@ -484,9 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.run(args, cfg)
     except USAGE_FAILURES as exc:
-        parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(parser, exc)
     except VERIFY_FAILURES as exc:
         if isinstance(exc, AssertionNotEntailed):
             # the assert that failed is the last one in the report
@@ -496,7 +495,15 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"verification failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a library call refused its arguments
+        return _usage_error(parser, exc)
     return 0
+
+
+def _usage_error(parser: argparse.ArgumentParser, exc: Exception) -> int:
+    parser.print_usage(sys.stderr)
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -6,6 +6,22 @@ ORACLE fact against freshly sampled geometry, propagates the rule set, and
 checks each `assert` is entailed at its point in the file.  Reports are
 canonical-JSON stable for fixed (script, params, seed).
 
+A replay runs in two phases.  The deduction (`ScriptRunner.deduce`) walks
+the lines and does all the graph work and textual checks.  The graph only
+reads values the script itself states, so the deduction depends on (name,
+text, params) alone, never on the seed.  It records every geometry action
+as a step, at the point where its line performs it (a `config` line, a
+`geom=` binding, an ORACLE value or epi check), together with the facts and
+asserts, the intervals the agreement sweep compares, and the first failure,
+which follows the last recorded step.  The geometry (`replay`) samples the
+configurations from the seed and runs the steps in order, each error
+prefixed with its line as the deduction prefixes its own; then it raises
+the recorded failure, or compares the agreement rows with fresh oracle
+vectors.  `run_script_text` memoises the deduction per (name, text,
+params) in an LRU of DEDUCTIONS entries, so a replay at another seed reruns
+only the geometry; `p3bundles.clear_caches` empties it.
+`ScriptRunner(...).run()` runs both phases with no memo.
+
 Grammar (one command per line, `#` comments, `{...}` holds integer
 arithmetic over the declared params, with binom/max/min):
 
@@ -34,6 +50,7 @@ points:CFG.  Each is checked at its node line, so CFG is declared above it.
 from __future__ import annotations
 
 import ast
+import json
 import operator
 import re
 from dataclasses import dataclass, field
@@ -50,7 +67,7 @@ from p3bundles.engine.graph import (
     Kind,
     Node,
 )
-from p3bundles.jsonio import content_hash
+from p3bundles.jsonio import canonical_json, content_hash
 from p3bundles.oracle import (
     GeometryConfig,
     SamplingFailed,
@@ -198,61 +215,89 @@ class ScriptReport:
         return out
 
 
+# A geometry action of a replay: (line number, line, action, arguments), the
+# action naming the `_Geometry` method that performs it.
+Step = tuple[int, str, str, tuple]
+
+# binding kind -> the oracle kind its node reads
+_BINDING_KINDS = {"ideal": "ideal", "ideal-ruling": "ideal", "ideal-partner": "ideal",
+                  "serre": "serre", "points": "points"}
+
+# what a failing line raises with its line number: its own error, or one of
+# the rest, which mark a malformed line
+_LINE_ERRORS = (ScriptError, GraphError, OracleFactMismatch, Contradiction)
+_WRAPPED = (*_LINE_ERRORS, IndexError, KeyError, ValueError, SyntaxError, ZeroDivisionError)
+
+
+def _at_line(name: str, lineno: int, line: str, exc: Exception) -> Exception:
+    """What a line that raised ``exc`` raises in its place: the same type with
+    a ``NAME:LINE:`` prefix, or a ScriptError for a malformed line."""
+    if isinstance(exc, _LINE_ERRORS):
+        return type(exc)(f"{name}:{lineno}: {exc}")
+    return ScriptError(f"{name}:{lineno}: malformed line {line!r}: "
+                       f"{type(exc).__name__}: {exc}")
+
+
+@dataclass(frozen=True)
+class Deduction:
+    """The seed-free half of a replay (see the module docstring).
+
+    ``record`` is the canonical JSON of the facts, the asserts and the
+    agreement rows, each row [instance label, node, twist, the [lo, hi] of
+    h^0 to h^3]; as text it is compact, and every replay reads fresh objects
+    from it.  ``failure`` is the type and message of the first failure, or
+    None.
+    """
+
+    steps: tuple[Step, ...]
+    record: str
+    failure: tuple[type, str] | None
+
+
 class ScriptRunner:
+    """The deduction of one replay; ``run`` adds the geometry at ``seed``."""
+
     def __init__(self, name: str, text: str, params: dict[str, int], seed: int):
         self.name = name
         self.text = text
         self.env = {k: int(v) for k, v in params.items()}
         self.seed = int(seed)
         self.graph = DeductionGraph()
-        self.configs: dict[str, GeometryConfig] = {}
-        # node name -> (oracle kind: ideal, serre or points, config it reads)
-        self.bindings: dict[str, tuple[str, GeometryConfig]] = {}
-        self.report = ScriptReport(name, dict(self.env), self.seed)
+        self.labels: set[str] = set()  # the configs declared so far
+        # node name -> the oracle kind it is bound to: ideal, serre or points
+        self.bindings: dict[str, str] = {}
+        self.steps: list[Step] = []
+        self.facts: list[dict] = []
+        self.asserts: list[dict] = []
         self._declared_params: set[str] = set()
-
-    # -- geometry ---------------------------------------------------------
-
-    def _binding(self, geom: str) -> tuple[str, GeometryConfig]:
-        kind, _, label = geom.partition(":")
-        if label not in self.configs:
-            raise ScriptError(f"geometry binding {geom!r}: unknown config {label!r}")
-        cfg = self.configs[label]
-        if kind in ("ideal-ruling", "ideal-partner"):
-            if cfg.curve != "conics":
-                raise ScriptError(f"geometry binding {geom!r}: config {label!r} "
-                                  f"is not a conic configuration")
-            return "ideal", ruling_part(cfg) if kind == "ideal-ruling" else partner_part(cfg)
-        if kind == "serre" and cfg.serre_shift is None:
-            raise ScriptError(f"geometry binding {geom!r}: config {label!r} has no extension data")
-        if kind in ("ideal", "serre", "points"):
-            return kind, cfg
-        raise ScriptError(f"unknown geometry binding kind {kind!r}")
-
-    def _oracle_vector(self, node_name: str, t: int):
-        kind, cfg = self.bindings[node_name]
-        if kind == "ideal":
-            return ideal_cohomology(cfg, t)
-        if kind == "serre":
-            return serre_cohomology(cfg, t)
-        return h_points(len(cfg.marked))
-
-    # -- command handlers ---------------------------------------------------
+        self._line = (0, "")
 
     def run(self) -> ScriptReport:
-        for lineno, line in _lines(self.text):
-            try:
-                self._command(line)
-            except (ScriptError, GraphError, OracleFactMismatch, Contradiction) as exc:
-                raise type(exc)(f"{self.name}:{lineno}: {exc}") from exc
-            except (IndexError, KeyError, ValueError, SyntaxError, ZeroDivisionError) as exc:
-                raise ScriptError(f"{self.name}:{lineno}: malformed line {line!r}: "
-                                  f"{type(exc).__name__}: {exc}") from exc
-        undeclared = sorted(set(self.env) - self._declared_params)
-        if undeclared:
-            raise ScriptError(f"{self.name}: undeclared parameter(s) {', '.join(undeclared)}")
-        self._agreement_sweep()
-        return self.report
+        return replay(self.deduce(), self.name, self.env, self.seed)
+
+    def deduce(self) -> Deduction:
+        agreement, failure = [], None
+        try:
+            for lineno, line in _lines(self.text):
+                self._line = (lineno, line)
+                try:
+                    self._command(line)
+                except _WRAPPED as exc:
+                    raise _at_line(self.name, lineno, line, exc) from exc
+            undeclared = sorted(set(self.env) - self._declared_params)
+            if undeclared:
+                raise ScriptError(f"{self.name}: undeclared parameter(s) {', '.join(undeclared)}")
+            agreement = self._agreement_rows()
+        except RUN_FAILURES as exc:
+            failure = (type(exc), str(exc))
+        record = canonical_json({"facts": self.facts, "asserts": self.asserts,
+                                 "agreement": agreement})
+        return Deduction(tuple(self.steps), record, failure)
+
+    def _step(self, action: str, *args) -> None:
+        self.steps.append((*self._line, action, args))
+
+    # -- command handlers ---------------------------------------------------
 
     def _command(self, line: str) -> None:
         tokens = line.split()
@@ -282,39 +327,39 @@ class ScriptRunner:
         if len(args) < 3:
             raise ScriptError("config LABEL KIND key=value...")
         label, kind = args[0], args[1]
-        if label in self.configs:
+        if label in self.labels:
             raise ScriptError(f"config {label!r} already declared")
         kv = {}
         for tok in args[2:]:
             k, _, v = tok.partition("=")
             kv[k] = v
-        seed = child_seed(self.seed, f"config:{label}")
         if kind in ("ruling", "conics"):
-            sample = sample_ruling if kind == "ruling" else sample_conics
-            cfg = sample(_as_int(kv["m"], self.env), seed)
+            values = (_as_int(kv["m"], self.env),)
         elif kind == "modification":
-            avoid = None
-            if "avoid" in kv:
-                if kv["avoid"] not in self.configs:
-                    raise ScriptError(f"avoid={kv['avoid']}: unknown config")
-                avoid = self.configs[kv["avoid"]]
-            cfg = sample_modification(_as_int(kv["d"], self.env), seed, avoid=avoid)
+            avoid = kv.get("avoid")
+            if avoid is not None and avoid not in self.labels:
+                raise ScriptError(f"avoid={avoid}: unknown config")
+            values = (_as_int(kv["d"], self.env), avoid)
         elif kind == "join":
-            parts = args[2:]
-            if len(parts) != 2:
+            values = tuple(args[2:])
+            if len(values) != 2:
                 raise ScriptError("config LABEL join FIRST SECOND")
-            for part in parts:
-                if part not in self.configs:
+            for part in values:
+                if part not in self.labels:
                     raise ScriptError(f"join of unknown config {part!r}")
-            cfg = join_configs(self.configs[parts[0]], self.configs[parts[1]])
         else:
             raise ScriptError(f"unknown config kind {kind!r}")
-        self.configs[label] = cfg
-        self.report.configs[label] = {
-            "kind": kind,
-            "components": cfg.components,
-            "hash": config_hash(cfg),
-        }
+        self._step("config", label, kind, *values)
+        self.labels.add(label)
+
+    def _binding(self, name: str, geom: str) -> str:
+        kind, _, label = geom.partition(":")
+        if label not in self.labels:
+            raise ScriptError(f"geometry binding {geom!r}: unknown config {label!r}")
+        if kind not in _BINDING_KINDS:
+            raise ScriptError(f"unknown geometry binding kind {kind!r}")
+        self._step("bind", name, geom)
+        return _BINDING_KINDS[kind]
 
     def _cmd_node(self, args: list[str]) -> None:
         name = args[0]
@@ -335,7 +380,7 @@ class ScriptRunner:
             elif fl == "dim0":
                 support_dim = 0
             elif fl.startswith("geom="):
-                binding = self._binding(fl[len("geom="):])
+                binding = self._binding(name, fl[len("geom="):])
             else:
                 raise ScriptError(f"unknown node flag {fl!r}")
         kind = Kind.SHEAF if kind_tok == "ideal" else Kind(kind_tok)
@@ -386,7 +431,8 @@ class ScriptRunner:
         if tag not in ("ORACLE", "STABILITY", "ASSUMED"):
             raise ScriptError(f"fact tag must be ORACLE/STABILITY/ASSUMED, got {tag!r}")
         what = args[1]
-        verified = None
+        # an ORACLE fact is checked by a geometry step; past it, it holds
+        verified = True if tag == "ORACLE" else None
         if what in ("epi", "conn"):
             # epi is the vanishing of the connecting map out of h0
             tname, t = args[2], _as_int(args[3], self.env)
@@ -394,9 +440,7 @@ class ScriptRunner:
             if tag == "ORACLE" and what == "conn":
                 raise ScriptError("conn facts cannot be oracle-verified; tag STABILITY/ASSUMED")
             if tag == "ORACLE":
-                verified = self._verify_epi(tname, t)
-                if not verified:
-                    raise OracleFactMismatch(f"fact epi {tname}@{t}: restriction not surjective")
+                self._verify_epi(tname, t)
             self.graph.add_conn_fact(tag, tname, t, index)
             entry = {"triple": tname, "twist": t}
             if what == "conn":
@@ -411,31 +455,20 @@ class ScriptRunner:
             if tag == "ORACLE":
                 if node_name not in self.bindings:
                     raise ScriptError(f"ORACLE fact on {node_name} needs a geometry binding")
-                actual = self._oracle_vector(node_name, t)[degree]
-                if actual != value:
-                    raise OracleFactMismatch(
-                        f"fact h{degree}({node_name}@{t}) = {value} but oracle computes {actual}")
-                verified = True
+                self._step("oracle", node_name, t, degree, value)
             self.graph.add_value_fact(tag, node_name, t, degree, value)
             entry = {"node": node_name, "twist": t, "value": value}
-        self.report.facts.append({"tag": tag, "what": what, **entry, "verified": verified})
+        self.facts.append({"tag": tag, "what": what, **entry, "verified": verified})
 
-    def _verify_epi(self, tname: str, t: int) -> bool:
-        """H0(B) -> H0(C) surjectivity for evaluation-onto-marked-points triples."""
+    def _verify_epi(self, tname: str, t: int) -> None:
+        """The step that checks H0(B) -> H0(C) surjective, for C bound marked points."""
         ti = self.graph.materialize(tname, t)
         b_node, c_node = (self.graph.nodes[name] for name, _ in self.graph.triples[tname][1:])
         if c_node.kind is not Kind.POINTS or c_node.name not in self.bindings:
             raise ScriptError(f"epi fact on {tname}: quotient must be bound marked points")
-        points = self.bindings[c_node.name][1].marked
-        if len(points) != c_node.params[0]:
-            raise ScriptError(f"epi fact on {tname}: {len(points)} marked points bound, "
-                              f"node expects {c_node.params[0]}")
-        b_params = ti.parts[1].key[1:]  # B's params, twisted
-        if b_node.kind is Kind.QUADRIC:
-            return quadric_restriction_onto_points_surjective(points, *b_params)
-        if b_node.kind is Kind.LINE:
-            return restriction_onto_points_surjective([mp.point for mp in points], *b_params)
-        raise ScriptError(f"epi fact on {tname}: unsupported source kind {b_node.kind}")
+        # B's params, twisted
+        self._step("epi", tname, t, c_node.name, c_node.params[0], b_node.kind,
+                   ti.parts[1].key[1:])
 
     def _cmd_annotate(self, args: list[str]) -> None:
         if args[0] == "diagram":
@@ -467,7 +500,7 @@ class ScriptRunner:
             entailed = iv.pinned and iv.value == value
         else:
             entailed = iv.hi is not None and iv.hi <= value
-        entry = {
+        self.asserts.append({
             "target": f"h{degree}({label})",
             "relation": relation,
             "expected": value,
@@ -475,39 +508,109 @@ class ScriptRunner:
             "status": "entailed" if entailed else "not-entailed",
             # on failure the chain shows how the conflicting interval arose
             "chain": self.graph.explain(node_name, t, degree),
-        }
-        self.report.asserts.append(entry)
+        })
         if not entailed:
-            self.report.passed = False
+            # the geometry raises it again with the report of its seed
             raise AssertionNotEntailed(
                 f"assert h{degree}({label}) {relation} {value}: interval is {iv}",
-                self.report)
+                ScriptReport(self.name, dict(self.env), self.seed, facts=self.facts,
+                             asserts=self.asserts, passed=False))
 
-    # -- agreement sweep ---------------------------------------------------
-
-    def _agreement_sweep(self) -> None:
-        checked = 0
-        mismatches = []
+    def _agreement_rows(self) -> list[list]:
+        """The settled intervals of every instance of a sheaf bound to an
+        ideal or serre configuration, in the order of their keys."""
         keys = sorted(self.graph.instances, key=lambda k: (str(k[0]), k[1:]))
         if keys:  # the first query settles the graph; the rest find it settled
             first = self.graph.instances[keys[0]]
             self.graph.instance(first.node_name, first.twist)
+        rows = []
         for key in keys:
             inst = self.graph.instances[key]
-            kind, _ = self.bindings.get(inst.node_name, ("", None))
-            node = self.graph.nodes[inst.node_name]
-            if kind not in ("ideal", "serre") or node.kind is not Kind.SHEAF:
-                continue
-            vec = self._oracle_vector(inst.node_name, inst.twist)
-            for degree in range(4):
-                iv = inst.h[degree]
+            if (self.bindings.get(inst.node_name) in ("ideal", "serre")
+                    and self.graph.nodes[inst.node_name].kind is Kind.SHEAF):
+                rows.append([inst.label, inst.node_name, inst.twist,
+                             [[iv.lo, iv.hi] for iv in inst.h]])
+        return rows
+
+
+class _Geometry:
+    """The geometry of one replay at one seed: sampled configurations, the
+    bindings of nodes to them, and the oracle checks of each step."""
+
+    def __init__(self, report: ScriptReport):
+        self.report = report
+        self.configs: dict[str, GeometryConfig] = {}
+        # node name -> (oracle kind: ideal, serre or points, config it reads)
+        self.bindings: dict[str, tuple[str, GeometryConfig]] = {}
+
+    def config(self, label: str, kind: str, *values) -> None:
+        seed = child_seed(self.report.seed, f"config:{label}")
+        if kind == "join":
+            cfg = join_configs(*(self.configs[part] for part in values))
+        elif kind == "modification":
+            d, avoid = values
+            cfg = sample_modification(d, seed, avoid=None if avoid is None else self.configs[avoid])
+        else:
+            cfg = (sample_ruling if kind == "ruling" else sample_conics)(values[0], seed)
+        self.configs[label] = cfg
+        self.report.configs[label] = {
+            "kind": kind,
+            "components": cfg.components,
+            "hash": config_hash(cfg),
+        }
+
+    def bind(self, name: str, geom: str) -> None:
+        kind, _, label = geom.partition(":")
+        cfg = self.configs[label]
+        if kind in ("ideal-ruling", "ideal-partner"):
+            if cfg.curve != "conics":
+                raise ScriptError(f"geometry binding {geom!r}: config {label!r} "
+                                  f"is not a conic configuration")
+            cfg = ruling_part(cfg) if kind == "ideal-ruling" else partner_part(cfg)
+        elif kind == "serre" and cfg.serre_shift is None:
+            raise ScriptError(f"geometry binding {geom!r}: config {label!r} has no extension data")
+        self.bindings[name] = (_BINDING_KINDS[kind], cfg)
+
+    def vector(self, name: str, t: int):
+        kind, cfg = self.bindings[name]
+        if kind == "ideal":
+            return ideal_cohomology(cfg, t)
+        if kind == "serre":
+            return serre_cohomology(cfg, t)
+        return h_points(len(cfg.marked))
+
+    def oracle(self, name: str, t: int, degree: int, value: int) -> None:
+        actual = self.vector(name, t)[degree]
+        if actual != value:
+            raise OracleFactMismatch(
+                f"fact h{degree}({name}@{t}) = {value} but oracle computes {actual}")
+
+    def epi(self, tname: str, t: int, points_node: str, count: int, source: Kind,
+            params: tuple[int, ...]) -> None:
+        points = self.bindings[points_node][1].marked
+        if len(points) != count:
+            raise ScriptError(f"epi fact on {tname}: {len(points)} marked points bound, "
+                              f"node expects {count}")
+        if source is Kind.QUADRIC:
+            surjective = quadric_restriction_onto_points_surjective(points, *params)
+        elif source is Kind.LINE:
+            surjective = restriction_onto_points_surjective([mp.point for mp in points], *params)
+        else:
+            raise ScriptError(f"epi fact on {tname}: unsupported source kind {source}")
+        if not surjective:
+            raise OracleFactMismatch(f"fact epi {tname}@{t}: restriction not surjective")
+
+    def agree(self, rows: list[list]) -> None:
+        checked = 0
+        mismatches = []
+        for label, name, t, intervals in rows:
+            vec = self.vector(name, t)
+            for degree, (lo, hi) in enumerate(intervals):
                 actual = vec[degree]
                 checked += 1
-                if actual < iv.lo or (iv.hi is not None and actual > iv.hi):
-                    mismatches.append({
-                        "instance": inst.label, "degree": degree,
-                        "engine": [iv.lo, iv.hi], "oracle": actual,
-                    })
+                if actual < lo or (hi is not None and actual > hi):
+                    mismatches.append({"instance": label, "degree": degree,
+                                       "engine": [lo, hi], "oracle": actual})
         self.report.agreement = {"checked": checked, "mismatches": mismatches}
         if mismatches:
             self.report.passed = False
@@ -515,10 +618,43 @@ class ScriptRunner:
                 f"oracle/engine disagreement on {len(mismatches)} slot(s): {mismatches[:3]}")
 
 
+def replay(deduction: Deduction, name: str, params: dict[str, int],
+           seed: int) -> ScriptReport:
+    """The geometry of a replay at ``seed``: run the steps of ``deduction``
+    in order, then raise its failure or run the agreement sweep."""
+    report = ScriptReport(name, dict(params), seed)
+    geometry = _Geometry(report)
+    for lineno, line, action, args in deduction.steps:
+        try:
+            getattr(geometry, action)(*args)
+        except _WRAPPED as exc:
+            raise _at_line(name, lineno, line, exc) from exc
+    recorded = json.loads(deduction.record)
+    report.facts, report.asserts = recorded["facts"], recorded["asserts"]
+    if deduction.failure is not None:
+        kind, message = deduction.failure
+        if kind is AssertionNotEntailed:
+            report.passed = False
+            raise AssertionNotEntailed(message, report)
+        raise kind(message)
+    geometry.agree(recorded["agreement"])
+    return report
+
+
+# Deductions kept by run_script_text: one acceptance pass replays 131
+# distinct (script, params) pairs.
+DEDUCTIONS = 256
+
+
+@lru_cache(maxsize=DEDUCTIONS)
+def _deduction(name: str, text: str, params: tuple[tuple[str, int], ...]) -> Deduction:
+    return ScriptRunner(name, text, dict(params), 0).deduce()
+
+
 def run_script_text(name: str, text: str, params: dict[str, int],
                     seed: int = 0) -> ScriptReport:
-    runner = ScriptRunner(name, text, params, seed)
-    report = runner.run()
+    env = {k: int(v) for k, v in params.items()}
+    report = replay(_deduction(name, text, tuple(env.items())), name, env, int(seed))
     report.report_hash = content_hash(report.to_dict())
     return report
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
@@ -28,6 +28,7 @@ from p3bundles.oracle import (
     serre_cohomology,
 )
 from p3bundles.rng import child_seed
+from p3bundles.tables import CohomologyVector
 
 
 class Series(Enum):
@@ -196,8 +197,18 @@ def _summand_configs(spec: MonadSpec, seed: int) -> list[GeometryConfig]:
             for i, mi in enumerate(spec.summand_params, start=1)]
 
 
-def _profile_graph(spec: MonadSpec, twists: Iterable[int],
-                   configs: list[GeometryConfig]) -> DeductionGraph:
+def _summand_vectors(configs: list[GeometryConfig],
+                     twists: list[int]) -> tuple[tuple[CohomologyVector, ...], ...]:
+    """Per summand, its cohomology vector at each twist, ascending.  They are
+    asked highest twist first: Serre duality asks the ideal at -t-4-s, so the
+    ideal twists come lowest first, and a regularity record that h0_ideal
+    sets answers every higher one."""
+    return tuple(tuple(reversed([serre_cohomology(cfg, t) for t in reversed(twists)]))
+                 for cfg in configs)
+
+
+def _pinned_graph(spec: MonadSpec, twists: list[int],
+                  vectors: tuple[tuple[CohomologyVector, ...], ...]) -> DeductionGraph:
     """One unpropagated graph per sweep: 0 -> K -> E1+E2 -> O(right) -> 0
     stacked on 0 -> O(left) -> K -> F -> 0, with oracle pins on the summands."""
     graph = DeductionGraph()
@@ -211,28 +222,48 @@ def _profile_graph(spec: MonadSpec, twists: Iterable[int],
     left, right = spec.outer_twists
     graph.add_triple("TK", [("K", 0), ("bbE", 0), ("O", right)])
     graph.add_triple("TE", [("O", left), ("K", 0), ("F", 0)])
-    twists = sorted(set(twists))
     for t in twists:
         graph.materialize("TK", t)
         graph.materialize("TE", t)
-    for i, cfg in enumerate(configs, start=1):
-        # Highest twist first: Serre duality asks the ideal at -t-4-s, so the
-        # ideal twists come lowest first, and a regularity record that
-        # h0_ideal sets answers every higher one.  Facts keep ascending order.
-        vecs = {t: serre_cohomology(cfg, t) for t in reversed(twists)}
-        for t in twists:
+    for i, vecs in enumerate(vectors, start=1):
+        for t, vec in zip(twists, vecs):
             for degree in range(4):
-                graph.add_value_fact("ORACLE", f"E{i}", t, degree, vecs[t][degree])
+                graph.add_value_fact("ORACLE", f"E{i}", t, degree, vec[degree])
     return graph
 
 
+def _profile_graph(spec: MonadSpec, twists: Iterable[int],
+                   configs: list[GeometryConfig]) -> DeductionGraph:
+    """The profile graph of ``spec`` at ``twists``, pinned by the oracle
+    vectors of the summand ``configs``."""
+    twists = sorted(set(twists))
+    return _pinned_graph(spec, twists, _summand_vectors(configs, twists))
+
+
+# Profiles kept by h1_intervals: a spectrum sweep over the 74 strict specs
+# up to a = 11 asks one per spec and twist range.
+PROFILES = 256
+
+
+@lru_cache(maxsize=PROFILES)
+def _pinned_h1(spec: MonadSpec, lo: int, hi: int,
+               vectors: tuple[tuple[CohomologyVector, ...], ...]) -> tuple[tuple, ...]:
+    """(lo, hi) of h^1(F(t)) for t in [lo, hi]: a function of the oracle
+    vectors of the summands, never of the configurations behind them."""
+    twists = list(range(lo, hi + 1))
+    graph = _pinned_graph(spec, twists, vectors)
+    return tuple((iv.lo, iv.hi) for iv in (graph.interval("F", t, 1) for t in twists))
+
+
 def h1_intervals(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, Interval]:
-    """h^1 interval of the monad bundle at every twist in [lo, hi], from one graph."""
+    """h^1 interval of the monad bundle at every twist in [lo, hi], from one
+    graph.  The summands are sampled at ``seed`` and their vectors asked each
+    time; the graph's answer is memoised on those vectors."""
     if lo > hi:
         raise ValueError("empty twist interval")
-    twists = range(lo, hi + 1)
-    graph = _profile_graph(spec, twists, _summand_configs(spec, seed))
-    return {t: graph.interval("F", t, 1) for t in twists}
+    twists = list(range(lo, hi + 1))
+    vectors = _summand_vectors(_summand_configs(spec, seed), twists)
+    return {t: Interval(*bounds) for t, bounds in zip(twists, _pinned_h1(spec, lo, hi, vectors))}
 
 
 def h1_profile(spec: MonadSpec, lo: int, hi: int, seed: int = 0) -> dict[int, int]:

@@ -129,7 +129,10 @@ def _trace_nullity(on: tuple[Line, ...], points: list[Point4], k: int, lower: in
 def _count(lines: tuple[Line, ...], k: int, lower: int) -> int:
     """h^0(I_Y(k)) for the union Y of ``lines``, k >= 0, given the chi bound
     ``lower``: split along S by the residual sequence where it applies (see
-    the module docstring), else from the whole restriction matrix."""
+    the module docstring), else from the whole restriction matrix.  At k = 0
+    the forms are the constants, and none but 0 vanishes on a line."""
+    if k == 0:
+        return 0 if lines else 1
     on = tuple(filter(line_inside_quadric, lines))
     off = tuple(line for line in lines if not line_inside_quadric(line))
     if all(map(_ends_on_quadric, off)) and lines_pairwise_disjoint(off):
@@ -174,7 +177,8 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
 
 def clear_caches() -> None:
     """Forget every memoised h0 and count, regularity record, quadric-point
-    answer, line-restriction block and monomial table."""
+    answer, line-restriction block and monomial table.  The engine's memos
+    are cleared with them by ``p3bundles.clear_caches``."""
     h0_ideal.cache_clear()
     quadric_restriction_onto_points_surjective.cache_clear()
     _counts.clear()

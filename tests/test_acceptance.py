@@ -7,7 +7,9 @@ measured wall-clock stayed inside the budget the criteria pin down.
 
 import pytest
 
+from p3bundles import acceptance, clear_caches, monad
 from p3bundles.acceptance import BUDGETS, _Context, run_all
+from p3bundles.engine.script import ScriptRunner
 from p3bundles.oracle import SamplingFailed
 
 # report_hash of run_all(seed=0), pinned with the golden corpus of
@@ -80,3 +82,34 @@ def test_failed_runs_are_recorded_not_raised(monkeypatch, params, error):
     outcome = ctx.run("prop1", **params)
     assert outcome["status"] == f"failed: {error}"
     assert outcome["detail"]
+
+
+def test_the_second_pass_deduces_everything_again(monkeypatch):
+    """Criterion 11 compares two passes; after the reset between them the
+    second deduces every script and builds every profile graph again,
+    where the memos would otherwise answer it."""
+    built = []
+    deduce, pinned_graph = ScriptRunner.deduce, monad._pinned_graph
+
+    def counting_deduce(self):
+        built.append(self.name)
+        return deduce(self)
+
+    def counting_graph(spec, twists, vectors):
+        built.append("profile")
+        return pinned_graph(spec, twists, vectors)
+
+    def criterion(ctx):
+        ran = [ctx.run("prop1", m=1, eps=0, a=5, seed=s) for s in range(3)]
+        spec = monad.MonadSpec.create(monad.Series.SIGMA0, 1, 0, 5)
+        spectra = {monad.spectrum(spec, seed=s) for s in range(3)}
+        return {"passed": all(o["status"] == "entailed" for o in ran) and len(spectra) == 1}
+
+    monkeypatch.setattr(ScriptRunner, "deduce", counting_deduce)
+    monkeypatch.setattr(monad, "_pinned_graph", counting_graph)
+    monkeypatch.setattr(acceptance, "_CRITERIA", ((5, "three seeds of one run", criterion),))
+    clear_caches()
+    report, _ = run_all(seed=0)
+    assert report["passed"]
+    # once per pass: the seeds of a pass share one deduction and one graph
+    assert built == ["prop1", "profile"] * 2

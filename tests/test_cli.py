@@ -13,6 +13,7 @@ import pytest
 
 from p3bundles import cli
 from p3bundles.cli import main
+from p3bundles.monad import InconsistentProfile
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -193,6 +194,29 @@ def test_tsv_is_rejected_before_any_work(monkeypatch, op):
                            "--a", "5", "--format", "tsv")
     assert code == 2
     assert "argument --format: invalid choice: 'tsv'" in err
+
+
+def test_a_stray_value_error_is_a_usage_error(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ValueError("configuration has no extension data")
+
+    monkeypatch.setattr(cli, "h1_intervals", refuse)
+    code, _, err = run_cli("monad", "profile", "--series", "sigma0", "--m", "1",
+                           "--eps", "0", "--a", "5")
+    assert code == 2
+    assert "usage:" in err and "error: configuration has no extension data" in err
+    assert "Traceback" not in err
+
+
+def test_an_inconsistent_profile_still_fails_verification(monkeypatch):
+    def inconsistent(*args, **kwargs):
+        raise InconsistentProfile("h^1 profile is not non-increasing")
+
+    monkeypatch.setattr(cli, "spectrum", inconsistent)
+    code, _, err = run_cli("spectrum", "--series", "sigma0", "--m", "1", "--eps", "0",
+                           "--a", "5")
+    assert code == 1
+    assert "verification failed: InconsistentProfile: h^1 profile" in err
 
 
 def test_config_hash_covers_the_oracle_kind():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from p3bundles import monad
+from p3bundles import clear_caches, monad
 from p3bundles.atlas import enumerate_series
 from p3bundles.monad import (
     EXTENDED_SMALL_CASES,
@@ -29,7 +29,8 @@ from p3bundles.monad import (
     spectrum_h1,
     summand_character,
 )
-from p3bundles.oracle import SamplingFailed, clear_caches, linalg, sheaves
+from p3bundles.oracle import SamplingFailed, linalg, sheaves
+from p3bundles.tables import CohomologyVector
 
 
 # -- parameter validation ----------------------------------------------------
@@ -176,6 +177,33 @@ def test_profile_pinned_at_zero_but_not_beyond():
     with pytest.raises(Unpinned) as exc_info:
         h1_profile(spec, -1, 1)
     assert exc_info.value.twist == 1
+
+
+def test_the_profile_memo_answers_another_seed_with_copies():
+    spec = MonadSpec.create(Series.SIGMA0, 1, 0, 5)
+    clear_caches()
+    first = monad.h1_intervals(spec, -8, -1)
+    first[-2].lo = 0  # the caller's copy
+    second = monad.h1_intervals(spec, -8, -1, seed=1)
+    assert monad._pinned_h1.cache_info().hits == 1
+    assert second[-2].pinned and second[-2].value == 20
+
+
+def test_the_profile_memo_misses_on_other_summand_vectors(monkeypatch):
+    spec = MonadSpec.create(Series.SIGMA0, 1, 0, 5)
+    clear_caches()
+    assert h1_profile(spec, -8, -1)[-2] == 20
+    serre = monad.serre_cohomology
+
+    def doctored(cfg, t):
+        v = serre(cfg, t)
+        # h1 and h2 up by one keep chi; the bundle's h1 moves with them
+        return CohomologyVector(v.h0, v.h1 + 1, v.h2 + 1, v.h3) if t == -2 else v
+
+    monkeypatch.setattr(monad, "serre_cohomology", doctored)
+    misses = monad._pinned_h1.cache_info().misses
+    assert h1_profile(spec, -8, -1)[-2] == 22
+    assert monad._pinned_h1.cache_info().misses == misses + 1
 
 
 def test_spectrum_small_even_case():

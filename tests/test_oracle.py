@@ -534,6 +534,23 @@ def _full_matrix_nullity(cfg, k):
     return nullity_certified(rows, comb(k + 3, 3), lower, exact)
 
 
+@pytest.mark.parametrize("cfg", [sample_ruling(2, 0), sample_conics(2, 0),
+                                 sample_modification(2, 0)],
+                         ids=["ruling", "conics", "modification"])
+def test_twist_zero_is_counted_without_a_matrix(cfg, monkeypatch):
+    # H^0(I_Y) = 0 for a nonempty curve, and H^0(O_P3) = 1 with no lines
+    expected = _full_matrix_nullity(cfg, 0)
+    lower = sheaves.chi_ideal(cfg, 0) - structure_cohomology(cfg, 0).h1
+
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built at k = 0")
+
+    monkeypatch.setattr(sheaves, "restriction_matrix", no_matrix)
+    monkeypatch.setattr(sheaves, "nullity_certified", no_matrix)
+    assert sheaves._count(cfg.lines, 0, lower) == expected == 0
+    assert sheaves._count((), 0, 1) == 1
+
+
 @pytest.mark.parametrize("cfg", [
     sample_ruling(0, 0), sample_ruling(3, 0), sample_ruling(4, 0), sample_ruling(6, 3),
     sample_conics(0, 0), sample_conics(2, 1), sample_conics(4, 0),

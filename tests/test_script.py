@@ -1,9 +1,13 @@
 """Proof-script replay: bundled scripts, failure modes, determinism."""
 
 import pytest
+from test_golden import SCRIPT_HASHES
 
+from p3bundles import clear_caches
 from p3bundles.engine import (
     AssertionNotEntailed,
+    Contradiction,
+    DeductionGraph,
     GraphError,
     ScriptError,
     load_bundled_script,
@@ -11,7 +15,9 @@ from p3bundles.engine import (
     run_script_text,
 )
 from p3bundles.engine.script import OracleFactMismatch, ScriptRunner, _safe_eval
+from p3bundles.jsonio import canonical_json
 from p3bundles.monad import Series, in_strict_range
+from p3bundles.oracle import SamplingFailed
 
 GOOD_RUNS = [
     ("prop1", {"m": 1, "eps": 0, "a": 5}),
@@ -226,3 +232,108 @@ def test_conn_facts_record_their_index():
                 for index in (1, 2))
     assert [fact["index"] for fact in one.facts + two.facts] == [1, 2]
     assert one.report_hash != two.report_hash
+
+
+# -- the deduction memo ----------------------------------------------------------
+
+@pytest.fixture
+def propagations(monkeypatch):
+    """Every call of `DeductionGraph.propagate`."""
+    calls = []
+    propagate = DeductionGraph.propagate
+
+    def counting(self):
+        calls.append(1)
+        return propagate(self)
+
+    monkeypatch.setattr(DeductionGraph, "propagate", counting)
+    return calls
+
+
+def report_bytes(name, params, seed) -> str:
+    """The canonical bytes of a replay's report, partial where an assert is
+    not entailed."""
+    try:
+        report = run_script(name, dict(params), seed=seed)
+    except AssertionNotEntailed as exc:
+        report = exc.report
+    return canonical_json(report.to_dict())
+
+
+@pytest.mark.parametrize("case", sorted(SCRIPT_HASHES),
+                         ids=lambda c: f"{c[0]}-{'-'.join(str(v) for _, v in c[1])}-s{c[2]}")
+def test_a_warm_replay_has_the_cold_bytes_and_does_no_graph_work(propagations, case):
+    name, params, seed = case
+    clear_caches()
+    cold = report_bytes(name, params, seed)
+    assert propagations
+    clear_caches()
+    report_bytes(name, params, seed + 1)  # deduced at another seed
+    propagations.clear()
+    assert report_bytes(name, params, seed) == cold
+    assert propagations == []
+
+
+ORACLE_MISS = "fact ORACLE h0 I 1 = {m+99}\n"  # two ruling lines: h0(I_Y(1)) = 0
+PROLOGUE = "param m\nconfig Y ruling m={m}\nnode I ideal geom=ideal:Y\n"
+
+
+@pytest.mark.parametrize("text,error,message", [
+    pytest.param(PROLOGUE + ORACLE_MISS + "assert h0 NOPE 0 = 0\n", OracleFactMismatch,
+                 "doctored:4: fact h0(I@1) = 100 but oracle computes 0", id="geometry-first"),
+    pytest.param(PROLOGUE + "assert h0 NOPE 0 = 0\n" + ORACLE_MISS, GraphError,
+                 "doctored:4: unknown node NOPE", id="deduction-first"),
+    pytest.param("param m\nconfig Y ruling m={m}\nconfig Z join Y Y\nnode\n", SamplingFailed,
+                 "joined configurations share a point", id="sampling-before-malformed"),
+    pytest.param(PROLOGUE + "node O line 0\nnode C lines {m+1} 0\ntriple T I O C\n"
+                 "twist T 0\nfact ORACLE h0 I 0 = 0\nassert h1 I 0 = 5\n",
+                 AssertionNotEntailed, "assert h1(I) = 5: interval is 1",
+                 id="not-entailed"),
+    pytest.param(PROLOGUE + "fact ASSUMED h0 I 1 = 3\n", Contradiction,
+                 "oracle/engine disagreement on 1 slot(s)", id="agreement-mismatch"),
+])
+def test_failures_come_in_the_same_order_cold_and_warm(text, error, message):
+    """The deduction records its first failure; the geometry raises a step's
+    error where that step comes first, and the recorded failure otherwise."""
+
+    def failure(seed, memo=True):
+        with pytest.raises(error) as info:
+            if memo:
+                run_script_text("doctored", text, {"m": 1}, seed=seed)
+            else:
+                ScriptRunner("doctored", text, {"m": 1}, seed).run()
+        report = getattr(info.value, "report", None)
+        return str(info.value), report and canonical_json(report.to_dict())
+
+    clear_caches()
+    cold = failure(0)
+    failure(1)
+    assert failure(0) == cold == failure(0, memo=False)
+    assert message in cold[0]
+
+
+def test_a_partial_report_holds_the_configs_the_facts_and_the_failing_assert():
+    text = (PROLOGUE + "node O line 0\nnode C lines {m+1} 0\ntriple T I O C\n"
+            "twist T 0\nfact ORACLE h0 I 0 = 0\nassert h1 I 0 = 5\n")
+    clear_caches()
+    for seed in (0, 1, 0):
+        with pytest.raises(AssertionNotEntailed) as info:
+            run_script_text("doctored", text, {"m": 1}, seed=seed)
+        report = info.value.report
+        assert not report.passed and report.seed == seed and list(report.configs) == ["Y"]
+        assert [fact["verified"] for fact in report.facts] == [True]
+        assert [entry["status"] for entry in report.asserts] == ["not-entailed"]
+        assert report.agreement == {}
+
+
+def test_mutating_a_report_leaves_the_next_replay_alone():
+    params = {"m": 1, "eps": 0, "a": 5}
+    first = run_script("prop1", params, seed=0)
+    expected = canonical_json(first.to_dict())
+    first.facts[0]["value"] = 99
+    first.facts.append({})
+    first.asserts[0]["chain"].clear()
+    first.asserts[0]["interval"][0] = 7
+    first.agreement["mismatches"].append("x")
+    first.configs.clear()
+    assert canonical_json(run_script("prop1", params, seed=0).to_dict()) == expected

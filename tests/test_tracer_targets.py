@@ -12,9 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from p3bundles import monad
+from p3bundles import clear_caches, monad
 from p3bundles.engine import graph, script
-from p3bundles.oracle import clear_caches, linalg
+from p3bundles.oracle import linalg
 from p3bundles.oracle.configs import ruling_line
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -35,7 +35,7 @@ def fed_layer_metrics() -> set[str]:
 
 
 def test_every_target_resolves_and_every_layer_is_reached():
-    clear_caches()  # so the oracle layers run rather than answer from cache
+    clear_caches()  # so every layer runs rather than answer from a memo
     propagate_code = graph.DeductionGraph.propagate.__code__
     propagations = []
 
