@@ -16,8 +16,9 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Forget everything memoised, so the next run recomputes from scratch:
-    the oracle's caches, the deductions of script replays and the h^1
-    intervals of monad profiles."""
+    the oracle's caches (the cohomology vectors and configuration hashes
+    among them, see ``oracle.sheaves.clear_caches``), the deductions of
+    script replays and the h^1 intervals of monad profiles."""
     # imported here: the package namespace loads before its layers
     from p3bundles import monad
     from p3bundles.engine import script

@@ -19,8 +19,14 @@ prefixed with its line as the deduction prefixes its own; then it raises
 the recorded failure, or compares the agreement rows with fresh oracle
 vectors.  `run_script_text` memoises the deduction per (name, text,
 params) in an LRU of DEDUCTIONS entries, so a replay at another seed reruns
-only the geometry; `p3bundles.clear_caches` empties it.
-`ScriptRunner(...).run()` runs both phases with no memo.
+only the geometry.  The deduction keeps the facts, the asserts and the
+agreement rows as canonical JSON texts, each normalised once; a replay
+reads fresh objects from them, and its `report_hash` splices them with the
+canonical JSON of the per-seed keys, which gives the hash of the whole
+report.  The oracle memoises each cohomology vector and configuration hash,
+so a warm replay pays for sampling and for oracle answers not seen before.
+`p3bundles.clear_caches` empties every memo.  `ScriptRunner(...).run()`
+runs both phases with no deduction memo.
 
 Grammar (one command per line, `#` comments, `{...}` holds integer
 arithmetic over the declared params, with binom/max/min):
@@ -67,7 +73,7 @@ from p3bundles.engine.graph import (
     Kind,
     Node,
 )
-from p3bundles.jsonio import canonical_json, content_hash
+from p3bundles.jsonio import canonical_json, spliced_hash
 from p3bundles.oracle import (
     GeometryConfig,
     SamplingFailed,
@@ -242,15 +248,17 @@ def _at_line(name: str, lineno: int, line: str, exc: Exception) -> Exception:
 class Deduction:
     """The seed-free half of a replay (see the module docstring).
 
-    ``record`` is the canonical JSON of the facts, the asserts and the
-    agreement rows, each row [instance label, node, twist, the [lo, hi] of
-    h^0 to h^3]; as text it is compact, and every replay reads fresh objects
-    from it.  ``failure`` is the type and message of the first failure, or
-    None.
+    ``facts``, ``asserts`` and ``agreement`` are canonical JSON texts, the
+    agreement rows each [instance label, node, twist, the [lo, hi] of h^0 to
+    h^3]; as text they are compact, every replay reads fresh objects from
+    them, and the report hash splices the first two in unparsed.
+    ``failure`` is the type and message of the first failure, or None.
     """
 
     steps: tuple[Step, ...]
-    record: str
+    facts: str
+    asserts: str
+    agreement: str
     failure: tuple[type, str] | None
 
 
@@ -290,9 +298,8 @@ class ScriptRunner:
             agreement = self._agreement_rows()
         except RUN_FAILURES as exc:
             failure = (type(exc), str(exc))
-        record = canonical_json({"facts": self.facts, "asserts": self.asserts,
-                                 "agreement": agreement})
-        return Deduction(tuple(self.steps), record, failure)
+        return Deduction(tuple(self.steps), canonical_json(self.facts),
+                         canonical_json(self.asserts), canonical_json(agreement), failure)
 
     def _step(self, action: str, *args) -> None:
         self.steps.append((*self._line, action, args))
@@ -629,15 +636,14 @@ def replay(deduction: Deduction, name: str, params: dict[str, int],
             getattr(geometry, action)(*args)
         except _WRAPPED as exc:
             raise _at_line(name, lineno, line, exc) from exc
-    recorded = json.loads(deduction.record)
-    report.facts, report.asserts = recorded["facts"], recorded["asserts"]
+    report.facts, report.asserts = json.loads(deduction.facts), json.loads(deduction.asserts)
     if deduction.failure is not None:
         kind, message = deduction.failure
         if kind is AssertionNotEntailed:
             report.passed = False
             raise AssertionNotEntailed(message, report)
         raise kind(message)
-    geometry.agree(recorded["agreement"])
+    geometry.agree(json.loads(deduction.agreement))
     return report
 
 
@@ -654,8 +660,11 @@ def _deduction(name: str, text: str, params: tuple[tuple[str, int], ...]) -> Ded
 def run_script_text(name: str, text: str, params: dict[str, int],
                     seed: int = 0) -> ScriptReport:
     env = {k: int(v) for k, v in params.items()}
-    report = replay(_deduction(name, text, tuple(env.items())), name, env, int(seed))
-    report.report_hash = content_hash(report.to_dict())
+    deduction = _deduction(name, text, tuple(env.items()))
+    report = replay(deduction, name, env, int(seed))
+    # facts and asserts are the deduction's texts, so only the per-seed keys are walked
+    report.report_hash = spliced_hash(report.to_dict(), {"facts": deduction.facts,
+                                                         "asserts": deduction.asserts})
     return report
 
 

@@ -34,6 +34,15 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(_normalize(obj), sort_keys=True, separators=(",", ":"))
 
 
+def spliced_hash(obj: dict, texts: dict[str, str]) -> str:
+    """``content_hash(obj)``, where the members named in ``texts`` are given
+    by their canonical JSON: they are spliced in as text, never walked."""
+    members = {key: canonical_json(value) for key, value in obj.items() if key not in texts}
+    members.update(texts)
+    body = ",".join(f"{json.dumps(key)}:{members[key]}" for key in sorted(members))
+    return hashlib.sha256(f"{{{body}}}".encode("utf-8")).hexdigest()
+
+
 def canonical_json_pretty(obj: Any) -> str:
     return json.dumps(_normalize(obj), sort_keys=True, indent=2)
 

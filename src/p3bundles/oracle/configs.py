@@ -22,7 +22,7 @@ Configurations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from p3bundles.jsonio import content_hash
@@ -120,7 +120,10 @@ class GeometryConfig:
         return self._hash
 
 
+@lru_cache(maxsize=None)
 def config_hash(cfg: GeometryConfig) -> str:
+    """The content hash of a configuration, memoised: a pass replays the
+    same few configurations at every run."""
     payload = {
         "curve": cfg.curve,
         "components": cfg.components,

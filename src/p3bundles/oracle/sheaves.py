@@ -40,7 +40,10 @@ is certified against the chi bound itself.  Every matrix is stacked from
 int64 residues mod p, which give the modular rank; only where that rank
 does not certify the answer are the exact integer rows built, for Bareiss
 to decide.  The count depends on the lines alone, so it is memoised per
-(lines, k), and configurations that hold the same lines share it.
+(lines, k), and configurations that hold the same lines share it.  The
+whole vectors of ``ideal_cohomology`` and ``serre_cohomology`` are memoised
+in front of it, per (configuration, twist), so a configuration asked again
+reaches ``h0_ideal`` only on its first ask of a twist.
 
 Above the regularity of I_Y no matrix is needed.  By Mumford's lemma, if
 h^1(I_Y(k)) = 0, h^2(I_Y(k-1)) = h^1(O_Y(k-1)) = 0 and
@@ -69,6 +72,7 @@ from p3bundles.oracle.configs import (
     Line,
     MarkedPoint,
     Point4,
+    config_hash,
     line_inside_quadric,
     lines_pairwise_disjoint,
     point_on_line,
@@ -176,9 +180,13 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
 
 
 def clear_caches() -> None:
-    """Forget every memoised h0 and count, regularity record, quadric-point
-    answer, line-restriction block and monomial table.  The engine's memos
-    are cleared with them by ``p3bundles.clear_caches``."""
+    """Forget every memoised cohomology vector, h0 and count, regularity
+    record, quadric-point answer, line-restriction block, monomial table and
+    configuration hash.  The engine's memos are cleared with them by
+    ``p3bundles.clear_caches``."""
+    ideal_cohomology.cache_clear()
+    serre_cohomology.cache_clear()
+    config_hash.cache_clear()
     h0_ideal.cache_clear()
     quadric_restriction_onto_points_surjective.cache_clear()
     _counts.clear()
@@ -189,7 +197,10 @@ def clear_caches() -> None:
         table.cache_clear()
 
 
+@lru_cache(maxsize=None)
 def ideal_cohomology(cfg: GeometryConfig, k: int) -> CohomologyVector:
+    """Full vector of I_Y(k), memoised per (configuration, k).  The h^1 >= 0
+    check runs on every miss, and a raise is not memoised."""
     h0 = h0_ideal(cfg, k)
     ov = structure_cohomology(cfg, k)
     amb = h_p3_line_bundle(k)
@@ -202,8 +213,10 @@ def ideal_cohomology(cfg: GeometryConfig, k: int) -> CohomologyVector:
     return CohomologyVector(h0, h1, h2, h3)
 
 
+@lru_cache(maxsize=None)
 def serre_cohomology(cfg: GeometryConfig, l: int) -> CohomologyVector:
-    """Full vector of the rank-2 extension bundle twisted by l."""
+    """Full vector of the rank-2 extension bundle twisted by l, memoised per
+    (configuration, l)."""
     if cfg.serre_shift is None:
         raise ValueError("configuration has no extension data")
     s, tshift = cfg.serre_shift

@@ -10,7 +10,7 @@ import pytest
 from p3bundles import acceptance, clear_caches, monad
 from p3bundles.acceptance import BUDGETS, _Context, run_all
 from p3bundles.engine.script import ScriptRunner
-from p3bundles.oracle import SamplingFailed
+from p3bundles.oracle import SamplingFailed, config_hash, sheaves
 
 # report_hash of run_all(seed=0), pinned with the golden corpus of
 # tests/test_golden.py; a refactor must leave it unchanged
@@ -113,3 +113,27 @@ def test_the_second_pass_deduces_everything_again(monkeypatch):
     assert report["passed"]
     # once per pass: the seeds of a pass share one deduction and one graph
     assert built == ["prop1", "profile"] * 2
+
+
+def test_the_second_pass_misses_every_oracle_memo(monkeypatch):
+    """After the reset between the passes of criterion 11, the second pass
+    finds the cohomology-vector and configuration-hash memos empty, and
+    computes every entry again: as many misses, and hits, as the first."""
+    memos = (sheaves.ideal_cohomology, sheaves.serre_cohomology, config_hash)
+    passes = []
+
+    def criterion(ctx):
+        start = [memo.cache_info().currsize for memo in memos]
+        ran = [ctx.run("prop1", m=1, eps=0, a=5, seed=s) for s in range(3)]
+        spec = monad.MonadSpec.create(monad.Series.SIGMA0, 1, 0, 5)
+        spectra = {monad.spectrum(spec, seed=s) for s in range(3)}
+        passes.append((start, [memo.cache_info()[:2] for memo in memos]))
+        return {"passed": all(o["status"] == "entailed" for o in ran) and len(spectra) == 1}
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", ((5, "three seeds of one run", criterion),))
+    clear_caches()
+    report, _ = run_all(seed=0)
+    assert report["passed"]
+    (start, counts), (second_start, second_counts) = passes
+    assert start == second_start == [0, 0, 0]
+    assert second_counts == counts and all(misses for _, misses in counts)

@@ -90,3 +90,30 @@ def test_workloads_come_from_the_trees_benchmark_spec(tmp_path, capsys):
     spec = json.loads((root / "BENCHMARK.json").read_text("utf-8"))
     assert all(w["name"] in err for w in spec["workloads"])
     assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_traced_runs_ride_in_the_first_pairs_in_the_pairs_order(monkeypatch):
+    calls = []
+
+    def fake_run(tree, workload, seed, trace):
+        calls.append((str(tree), trace))
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"runs_per_s": float(len(calls))}}
+
+    monkeypatch.setattr(bench_snapshot, "bench_run", fake_run)
+    monkeypatch.setattr(bench_snapshot, "machine", dict)
+    spec = {"end_to_end": [{"name": "runs_per_s", "better": "higher"}]}
+    snap = bench_snapshot.snapshot({"parent": Path("p"), "change": Path("c")}, spec,
+                                   ["w"], runs=4, seed=0, acceptance=False)
+    assert calls == [("p", 0), ("c", 0), ("p", 1), ("c", 1),
+                     ("c", 0), ("p", 0), ("c", 1), ("p", 1),
+                     ("p", 0), ("c", 0), ("p", 1), ("c", 1),
+                     ("c", 0), ("p", 0)]
+    change = snap["trees"]["change"]["workloads"]["w"]
+    assert len(change["runs"]) == 4 and len(change["traced"]) == 3
+    assert [r["metrics"]["runs_per_s"] for r in change["traced"]] == [4.0, 7.0, 12.0]
+    assert change["traced_median"] == {"runs_per_s": 7.0}
+    assert snap["first_in_pair"]["w"] == ["parent", "change", "parent", "change"]
+    one = bench_snapshot.snapshot({"here": Path("h")}, spec, ["w"], runs=1, seed=0,
+                                  acceptance=False)
+    assert len(one["trees"]["here"]["workloads"]["w"]["traced"]) == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from p3bundles.jsonio import canonical_json, canonical_json_pretty, content_hash
+from p3bundles.jsonio import canonical_json, canonical_json_pretty, content_hash, spliced_hash
 from p3bundles.rng import child_rng, child_seed
 
 
@@ -31,6 +31,14 @@ def test_pretty_and_compact_agree_on_content():
 def test_content_hash_is_stable():
     assert content_hash({"a": 1}) == content_hash({"a": 1})
     assert content_hash({"a": 1}) != content_hash({"a": 2})
+
+
+def test_spliced_members_hash_as_the_whole_object():
+    obj = {"z": [1, {"b": None, "a": True}], "é\"": "\\ü", "a": Fraction(1, 2), "m": 3}
+    texts = {"z": canonical_json(obj["z"]), "é\"": canonical_json(obj["é\""])}
+    assert spliced_hash(obj, texts) == content_hash(obj)
+    assert spliced_hash(obj, {}) == content_hash(obj)
+    assert spliced_hash({}, {}) == content_hash({})
 
 
 def test_child_seed_is_label_sensitive():

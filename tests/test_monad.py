@@ -417,3 +417,17 @@ def test_middle_term_checks_records_a_failed_evidence_run(monkeypatch):
     assert [ev["status"] for ev in out["engine_evidence"]] == ["failed"]
     assert out["engine_evidence"][0]["error"] == "SamplingFailed: ruling configuration"
     assert not out["established"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "sample_conics can return a configuration that is not of maximal rank; "
+    "the generic transfer of ROADMAP item 5 needs a general sample"))
+def test_a_sampled_conic_summand_has_maximal_rank():
+    """sigma1 (4,0,11) at seed 937564958: the first summand is 5 conics with
+    h^0(I_Y(5)) = 2 and h^1(I_Y(5)) = 1, where seed 700908090 gives 1 and 0.
+    Making the sampler general flips this test."""
+    spec = MonadSpec.create(Series.SIGMA1, 4, 0, 11)
+    general = monad._summand_configs(spec, 700908090)[0]
+    assert sheaves.ideal_cohomology(general, 5).as_tuple() == (1, 0, 0, 0)
+    cfg = monad._summand_configs(spec, 937564958)[0]
+    assert sheaves.ideal_cohomology(cfg, 5).h1 == 0

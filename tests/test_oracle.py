@@ -431,15 +431,54 @@ def test_modification_sampling_reaches_the_paper_scale_series(m, d):
 def test_clear_caches_empties_every_oracle_cache():
     cfg = sample_ruling(2, 0)
     ideal_cohomology(cfg, 3)
+    serre_cohomology(cfg, 1)
+    config_hash(cfg)
     quadric_restriction_onto_points_surjective(sample_modification(1, 0).marked, 1, 1)
     assert h0_ideal.cache_info().currsize and line_restriction_block.cache_info().currsize
     assert quadric_restriction_onto_points_surjective.cache_info().currsize
     assert sheaves._regular_from and sheaves._counts
+    memos = (ideal_cohomology, serre_cohomology, config_hash)
+    assert all(memo.cache_info().currsize for memo in memos)
     clear_caches()
     assert h0_ideal.cache_info().currsize == 0 and not sheaves._counts
     assert line_restriction_block.cache_info().currsize == 0
     assert quadric_restriction_onto_points_surjective.cache_info().currsize == 0
     assert not sheaves._regular_from
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+
+
+def test_vectors_and_hashes_are_memoised_per_configuration_and_twist():
+    clear_caches()
+    cfg = sample_conics(2, 0)
+    assert ideal_cohomology(cfg, 4) is ideal_cohomology(cfg, 4)
+    assert serre_cohomology(cfg, 2) is serre_cohomology(cfg, 2)
+    assert config_hash(cfg) is config_hash(cfg)
+    assert ideal_cohomology.cache_info().hits >= 1
+    # a memoised vector is the one a cold cache computes
+    vectors = [ideal_cohomology(cfg, k) for k in range(-2, 9)]
+    clear_caches()
+    assert [ideal_cohomology(cfg, k) for k in reversed(range(-2, 9))][::-1] == vectors
+
+
+def test_a_violated_identity_raises_on_every_call_and_is_never_memoised(monkeypatch):
+    """A doctored h^0 below the chi bound makes h^1 negative; the raise is
+    not memoised, so the next call checks again, and so does the first call
+    after the real h^0 is back."""
+    cfg = sample_ruling(2, 0)  # chi(I_Y(3)) = 20 - 3 * 4 = 8
+    calls = []
+
+    def doctored(config, k):
+        calls.append(k)
+        return 0
+
+    clear_caches()
+    monkeypatch.setattr(sheaves, "h0_ideal", doctored)
+    for _ in range(2):
+        with pytest.raises(sheaves.OracleInternalError, match=r"h1\(I\(3\)\) = -8 < 0"):
+            ideal_cohomology(cfg, 3)
+    assert calls == [3, 3] and ideal_cohomology.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert ideal_cohomology(cfg, 3).as_tuple() == (8, 0, 0, 0)
 
 
 def test_block_cache_has_a_fixed_bound():

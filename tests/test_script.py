@@ -15,7 +15,7 @@ from p3bundles.engine import (
     run_script_text,
 )
 from p3bundles.engine.script import OracleFactMismatch, ScriptRunner, _safe_eval
-from p3bundles.jsonio import canonical_json
+from p3bundles.jsonio import canonical_json, content_hash
 from p3bundles.monad import Series, in_strict_range
 from p3bundles.oracle import SamplingFailed
 
@@ -272,6 +272,44 @@ def test_a_warm_replay_has_the_cold_bytes_and_does_no_graph_work(propagations, c
     propagations.clear()
     assert report_bytes(name, params, seed) == cold
     assert propagations == []
+
+
+def whole_report_hash(report) -> str:
+    payload = report.to_dict()
+    del payload["report_hash"]
+    return content_hash(payload)
+
+
+@pytest.mark.parametrize("case", sorted(SCRIPT_HASHES),
+                         ids=lambda c: f"{c[0]}-{'-'.join(str(v) for _, v in c[1])}-s{c[2]}")
+def test_the_spliced_hash_is_the_whole_report_hash(case):
+    """Cold, and warm after another seed; a partial report carries no hash."""
+    name, params, seed = case
+    clear_caches()
+    for replay_seed in (seed, seed + 1, seed):
+        try:
+            report = run_script(name, dict(params), seed=replay_seed)
+        except AssertionNotEntailed as exc:
+            assert exc.report.report_hash == ""
+            continue
+        assert report.report_hash == whole_report_hash(report)
+
+
+ESCAPED = 'Y"\\é'  # a quote, a backslash and a non-ASCII letter
+
+
+def test_the_spliced_hash_escapes_names_as_the_whole_report_does():
+    node = "I" + ESCAPED
+    text = (f"param m\nconfig {ESCAPED} ruling m={{m}}\nnode {node} ideal geom=ideal:{ESCAPED}\n"
+            f"node O line 0\nnode C lines {{m+1}} 0\ntriple T{ESCAPED} {node} O C\n"
+            f"twist T{ESCAPED} 0\nfact ORACLE h0 {node} 0 = 0\nassert h1 {node} 0 = 1\n")
+    clear_caches()
+    for seed in (0, 1, 0):
+        report = run_script_text("doctored", text, {"m": 1}, seed=seed)
+        assert report.passed and list(report.configs) == [ESCAPED]
+        assert report.facts[0]["node"] == node and node in report.asserts[0]["target"]
+        assert "\\u00e9" in canonical_json(report.to_dict())
+        assert report.report_hash == whole_report_hash(report)
 
 
 ORACLE_MISS = "fact ORACLE h0 I 1 = {m+99}\n"  # two ruling lines: h0(I_Y(1)) = 0

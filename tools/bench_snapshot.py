@@ -6,25 +6,26 @@
 
 For each tree (a checkout with ``perfbench/run.py`` and ``src/``) and each
 workload, it runs ``python3 perfbench/run.py --workload W --seed S --trace 0``
-``--runs`` times, then once with ``--trace 1``, and reads the JSON object on
-the last line of each invocation's standard output.  The run length is the
-benchmark's own default.  With two trees the runs come in pairs, one run of
-each tree, and the tree that runs first alternates from pair to pair, so
-neither slow drifts of the machine nor the position in a pair favour one
-tree.  ``--acceptance`` also runs ``acceptance.run_all`` once per tree in a
-fresh process and records its per-criterion wall times (11 is the cold
-second pass) and peak RSS.
+``--runs`` times, and with ``--trace 1`` after each of the first
+min(``--runs``, 3) of those, and reads the JSON object on the last line of each
+invocation's standard output.  The run length is the benchmark's own
+default.  With two trees the runs come in pairs, one run of each tree (and
+one traced run of each, where the pair has them), and the tree that runs
+first alternates from pair to pair, so neither slow drifts of the machine
+nor the position in a pair favour one tree.  ``--acceptance`` also runs
+``acceptance.run_all`` once per tree in a fresh process and records its
+per-criterion wall times (11 is the cold second pass) and peak RSS.
 
 The workloads and each metric's better direction come from the first tree's
 ``BENCHMARK.json``.  The snapshot holds, per tree and workload: every run's
-end-to-end metrics, their medians, quartiles and min-max ranges, the traced
-per-layer metrics, and how many runs were attempted and failed.  With two
-trees it records which tree ran first in each pair and adds, per metric, the
-ratio of the medians (second over first), how many of the pairs the second
-tree won, the first tree's interquartile range, and whether the second
-tree's median is better than the first's by more than that range.  The
-snapshot is appended to the ``snapshots`` list of ``--out``, which is
-created if it does not exist.
+end-to-end metrics, their medians, quartiles and min-max ranges, every
+traced run's per-layer metrics and their medians, and how many runs were
+attempted and failed.  With two trees it records which tree ran first in
+each pair and adds, per metric, the ratio of the medians (second over
+first), how many of the pairs the second tree won, the first tree's
+interquartile range, and whether the second tree's median is better than
+the first's by more than that range.  The snapshot is appended to the
+``snapshots`` list of ``--out``, which is created if it does not exist.
 """
 
 from __future__ import annotations
@@ -127,6 +128,10 @@ def compare(first: list[dict], second: list[dict], better: dict[str, str]) -> di
     return out
 
 
+# pairs that also run the traced benchmark, at most
+TRACED_PAIRS = 3
+
+
 def pair_order(labels: list[str], i: int) -> list[str]:
     """The order in which pair ``i`` runs the trees: reversed on odd pairs."""
     return labels if i % 2 == 0 else labels[::-1]
@@ -144,19 +149,22 @@ def snapshot(trees: dict[str, Path], spec: dict, workloads: list[str], runs: int
                  "trees": {label: {"workloads": {}} for label in labels}}
     for workload in workloads:
         timed: dict[str, list[dict]] = {label: [] for label in labels}
+        traced: dict[str, list[dict]] = {label: [] for label in labels}
         firsts = []
         for i in range(runs):
             order = pair_order(labels, i)
             firsts.append(order[0])
-            for label in order:
-                timed[label].append(bench_run(trees[label], workload, seed, 0))
-                print(f"{workload} run {i + 1}/{runs} {label}: {timed[label][-1]}",
-                      file=sys.stderr)
+            for trace, results in ((0, timed), (1, traced)):
+                if trace and i >= TRACED_PAIRS:
+                    continue
+                for label in order:
+                    results[label].append(bench_run(trees[label], workload, seed, trace))
+                    print(f"{workload} run {i + 1}/{runs} trace {trace} {label}: "
+                          f"{results[label][-1]}", file=sys.stderr)
         for label in labels:
-            traced = bench_run(trees[label], workload, seed, 1)
             out["trees"][label]["workloads"][workload] = {
                 "runs": timed[label], **summarize(timed[label]),
-                "traced": traced}
+                "traced": traced[label], "traced_median": summarize(traced[label])["median"]}
         if len(labels) == 2:
             better = {m["name"]: m["better"] for m in spec["end_to_end"]}
             out.setdefault("first_in_pair", {})[workload] = firsts
