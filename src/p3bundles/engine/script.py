@@ -25,8 +25,9 @@ reads fresh objects from them, and its `report_hash` splices them with the
 canonical JSON of the per-seed keys, which gives the hash of the whole
 report.  The oracle memoises each cohomology vector and configuration hash,
 so a warm replay pays for sampling and for oracle answers not seen before.
-`p3bundles.clear_caches` empties every memo.  `ScriptRunner(...).run()`
-runs both phases with no deduction memo.
+`p3bundles.clear_caches` empties every memo.  A replay with no deduction
+memo is `replay(ScriptRunner(name, text, params).deduce(), name, params,
+seed)`.
 
 Grammar (one command per line, `#` comments, `{...}` holds integer
 arithmetic over the declared params, with binom/max/min):
@@ -102,9 +103,11 @@ class OracleFactMismatch(Exception):
 
 
 class AssertionNotEntailed(Exception):
-    """An `assert` the rules do not entail; `report` ends with its chain."""
+    """An `assert` the rules do not entail.  A replay raises it with the
+    report of its seed, which ends with the assert's chain; the deduction
+    raises it with no report and records only its message."""
 
-    def __init__(self, message: str, report: "ScriptReport"):
+    def __init__(self, message: str, report: "ScriptReport | None" = None):
         super().__init__(message)
         self.report = report
 
@@ -263,13 +266,12 @@ class Deduction:
 
 
 class ScriptRunner:
-    """The deduction of one replay; ``run`` adds the geometry at ``seed``."""
+    """The deduction of one replay; ``replay`` adds the geometry at a seed."""
 
-    def __init__(self, name: str, text: str, params: dict[str, int], seed: int):
+    def __init__(self, name: str, text: str, params: dict[str, int]):
         self.name = name
         self.text = text
         self.env = {k: int(v) for k, v in params.items()}
-        self.seed = int(seed)
         self.graph = DeductionGraph()
         self.labels: set[str] = set()  # the configs declared so far
         # node name -> the oracle kind it is bound to: ideal, serre or points
@@ -279,9 +281,6 @@ class ScriptRunner:
         self.asserts: list[dict] = []
         self._declared_params: set[str] = set()
         self._line = (0, "")
-
-    def run(self) -> ScriptReport:
-        return replay(self.deduce(), self.name, self.env, self.seed)
 
     def deduce(self) -> Deduction:
         agreement, failure = [], None
@@ -519,9 +518,7 @@ class ScriptRunner:
         if not entailed:
             # the geometry raises it again with the report of its seed
             raise AssertionNotEntailed(
-                f"assert h{degree}({label}) {relation} {value}: interval is {iv}",
-                ScriptReport(self.name, dict(self.env), self.seed, facts=self.facts,
-                             asserts=self.asserts, passed=False))
+                f"assert h{degree}({label}) {relation} {value}: interval is {iv}")
 
     def _agreement_rows(self) -> list[list]:
         """The settled intervals of every instance of a sheaf bound to an
@@ -654,7 +651,7 @@ DEDUCTIONS = 256
 
 @lru_cache(maxsize=DEDUCTIONS)
 def _deduction(name: str, text: str, params: tuple[tuple[str, int], ...]) -> Deduction:
-    return ScriptRunner(name, text, dict(params), 0).deduce()
+    return ScriptRunner(name, text, dict(params)).deduce()
 
 
 def run_script_text(name: str, text: str, params: dict[str, int],

@@ -232,14 +232,6 @@ def _pinned_graph(spec: MonadSpec, twists: list[int],
     return graph
 
 
-def _profile_graph(spec: MonadSpec, twists: Iterable[int],
-                   configs: list[GeometryConfig]) -> DeductionGraph:
-    """The profile graph of ``spec`` at ``twists``, pinned by the oracle
-    vectors of the summand ``configs``."""
-    twists = sorted(set(twists))
-    return _pinned_graph(spec, twists, _summand_vectors(configs, twists))
-
-
 # Profiles kept by h1_intervals: a spectrum sweep over the 74 strict specs
 # up to a = 11 asks one per spec and twist range.
 PROFILES = 256

@@ -45,27 +45,22 @@ Exponents = tuple[int, int, int, int]
 ExactRows = Callable[[], list[tuple[int, ...]]]  # builds a matrix's integer rows
 
 
-def monomial_exponents(k: int) -> list[Exponents]:
-    """Degree-k monomials in 4 variables, deterministic (lex) order."""
-    if k < 0:
-        return []
-    out = []
-    for e0 in range(k, -1, -1):
-        for e1 in range(k - e0, -1, -1):
-            for e2 in range(k - e0 - e1, -1, -1):
-                out.append((e0, e1, e2, k - e0 - e1 - e2))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _monomials(d: int, on_quadric: bool) -> tuple[Exponents, ...]:
-    """The degree-d monomials in lex order; ``on_quadric``, only those not
-    divisible by x0*x3, by degree in (x1, x3), then in (x2, x3).  Either set
-    is closed under dividing by a variable."""
+    """The degree-d monomials in 4 variables in lex order (none for d < 0);
+    ``on_quadric``, only those not divisible by x0*x3, by degree in (x1, x3),
+    then in (x2, x3).  Either set is closed under dividing by a variable."""
+    lex = tuple((e0, e1, e2, d - e0 - e1 - e2) for e0 in range(d, -1, -1)
+                for e1 in range(d - e0, -1, -1) for e2 in range(d - e0 - e1, -1, -1))
     if not on_quadric:
-        return tuple(monomial_exponents(d))
-    return tuple(sorted((e for e in monomial_exponents(d) if not (e[0] and e[3])),
+        return lex
+    return tuple(sorted((e for e in lex if not (e[0] and e[3])),
                         key=lambda e: (e[1] + e[3], e[2] + e[3])))
+
+
+def monomial_exponents(k: int) -> list[Exponents]:
+    """Degree-k monomials in 4 variables, deterministic (lex) order."""
+    return list(_monomials(k, False))
 
 
 def quadric_exponents(k: int) -> list[Exponents]:
@@ -141,18 +136,13 @@ def line_restriction_block(line: Line, k: int) -> np.ndarray:
     return block
 
 
-def exact_restriction_rows(lines: tuple[Line, ...], k: int) -> list[tuple[int, ...]]:
-    """The restriction matrix of ``lines`` in the monomials of P^3 over the
-    integers, a (k+1)-row block per line, for the exact fallback only; not
-    cached."""
-    return [tuple(row) for row in _restriction_block(lines, k, None).tolist()]
-
-
-def exact_quadric_rows(lines: tuple[Line, ...], k: int) -> list[tuple[int, ...]]:
-    """The blocks of ``lines`` on S in their (k+1)^2 quadric columns over the
-    integers, as ``line_restriction_block`` before reduction, for the exact
-    fallback only; not cached."""
-    return [tuple(row) for row in _restriction_block(lines, k, None, True).tolist()]
+def exact_restriction_rows(lines: tuple[Line, ...], k: int,
+                           on_quadric: bool = False) -> list[tuple[int, ...]]:
+    """The rows of ``_restriction_block`` over the integers, in the monomials
+    of P^3 or, ``on_quadric``, in the (k+1)^2 quadric columns of
+    ``line_restriction_block`` before reduction; for the exact fallback
+    only, not cached."""
+    return [tuple(row) for row in _restriction_block(lines, k, None, on_quadric).tolist()]
 
 
 def restriction_matrix(lines: tuple[Line, ...], k: int) -> tuple[list[np.ndarray], ExactRows]:
@@ -243,21 +233,13 @@ def _row_reduce_mod_p(m: np.ndarray) -> list[int]:
     return pivots
 
 
-def rank_mod_p(rows: list) -> int:
-    """Rank over F_PRIME of a list of rows (0 for no rows).
-
-    A row is an int64 array, such as a row of ``line_restriction_block``, or
-    a tuple of Python ints of any size and sign.  The rows are reduced mod
-    PRIME into a fresh int64 matrix, int64 arrays in one vectorised pass and
-    tuples cell by cell, then row-reduced.
-    """
+def rank_mod_p(rows: list[np.ndarray]) -> int:
+    """Rank over F_PRIME of int64 residue rows, such as the rows of
+    ``line_restriction_block`` (0 for no rows): stacked into a fresh int64
+    matrix, then row-reduced."""
     if not rows:
         return 0
-    if isinstance(rows[0], np.ndarray):
-        m = np.vstack(rows) % PRIME
-    else:
-        m = np.array([[x % PRIME for x in row] for row in rows], dtype=np.int64)
-    return len(_row_reduce_mod_p(m))
+    return len(_row_reduce_mod_p(np.vstack(rows) % PRIME))
 
 
 def rank_exact(rows: list) -> int:
@@ -287,21 +269,18 @@ def rank_exact(rows: list) -> int:
     return rank
 
 
-def nullity_certified(rows: list, n_cols: int, lower_bound: int = 0,
-                      exact: ExactRows | None = None) -> int:
-    """Exact kernel dimension of an integer matrix with n_cols columns.
+def nullity_certified(rows: list[np.ndarray], n_cols: int, lower_bound: int,
+                      exact: ExactRows) -> int:
+    """Exact kernel dimension of an integer matrix with n_cols columns,
+    given by its int64 residue ``rows`` and ``exact``, which builds its
+    integer rows.
 
     The modular rank bounds the rational rank from below, so
     n_cols - rank_p bounds the nullity from above.  The caller's lower bound,
     which must be valid, and n_cols minus the row count bound it from below;
     where the two sides meet the answer is certified, and where they do not,
-    ``rank_exact`` decides on the integer rows.  ``rows`` may be int64
-    residue rows, in which case ``exact`` builds the same matrix's integer
-    rows, and is called only when the certificate does not close.  Without
-    it ``rows`` must be exact int tuples.
+    ``rank_exact`` decides on the rows ``exact`` builds, called only then.
     """
-    if n_cols == 0:
-        return 0
     if not rows:
         return n_cols
     upper = n_cols - rank_mod_p(rows)
@@ -311,15 +290,13 @@ def nullity_certified(rows: list, n_cols: int, lower_bound: int = 0,
             f"caller lower bound {lower} exceeds certified upper bound {upper}")
     if upper == lower:
         return upper
-    return n_cols - rank_exact(exact() if exact is not None else rows)
+    return n_cols - rank_exact(exact())
 
 
-def full_row_rank(rows: list, exact: ExactRows | None = None) -> bool:
-    """Do the rows have full rank?  ``exact`` as in ``nullity_certified``."""
+def full_row_rank(rows: list[np.ndarray], exact: ExactRows) -> bool:
+    """Do the rows have full rank?  Arguments as in ``nullity_certified``."""
     if not rows:
         return True
     if len(rows) > len(rows[0]):
         return False
-    if rank_mod_p(rows) == len(rows):
-        return True
-    return rank_exact(exact() if exact is not None else rows) == len(rows)
+    return rank_mod_p(rows) == len(rows) or rank_exact(exact()) == len(rows)

@@ -39,11 +39,9 @@ end of M leaves S, the whole restriction matrix in the C(k+3, 3) monomials
 is certified against the chi bound itself.  Every matrix is stacked from
 int64 residues mod p, which give the modular rank; only where that rank
 does not certify the answer are the exact integer rows built, for Bareiss
-to decide.  The count depends on the lines alone, so it is memoised per
-(lines, k), and configurations that hold the same lines share it.  The
-whole vectors of ``ideal_cohomology`` and ``serre_cohomology`` are memoised
-in front of it, per (configuration, twist), so a configuration asked again
-reaches ``h0_ideal`` only on its first ask of a twist.
+to decide.  ``ideal_cohomology`` and ``serre_cohomology`` memoise whole
+vectors per (configuration, twist), so ``h0_ideal`` counts once per
+configuration and twist, on its first ask.
 
 Above the regularity of I_Y no matrix is needed.  By Mumford's lemma, if
 h^1(I_Y(k)) = 0, h^2(I_Y(k-1)) = h^1(O_Y(k-1)) = 0 and
@@ -101,12 +99,17 @@ class OracleInternalError(RuntimeError):
     """An exact identity came out violated; indicates a bug, never geometry."""
 
 
+class ConfigurationError(ValueError):
+    """A configuration the oracle was asked about cannot answer the question:
+    its curve type is unknown, or it carries no extension data."""
+
+
 def structure_cohomology(cfg: GeometryConfig, k: int) -> CohomologyVector:
     if cfg.curve == "lines":
         return h_disjoint_lines(cfg.components, k)
     if cfg.curve == "conics":
         return h_disjoint_conics(cfg.components, k)
-    raise ValueError(f"unknown curve type {cfg.curve!r}")
+    raise ConfigurationError(f"unknown curve type {cfg.curve!r}")
 
 
 def chi_ideal(cfg: GeometryConfig, k: int) -> int:
@@ -127,7 +130,7 @@ def _trace_nullity(on: tuple[Line, ...], points: list[Point4], k: int, lower: in
     values, exact_values = evaluation_matrix(points, quadric_exponents(k))
     rows = [b[j] for j in range(k + 1) for b in blocks] + values
     return nullity_certified(rows, (k + 1) ** 2, lower,
-                             lambda: linalg.exact_quadric_rows(on, k) + exact_values())
+                             lambda: linalg.exact_restriction_rows(on, k, True) + exact_values())
 
 
 def _count(lines: tuple[Line, ...], k: int, lower: int) -> int:
@@ -153,14 +156,12 @@ def _count(lines: tuple[Line, ...], k: int, lower: int) -> int:
     return nullity_certified(rows, comb(k + 3, 3), lower, exact)
 
 
-# (lines, k) -> h^0(I_Y(k)); the count depends on the lines alone
-_counts: dict[tuple[tuple[Line, ...], int], int] = {}
-
 # configuration -> least twist k computed with h^1(I_Y(k)) = 0 at which I_Y
 # is known to be (k+1)-regular; see the module docstring
 _regular_from: dict[GeometryConfig, int] = {}
 
 
+# 0 hits behind ideal_cohomology; stays: perfbench reads it for oracle.sheaves.h0_cache_hit_ratio
 @lru_cache(maxsize=None)
 def h0_ideal(cfg: GeometryConfig, k: int) -> int:
     """dim of degree-k forms vanishing on the configuration curve."""
@@ -169,10 +170,7 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
     lower = chi_ideal(cfg, k) - structure_cohomology(cfg, k).h1  # h^1(I) >= 0; h^3(O(k)) = 0
     if k >= _regular_from.get(cfg, k + 1):
         return lower
-    key = (cfg.lines, k)
-    if key not in _counts:
-        _counts[key] = _count(cfg.lines, k, lower)
-    h0 = _counts[key]
+    h0 = _count(cfg.lines, k, lower)
     if (h0 == lower and structure_cohomology(cfg, k - 1).h1 == 0
             and h_p3_line_bundle(k - 2).h3 == 0):
         _regular_from[cfg] = k
@@ -180,8 +178,8 @@ def h0_ideal(cfg: GeometryConfig, k: int) -> int:
 
 
 def clear_caches() -> None:
-    """Forget every memoised cohomology vector, h0 and count, regularity
-    record, quadric-point answer, line-restriction block, monomial table and
+    """Forget every memoised cohomology vector and h0, regularity record,
+    quadric-point answer, line-restriction block, monomial table and
     configuration hash.  The engine's memos are cleared with them by
     ``p3bundles.clear_caches``."""
     ideal_cohomology.cache_clear()
@@ -189,7 +187,6 @@ def clear_caches() -> None:
     config_hash.cache_clear()
     h0_ideal.cache_clear()
     quadric_restriction_onto_points_surjective.cache_clear()
-    _counts.clear()
     _regular_from.clear()
     # through its owner: a caller may have rebound this module's name to a wrapper
     linalg.line_restriction_block.cache_clear()
@@ -218,7 +215,7 @@ def serre_cohomology(cfg: GeometryConfig, l: int) -> CohomologyVector:
     """Full vector of the rank-2 extension bundle twisted by l, memoised per
     (configuration, l)."""
     if cfg.serre_shift is None:
-        raise ValueError("configuration has no extension data")
+        raise ConfigurationError("configuration has no extension data")
     s, tshift = cfg.serre_shift
     c1 = s + tshift
 

@@ -8,28 +8,21 @@ vector (h^0, h^1, h^2, h^3) as computed in the ambient P^3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CohomologyVector:
+class CohomologyVector(NamedTuple):
     h0: int
     h1: int
     h2: int
     h3: int
 
-    def __iter__(self):
-        return iter((self.h0, self.h1, self.h2, self.h3))
-
-    def __getitem__(self, i: int) -> int:
-        return (self.h0, self.h1, self.h2, self.h3)[i]
-
     def chi(self) -> int:
         return self.h0 - self.h1 + self.h2 - self.h3
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.h0, self.h1, self.h2, self.h3)
+        return tuple(self)
 
 
 def h_p1(d: int) -> tuple[int, int]:

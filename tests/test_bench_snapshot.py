@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,39 @@ def test_last_json_line_skips_the_human_lines():
     assert bench_snapshot.last_json_line(out) == {"correct": True}
     with pytest.raises(ValueError):
         bench_snapshot.last_json_line("\n")
+
+
+def test_a_result_line_short_of_a_declared_metric_or_not_finite_is_an_error(
+        tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": "runs_per_s"}, {"name": "peak_rss_mb"}],
+        "per_layer": [{"name": "oracle.linalg.block_cache_hit_ratio"}]}), "utf-8")
+    lines = []
+
+    def fake_subprocess_run(cmd, **kwargs):
+        # the benchmark prints its result line with json.dumps, NaN and all
+        line = json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                           "metrics": {n: {"value": v} for n, v in lines.pop(0).items()}})
+        return subprocess.CompletedProcess(cmd, 0, f"workload=w\n{line}\n", "")
+
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", fake_subprocess_run)
+    lines[:] = [{"runs_per_s": 5.0, "peak_rss_mb": 90.0},
+                {"runs_per_s": 5.0},
+                {"runs_per_s": float("nan"), "peak_rss_mb": float("inf")},
+                {"oracle.linalg.block_s": 0.5}]
+    ok, short, nan, traced = (bench_snapshot.bench_run(tmp_path, "w", 0, trace)
+                              for trace in (0, 0, 0, 1))
+    assert ok == {"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {"runs_per_s": 5.0, "peak_rss_mb": 90.0}}
+    assert short == {"correct": True, "attempted": 10, "failed": 0,
+                     "error": "malformed result line: missing peak_rss_mb"}
+    assert nan["error"] == "malformed result line: not finite: runs_per_s, peak_rss_mb"
+    assert traced["error"] == ("malformed result line: "
+                               "missing oracle.linalg.block_cache_hit_ratio")
+    assert "metrics" not in short and "metrics" not in nan
+    summary = bench_snapshot.summarize([ok, short, nan])
+    assert summary["median"] == {"peak_rss_mb": 90.0, "runs_per_s": 5.0}
+    assert len(summary["errors"]) == 2
 
 
 def test_summarize_medians_ranges_and_failures():

@@ -14,6 +14,7 @@ import pytest
 from p3bundles import cli
 from p3bundles.cli import main
 from p3bundles.monad import InconsistentProfile
+from p3bundles.oracle import GeometryConfig, serre_cohomology
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -199,6 +200,18 @@ def test_tsv_is_rejected_before_any_work(monkeypatch, op):
 def test_a_stray_value_error_is_a_usage_error(monkeypatch):
     def refuse(*args, **kwargs):
         raise ValueError("configuration has no extension data")
+
+    monkeypatch.setattr(cli, "h1_intervals", refuse)
+    code, _, err = run_cli("monad", "profile", "--series", "sigma0", "--m", "1",
+                           "--eps", "0", "--a", "5")
+    assert code == 2
+    assert "usage:" in err and "error: configuration has no extension data" in err
+    assert "Traceback" not in err
+
+
+def test_a_configuration_error_is_a_usage_error(monkeypatch):
+    def refuse(*args, **kwargs):
+        return serre_cohomology(GeometryConfig("lines", 0, ()), 0)
 
     monkeypatch.setattr(cli, "h1_intervals", refuse)
     code, _, err = run_cli("monad", "profile", "--series", "sigma0", "--m", "1",

@@ -24,7 +24,13 @@ from p3bundles.engine.graph import (
 )
 from p3bundles.engine.intervals import EmptyInterval, Interval
 from p3bundles.jsonio import content_hash
-from p3bundles.monad import MonadSpec, Series, _profile_graph, _summand_configs
+from p3bundles.monad import (
+    MonadSpec,
+    Series,
+    _pinned_graph,
+    _summand_configs,
+    _summand_vectors,
+)
 from p3bundles.oracle import h0_ideal, ideal_cohomology, sample_ruling
 
 
@@ -50,7 +56,8 @@ def monad_graph():
     unpropagated, plus both triples at twist 0, where no summand is pinned:
     R5 pins E1(0) and E2(0) from twist -4, and R6 carries them into the sum."""
     spec = MonadSpec.create(Series.SIGMA0, 1, 0, 5)
-    g = _profile_graph(spec, range(-8, 0), _summand_configs(spec, 0))
+    twists = list(range(-8, 0))
+    g = _pinned_graph(spec, twists, _summand_vectors(_summand_configs(spec, 0), twists))
     g.materialize("TK", 0)
     g.materialize("TE", 0)
     return g
@@ -384,9 +391,9 @@ def replay(monkeypatch, graph_class, name, params, seed):
     the hash of its report (partial, if an assert is not entailed)."""
     monkeypatch.setattr(script_module, "DeductionGraph", graph_class)
     runner = script_module.ScriptRunner(
-        name, script_module.load_bundled_script(name), dict(params), seed)
+        name, script_module.load_bundled_script(name), dict(params))
     try:
-        report = runner.run()
+        report = script_module.replay(runner.deduce(), name, dict(params), seed)
     except AssertionNotEntailed as exc:
         report = exc.report
     return runner.graph, content_hash(report.to_dict())

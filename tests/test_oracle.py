@@ -16,7 +16,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
+from p3bundles.monad import InvalidSpec
 from p3bundles.oracle import (
+    ConfigurationError,
     GeometryConfig,
     Line,
     SamplingFailed,
@@ -48,7 +50,6 @@ from p3bundles.oracle.linalg import (
     PRIME,
     bidegree_exponents,
     evaluation_matrix,
-    exact_quadric_rows,
     exact_restriction_rows,
     full_row_rank,
     line_restriction_block,
@@ -255,7 +256,7 @@ def test_evaluation_residues_are_the_exact_rows_reduced(coords, p, q):
                          for point in coords]
         assert all(row.dtype == np.int64 for row in residues)
         assert [row.tolist() for row in residues] == [[x % PRIME for x in row] for row in exact]
-        assert full_row_rank(residues, build) == full_row_rank(exact)
+        assert full_row_rank(residues, build) == (rank_exact(exact) == len(exact))
 
 
 def test_marked_point_evaluation():
@@ -292,7 +293,7 @@ def test_restriction_block_mod_p_is_the_exact_block_reduced(p, q, k):
     assert [row.tolist() for row in residues] == [[x % PRIME for x in row] for row in exact]
     _assert_columns_restrict(exact, p, q, k, monomial_exponents(k))
     if line_inside_quadric(line):  # the cached block keeps the quadric columns
-        exact = exact_quadric_rows((line,), k)
+        exact = exact_restriction_rows((line,), k, True)
         block = line_restriction_block(line, k)
         assert block.dtype == np.int64 and block.shape == (k + 1, (k + 1) ** 2)
         assert block.tolist() == [[x % PRIME for x in row] for row in exact]
@@ -342,7 +343,8 @@ def test_the_q_columns_vanish_on_ruling_lines(m, seed, k):
     for lines in (sample_ruling(m, seed).lines, ruling_part(conics).lines):
         full = np.array(exact_restriction_rows(lines, k), dtype=object)
         assert not (full[:, plus] - full[:, minus]).any()
-        assert full[:, free].tolist() == [list(row) for row in exact_quadric_rows(lines, k)]
+        quadric_rows = exact_restriction_rows(lines, k, True)
+        assert full[:, free].tolist() == [list(row) for row in quadric_rows]
     if k >= 2:  # a partner line leaves S, and Q*m does not vanish on it
         for line in partner_part(conics).lines:
             full = np.array(exact_restriction_rows((line,), k), dtype=object)
@@ -436,11 +438,11 @@ def test_clear_caches_empties_every_oracle_cache():
     quadric_restriction_onto_points_surjective(sample_modification(1, 0).marked, 1, 1)
     assert h0_ideal.cache_info().currsize and line_restriction_block.cache_info().currsize
     assert quadric_restriction_onto_points_surjective.cache_info().currsize
-    assert sheaves._regular_from and sheaves._counts
+    assert sheaves._regular_from
     memos = (ideal_cohomology, serre_cohomology, config_hash)
     assert all(memo.cache_info().currsize for memo in memos)
     clear_caches()
-    assert h0_ideal.cache_info().currsize == 0 and not sheaves._counts
+    assert h0_ideal.cache_info().currsize == 0
     assert line_restriction_block.cache_info().currsize == 0
     assert quadric_restriction_onto_points_surjective.cache_info().currsize == 0
     assert not sheaves._regular_from
@@ -491,9 +493,9 @@ def exact_builds(monkeypatch):
     """Count the calls of `exact_restriction_rows`, from cold caches."""
     calls = []
 
-    def counting(lines, k):
+    def counting(lines, k, *args):
         calls.append(k)
-        return exact_restriction_rows(lines, k)
+        return exact_restriction_rows(lines, k, *args)
 
     clear_caches()
     monkeypatch.setattr(linalg, "exact_restriction_rows", counting)
@@ -662,22 +664,28 @@ def test_ten_conics_split_where_the_whole_matrix_needs_bareiss(monkeypatch):
     clear_caches()
 
 
-def test_configurations_with_the_same_lines_share_one_count(monkeypatch):
-    shapes = []
-
-    def recording(m):
-        shapes.append(m.shape)
-        return row_reduce(m)
-
-    row_reduce = linalg._row_reduce_mod_p
-    monkeypatch.setattr(linalg, "_row_reduce_mod_p", recording)
+def test_configurations_with_the_same_lines_share_one_count():
+    # the count depends on the lines alone: two configurations that differ
+    # only in their extension data are counted apart, to the same h^0
     clear_caches()
     cfg = sample_ruling(3, 0)
     shifted = replace(cfg, serre_shift=(-2, 1))
     assert cfg != shifted and cfg.lines == shifted.lines
     assert h0_ideal(cfg, 2) == h0_ideal(shifted, 2) == 1
-    assert h0_ideal.cache_info().misses == 2 and shapes == [(12, 9)]
+    assert h0_ideal.cache_info().misses == 2
     clear_caches()
+
+
+def test_questions_a_configuration_cannot_answer_raise_a_configuration_error():
+    # a ValueError, so the CLI still exits 2, that a caller tells from a bad spec
+    assert issubclass(ConfigurationError, ValueError)
+    assert not issubclass(ConfigurationError, InvalidSpec)
+    with pytest.raises(ConfigurationError, match="^unknown curve type 'cubics'$"):
+        structure_cohomology(GeometryConfig("cubics", 1, ()), 0)
+    no_extension = GeometryConfig("lines", 0, ())
+    for _ in range(2):  # a raise is not memoised
+        with pytest.raises(ConfigurationError, match="^configuration has no extension data$"):
+            serre_cohomology(no_extension, 0)
 
 
 def test_four_ruling_lines_have_h1_at_twist_two():
@@ -798,6 +806,11 @@ def test_meeting_lines_refuse_surjectivity_without_a_rank(fallbacks, monkeypatch
         assert rank_exact(rows) < len(rows)
 
 
+def _residues(rows):
+    """Integer rows reduced mod PRIME, as the int64 rows `rank_mod_p` takes."""
+    return [np.array([x % PRIME for x in row], dtype=np.int64) for row in rows]
+
+
 huge = st.one_of(st.integers(min_value=-50, max_value=50),
                  st.integers(min_value=2 ** 63, max_value=2 ** 70),
                  st.integers(min_value=-2 ** 70, max_value=-2 ** 63),
@@ -807,14 +820,13 @@ huge = st.one_of(st.integers(min_value=-50, max_value=50),
 @given(st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(st.lists(huge, min_size=n, max_size=n), min_size=1, max_size=6)))
 @settings(max_examples=60, deadline=None)
-def test_rank_mod_p_takes_int_tuples_and_int64_rows_alike(matrix):
+def test_residue_rows_give_the_exact_answers_through_their_builder(matrix):
     tuples = [tuple(row) for row in matrix]
-    residues = [np.array([x % PRIME for x in row], dtype=np.int64) for row in matrix]
-    assert rank_mod_p(tuples) == rank_mod_p(residues) <= rank_exact(tuples)
+    residues = _residues(tuples)
+    assert rank_mod_p(residues) <= rank_exact(tuples)
     n_cols = len(tuples[0])
-    for rows in (tuples, residues):
-        assert nullity_certified(rows, n_cols, exact=lambda: tuples) == n_cols - rank_exact(tuples)
-        assert full_row_rank(rows, lambda: tuples) == (rank_exact(tuples) == len(tuples))
+    assert nullity_certified(residues, n_cols, 0, lambda: tuples) == n_cols - rank_exact(tuples)
+    assert full_row_rank(residues, lambda: tuples) == (rank_exact(tuples) == len(tuples))
 
 
 
@@ -842,7 +854,7 @@ def test_rank_exact_is_the_rational_rank(rows):
     n_cols = len(rows[0]) if rows else 0
     expected = Matrix(len(rows), n_cols, [x for row in rows for x in row]).rank()
     assert rank_exact(rows) == expected
-    assert rank_mod_p(rows) <= expected
+    assert rank_mod_p(_residues(rows)) <= expected
 
 
 @pytest.mark.parametrize("rows, rank", [
@@ -852,20 +864,19 @@ def test_rank_exact_is_the_rational_rank(rows):
 ])
 def test_an_unlucky_prime_leaves_the_answer_to_bareiss(rows, rank):
     # rank_p < rank_Q, so the certificate cannot close: Bareiss decides on the
-    # integer rows, given as the rows or built from the residue rows' callable
+    # integer rows that the residue rows' callable builds
     n_cols = len(rows[0])
-    residues = [np.array([x % PRIME for x in row], dtype=np.int64) for row in rows]
-    assert rank_mod_p(rows) < rank == rank_exact(rows)
-    for given_rows, exact in ((rows, None), (residues, lambda: rows)):
-        assert nullity_certified(given_rows, n_cols, 0, exact) == n_cols - rank
-        assert full_row_rank(given_rows, exact) == (rank == len(rows))
+    residues = _residues(rows)
+    assert rank_mod_p(residues) < rank == rank_exact(rows)
+    assert nullity_certified(residues, n_cols, 0, lambda: rows) == n_cols - rank
+    assert full_row_rank(residues, lambda: rows) == (rank == len(rows))
 
 
 def test_empty_rows_keep_their_answers():
     assert rank_mod_p([]) == 0
     assert rank_exact([]) == rank_exact([(), ()]) == 0
-    assert nullity_certified([], 10) == 10
-    assert full_row_rank([]) is True
+    assert nullity_certified([], 10, 0, lambda: []) == 10
+    assert full_row_rank([], lambda: []) is True
     no_lines = GeometryConfig("lines", 0, ())
     assert h0_ideal(no_lines, 2) == comb(5, 3)
     assert restriction_onto_lines_surjective(no_lines, 2)

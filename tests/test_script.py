@@ -14,7 +14,7 @@ from p3bundles.engine import (
     run_script,
     run_script_text,
 )
-from p3bundles.engine.script import OracleFactMismatch, ScriptRunner, _safe_eval
+from p3bundles.engine.script import OracleFactMismatch, ScriptRunner, _safe_eval, replay
 from p3bundles.jsonio import canonical_json, content_hash
 from p3bundles.monad import Series, in_strict_range
 from p3bundles.oracle import SamplingFailed
@@ -139,10 +139,15 @@ fact ASSUMED epi TK 1
 """
 
 
+def unmemoised(name, text, params, seed=0):
+    """A replay with no deduction memo: a fresh deduction, then its geometry."""
+    return replay(ScriptRunner(name, text, params).deduce(), name, params, seed)
+
+
 def test_compose_makes_the_composite_surjective():
     text = COMPOSE_BASE + "annotate compose TY 1 = TS 1 ; TK 1\nassert h1 IY 1 = 0\n"
-    runner = ScriptRunner("compose", text, {}, 0)
-    report = runner.run()
+    runner = ScriptRunner("compose", text, {})
+    report = replay(runner.deduce(), "compose", {}, 0)
     assert report.asserts[0]["status"] == "entailed"
     assert runner.graph.tinsts[("TY", 1)].conn_origin[0] == (
         "R8: composite of H0-surjections TS@1 then TK@1")
@@ -210,8 +215,8 @@ if {eps==1} :: twist T 2
 
 @pytest.mark.parametrize("eps", [0, 1])
 def test_if_line_runs_its_command_only_when_the_condition_holds(eps):
-    runner = ScriptRunner("if", IF_SCRIPT, {"eps": eps}, 0)
-    runner.run()
+    runner = ScriptRunner("if", IF_SCRIPT, {"eps": eps})
+    replay(runner.deduce(), "if", {"eps": eps}, 0)
     assert (("T", 2) in runner.graph.tinsts) == (eps == 1)
 
 
@@ -221,9 +226,9 @@ def test_a_bad_brace_expression_raises_at_its_line_each_time_it_is_reached(bad):
     at the line that evaluates it, and not when an `if` skips that line."""
     text = IF_SCRIPT + f"if {{eps==1}} :: twist T {bad}\n"
     for _ in range(2):
-        ScriptRunner("bad", text, {"eps": 0}, 0).run()
+        unmemoised("bad", text, {"eps": 0})
         with pytest.raises(ScriptError, match=r"^bad:7: "):
-            ScriptRunner("bad", text, {"eps": 1}, 0).run()
+            unmemoised("bad", text, {"eps": 1})
 
 
 def test_conn_facts_record_their_index():
@@ -339,7 +344,7 @@ def test_failures_come_in_the_same_order_cold_and_warm(text, error, message):
             if memo:
                 run_script_text("doctored", text, {"m": 1}, seed=seed)
             else:
-                ScriptRunner("doctored", text, {"m": 1}, seed).run()
+                unmemoised("doctored", text, {"m": 1}, seed)
         report = getattr(info.value, "report", None)
         return str(info.value), report and canonical_json(report.to_dict())
 

@@ -3,14 +3,17 @@
 The tracer skips a target that no longer resolves, by design, so a renamed
 function or a call that stops going through its module global would silently
 drop per-layer metrics.  This run checks that every target resolves, that
-each counted layer is reached by a spectrum and a script replay, and that
-the metrics are the strict JSON a traced benchmark run prints.
+each counted layer is reached by a spectrum and a script replay, that the
+metrics are the strict JSON a traced benchmark run prints, and that each
+workload's first runs give every declared per-layer metric it feeds.
 """
 
-import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
+
+import pytest
 
 from p3bundles import clear_caches, monad
 from p3bundles.engine import graph, script
@@ -18,11 +21,11 @@ from p3bundles.oracle import linalg
 from p3bundles.oracle.configs import ruling_line
 
 _ROOT = Path(__file__).resolve().parents[1]
-_PATH = _ROOT / "perfbench" / "tracer.py"
 _BENCHMARK = _ROOT / "BENCHMARK.json"
-_spec = importlib.util.spec_from_file_location("perfbench_tracer", _PATH)
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+if str(_ROOT) not in sys.path:
+    sys.path.insert(0, str(_ROOT))
+
+from perfbench import tracer, worker, workloads  # noqa: E402
 
 
 def fed_layer_metrics() -> set[str]:
@@ -64,6 +67,29 @@ def test_every_target_resolves_and_every_layer_is_reached():
     assert sorted(fed_layer_metrics() - set(metrics)) == []
     # the result line of a traced benchmark run must stay strict JSON
     assert json.loads(json.dumps(metrics, allow_nan=False)) == metrics
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_a_traced_workload_feeds_every_declared_layer_metric(workload):
+    """From cold caches, the first run of each script or series of a
+    workload's seed-0 list gives every per-layer metric the tracer feeds a
+    finite value; a traced benchmark run whose result line lacked one would
+    be malformed."""
+    firsts = {}
+    for run in workloads.runs(workload, 0):
+        firsts.setdefault((run["kind"], run["name"]), run)
+    clear_caches()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for run in firsts.values():
+            worker._call(run)
+    finally:
+        t.uninstall()
+    assert t.missing == []
+    metrics = t.metrics()
+    assert sorted(fed_layer_metrics() - set(metrics)) == []
+    assert [name for name, value in metrics.items() if not math.isfinite(value)] == []
 
 
 def test_clear_caches_works_while_the_tracer_is_installed():

@@ -8,13 +8,17 @@ For each tree (a checkout with ``perfbench/run.py`` and ``src/``) and each
 workload, it runs ``python3 perfbench/run.py --workload W --seed S --trace 0``
 ``--runs`` times, and with ``--trace 1`` after each of the first
 min(``--runs``, 3) of those, and reads the JSON object on the last line of each
-invocation's standard output.  The run length is the benchmark's own
-default.  With two trees the runs come in pairs, one run of each tree (and
-one traced run of each, where the pair has them), and the tree that runs
-first alternates from pair to pair, so neither slow drifts of the machine
-nor the position in a pair favour one tree.  ``--acceptance`` also runs
-``acceptance.run_all`` once per tree in a fresh process and records its
-per-criterion wall times (11 is the cold second pass) and peak RSS.
+invocation's standard output.  A result line that lacks a metric the
+tree's ``BENCHMARK.json`` declares for its mode (``end_to_end`` untraced,
+``per_layer`` traced), or holds a value that is not a finite number, is
+recorded as an error, as a malformed run.  The run length is the
+benchmark's own default.  With two trees the runs come in pairs, one run
+of each tree (and one traced run of each, where the pair has them), and
+the tree that runs first alternates from pair to pair, so neither slow
+drifts of the machine nor the position in a pair favour one tree.
+``--acceptance`` also runs ``acceptance.run_all`` once per tree in a fresh
+process and records its per-criterion wall times (11 is the cold second
+pass) and peak RSS.
 
 The workloads and each metric's better direction come from the first tree's
 ``BENCHMARK.json``.  The snapshot holds, per tree and workload: every run's
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -59,17 +64,37 @@ def last_json_line(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
+def malformed(metrics: dict, declared: list[str]) -> str:
+    """What makes a result line's metrics malformed: the declared metrics it
+    lacks and the values that are not finite numbers; empty if nothing."""
+    problems = []
+    missing = [name for name in declared if name not in metrics]
+    if missing:
+        problems.append(f"missing {', '.join(missing)}")
+    bad = [name for name, value in metrics.items()
+           if not (isinstance(value, (int, float)) and math.isfinite(value))]
+    if bad:
+        problems.append(f"not finite: {', '.join(bad)}")
+    return "; ".join(problems)
+
+
 def bench_run(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One invocation of the tree's own benchmark command; its result line."""
+    """One invocation of the tree's own benchmark command; its result line,
+    with an error in place of the metrics if the line is malformed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
            str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     result = last_json_line(proc.stdout)
-    return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    out = {"correct": result["correct"], "attempted": result["attempted"],
+           "failed": result["failed"]}
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    spec = json.loads((tree / "BENCHMARK.json").read_text("utf-8"))
+    problem = malformed(metrics, [m["name"] for m in spec["per_layer" if trace else "end_to_end"]])
+    if problem:
+        return {**out, "error": f"malformed result line: {problem}"}
+    return {**out, "metrics": metrics}
 
 
 def acceptance_run(tree: Path) -> dict:
