@@ -20,11 +20,13 @@ the recorded failure, or compares the agreement rows with fresh oracle
 vectors.  `run_script_text` memoises the deduction per (name, text,
 params) in an LRU of DEDUCTIONS entries, so a replay at another seed reruns
 only the geometry.  The deduction keeps the facts, the asserts and the
-agreement rows as canonical JSON texts, each normalised once; a replay
-reads fresh objects from them, and its `report_hash` splices them with the
-canonical JSON of the per-seed keys, which gives the hash of the whole
-report.  The oracle memoises each cohomology vector and configuration hash,
-so a warm replay pays for sampling and for oracle answers not seen before.
+agreement rows: the first two as canonical JSON texts, each normalised
+once, the rows as a tuple the sweep reads directly.  A replay reads fresh
+facts and asserts from their texts, and its `report_hash` splices the texts
+with the canonical JSON of the per-seed keys, which gives the hash of the
+whole report.  The oracle memoises each cohomology vector and
+configuration hash, so a warm replay pays for sampling and for oracle
+answers not seen before.
 `p3bundles.clear_caches` empties every memo.  A replay with no deduction
 memo is `replay(ScriptRunner(name, text, params).deduce(), name, params,
 seed)`.
@@ -83,7 +85,6 @@ from p3bundles.oracle import (
     join_configs,
     partner_part,
     quadric_restriction_onto_points_surjective,
-    restriction_onto_points_surjective,
     ruling_part,
     sample_conics,
     sample_modification,
@@ -227,6 +228,9 @@ class ScriptReport:
 # A geometry action of a replay: (line number, line, action, arguments), the
 # action naming the `_Geometry` method that performs it.
 Step = tuple[int, str, str, tuple]
+# An instance the agreement sweep compares: (label, node, twist, the (lo, hi)
+# of h^0 to h^3, hi None where unbounded).
+AgreementRow = tuple[str, str, int, tuple[tuple[int, int | None], ...]]
 
 # binding kind -> the oracle kind its node reads
 _BINDING_KINDS = {"ideal": "ideal", "ideal-ruling": "ideal", "ideal-partner": "ideal",
@@ -251,17 +255,17 @@ def _at_line(name: str, lineno: int, line: str, exc: Exception) -> Exception:
 class Deduction:
     """The seed-free half of a replay (see the module docstring).
 
-    ``facts``, ``asserts`` and ``agreement`` are canonical JSON texts, the
-    agreement rows each [instance label, node, twist, the [lo, hi] of h^0 to
-    h^3]; as text they are compact, every replay reads fresh objects from
-    them, and the report hash splices the first two in unparsed.
+    ``facts`` and ``asserts`` are canonical JSON texts: as text they are
+    compact, every replay reads fresh objects from them, and the report hash
+    splices them in unparsed.  ``agreement`` holds the rows of the agreement
+    sweep, each (instance label, node, twist, the (lo, hi) of h^0 to h^3).
     ``failure`` is the type and message of the first failure, or None.
     """
 
     steps: tuple[Step, ...]
     facts: str
     asserts: str
-    agreement: str
+    agreement: tuple[AgreementRow, ...]
     failure: tuple[type, str] | None
 
 
@@ -283,7 +287,7 @@ class ScriptRunner:
         self._line = (0, "")
 
     def deduce(self) -> Deduction:
-        agreement, failure = [], None
+        agreement, failure = (), None
         try:
             for lineno, line in _lines(self.text):
                 self._line = (lineno, line)
@@ -298,7 +302,7 @@ class ScriptRunner:
         except RUN_FAILURES as exc:
             failure = (type(exc), str(exc))
         return Deduction(tuple(self.steps), canonical_json(self.facts),
-                         canonical_json(self.asserts), canonical_json(agreement), failure)
+                         canonical_json(self.asserts), agreement, failure)
 
     def _step(self, action: str, *args) -> None:
         self.steps.append((*self._line, action, args))
@@ -520,21 +524,23 @@ class ScriptRunner:
             raise AssertionNotEntailed(
                 f"assert h{degree}({label}) {relation} {value}: interval is {iv}")
 
-    def _agreement_rows(self) -> list[list]:
+    def _agreement_rows(self) -> tuple[AgreementRow, ...]:
         """The settled intervals of every instance of a sheaf bound to an
         ideal or serre configuration, in the order of their keys."""
         keys = sorted(self.graph.instances, key=lambda k: (str(k[0]), k[1:]))
         if keys:  # the first query settles the graph; the rest find it settled
             first = self.graph.instances[keys[0]]
             self.graph.instance(first.node_name, first.twist)
-        rows = []
+        # equal bounds share one tuple: the deduction memo keeps every row
+        rows, shared = [], {}
         for key in keys:
             inst = self.graph.instances[key]
             if (self.bindings.get(inst.node_name) in ("ideal", "serre")
                     and self.graph.nodes[inst.node_name].kind is Kind.SHEAF):
-                rows.append([inst.label, inst.node_name, inst.twist,
-                             [[iv.lo, iv.hi] for iv in inst.h]])
-        return rows
+                bounds = tuple(shared.setdefault(b, b) for b in ((iv.lo, iv.hi) for iv in inst.h))
+                rows.append((inst.label, inst.node_name, inst.twist,
+                             shared.setdefault(bounds, bounds)))
+        return tuple(rows)
 
 
 class _Geometry:
@@ -595,16 +601,14 @@ class _Geometry:
         if len(points) != count:
             raise ScriptError(f"epi fact on {tname}: {len(points)} marked points bound, "
                               f"node expects {count}")
-        if source is Kind.QUADRIC:
-            surjective = quadric_restriction_onto_points_surjective(points, *params)
-        elif source is Kind.LINE:
-            surjective = restriction_onto_points_surjective([mp.point for mp in points], *params)
-        else:
+        if source not in (Kind.LINE, Kind.QUADRIC):
             raise ScriptError(f"epi fact on {tname}: unsupported source kind {source}")
-        if not surjective:
+        # S is projectively normal: H0(O_P3(d)) -> H0(O_S(d, d)) is onto
+        bidegree = params * 2 if source is Kind.LINE else params
+        if not quadric_restriction_onto_points_surjective(points, *bidegree):
             raise OracleFactMismatch(f"fact epi {tname}@{t}: restriction not surjective")
 
-    def agree(self, rows: list[list]) -> None:
+    def agree(self, rows: tuple[AgreementRow, ...]) -> None:
         checked = 0
         mismatches = []
         for label, name, t, intervals in rows:
@@ -640,7 +644,7 @@ def replay(deduction: Deduction, name: str, params: dict[str, int],
             report.passed = False
             raise AssertionNotEntailed(message, report)
         raise kind(message)
-    geometry.agree(json.loads(deduction.agreement))
+    geometry.agree(deduction.agreement)
     return report
 
 

@@ -43,6 +43,14 @@ def quadric_point(u: Proj1, v: Proj1) -> Point4:
     return (u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1])
 
 
+def quadric_coordinates(x: Point4) -> tuple[Proj1, Proj1]:
+    """(u, v) with quadric_point(u, v) a nonzero multiple of the point x of S.
+    As a 2x2 matrix, x is the rank-1 product u v^T: u is a nonzero column
+    of it and v a nonzero row, both through its first nonzero entry."""
+    r, c = divmod(next(i for i, xi in enumerate(x) if xi), 2)
+    return (x[c], x[2 + c]), (x[2 * r], x[2 * r + 1])
+
+
 def quadric_value(p: Point4) -> int:
     return p[0] * p[3] - p[1] * p[2]
 

@@ -7,26 +7,22 @@ their own and the one the row count gives, to certify answers without ever
 trusting the prime alone.  Where the two do not meet, fraction-free Bareiss
 elimination on the exact integer rows decides: it is the one exact path.
 
-Restriction matrices have one column per monomial, in one of two bases.  In
-P^3 they are the C(k+3, 3) degree-k monomials in lex order.  On the smooth
-quadric S: Q = x0*x3 - x1*x2 = 0 they are the (k+1)^2 monomials not
-divisible by x0*x3, which restrict to a basis of H^0(O_S(k)): rewriting
-x0*x3 as x1*x2 modulo Q lowers the degree in x0, so they span, and there
-are C(k+3, 3) - C(k+1, 3) = h^0(O_S(k)) of them.  A line inside S, or a
-point of S, needs only those columns.  They are ordered by the monomial's degree in x1, x3 (the
-t-degree of its restriction to a line of the first ruling,
-s*(u0, 0, u1, 0) + t*(0, u0, 0, u1)), then by its degree in x2, x3, so a
-ruling line's row t^j is nonzero only in the j-th run of k+1 columns and
-the elimination's pivot rows stay short.
+Restriction matrices in P^3 have one column per degree-k monomial, the
+C(k+3, 3) of them in lex order.  The degree-k forms restrict onto
+H^0(O_S(k, k)) of the quadric S, parametrized by (u, v) -> (u0*v0, u0*v1,
+u1*v0, u1*v1); its (k+1)^2 columns are the monomials of bidegree (k, k) in
+S's own coordinates, by degree in v1, then in u1.  A line of S is a ruling,
+u or v constant on it.  On a line of the first ruling, u constant, a row
+t^j is nonzero only in the j-th run of k+1 columns, so the elimination's
+pivot rows stay short.
 
-Line-restriction rows are built mod p directly, as int64 residues, by a
-degree recursion; the same recursion over Python ints gives the exact rows,
-which only Bareiss reads.  Only the blocks of lines on S are cached, per
-(line, k): ruling lines recur across configurations, and their blocks are
-narrow.  The rows of the lines off S, secant and partner lines that rarely
-recur, are built per matrix, all of them in one recursion, and not kept.
-Point and bidegree evaluation matrices are built the same way: residues
-from powers taken modulo the prime, exact rows only for Bareiss.
+The rows of lines off S are built mod p directly, as int64 residues, all
+lines of a matrix in one degree recursion, and not kept; the same recursion
+over Python ints gives the exact rows, which only Bareiss reads.  A ruling's
+rows, the powers of its constant coordinate, are cached per (line, k):
+ruling lines recur across configurations.  Point evaluation matrices take
+their residues from powers reduced modulo the prime, exact rows only for
+Bareiss.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from math import prod
 
 import numpy as np
 
-from p3bundles.oracle.configs import Line
+from p3bundles.oracle.configs import Line, quadric_coordinates
 
 PRIME = 2_147_483_647  # 2^31 - 1; squares stay inside int64
 
@@ -46,50 +42,31 @@ ExactRows = Callable[[], list[tuple[int, ...]]]  # builds a matrix's integer row
 
 
 @lru_cache(maxsize=None)
-def _monomials(d: int, on_quadric: bool) -> tuple[Exponents, ...]:
-    """The degree-d monomials in 4 variables in lex order (none for d < 0);
-    ``on_quadric``, only those not divisible by x0*x3, by degree in (x1, x3),
-    then in (x2, x3).  Either set is closed under dividing by a variable."""
-    lex = tuple((e0, e1, e2, d - e0 - e1 - e2) for e0 in range(d, -1, -1)
-                for e1 in range(d - e0, -1, -1) for e2 in range(d - e0 - e1, -1, -1))
-    if not on_quadric:
-        return lex
-    return tuple(sorted((e for e in lex if not (e[0] and e[3])),
-                        key=lambda e: (e[1] + e[3], e[2] + e[3])))
-
-
-def monomial_exponents(k: int) -> list[Exponents]:
-    """Degree-k monomials in 4 variables, deterministic (lex) order."""
-    return list(_monomials(k, False))
-
-
-def quadric_exponents(k: int) -> list[Exponents]:
-    """The (k+1)^2 degree-k monomials not divisible by x0*x3, in the order
-    of the columns of a line on S."""
-    return list(_monomials(k, True))
+def _monomials(d: int) -> tuple[Exponents, ...]:
+    """The degree-d monomials in 4 variables in lex order (none for d < 0)."""
+    return tuple((e0, e1, e2, d - e0 - e1 - e2) for e0 in range(d, -1, -1)
+                 for e1 in range(d - e0, -1, -1) for e2 in range(d - e0 - e1, -1, -1))
 
 
 @lru_cache(maxsize=None)
-def _degree_step(d: int, on_quadric: bool) -> tuple[np.ndarray, np.ndarray]:
+def _degree_step(d: int) -> tuple[np.ndarray, np.ndarray]:
     """For the degree-d step of ``_restriction_block``: per degree-d monomial
     x^e, the column of x^e / x_i among the degree-(d-1) monomials, with i
     the first variable with e_i > 0, and that i."""
-    index = {e: j for j, e in enumerate(_monomials(d - 1, on_quadric))}
+    index = {e: j for j, e in enumerate(_monomials(d - 1))}
     cols, var = [], []
-    for e in _monomials(d, on_quadric):
+    for e in _monomials(d):
         i = next(i for i, n in enumerate(e) if n)
         cols.append(index[(*e[:i], e[i] - 1, *e[i + 1:])])
         var.append(i)
     return np.array(cols), np.array(var)
 
 
-def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None,
-                       on_quadric: bool = False) -> np.ndarray:
-    """Coefficients of each degree-k monomial of ``_monomials(k, on_quadric)``
-    restricted to each line s*p + t*q, in the basis s^k, s^{k-1} t, ..., t^k:
-    a (k+1)-row block per line, with one column per monomial in that order,
-    the blocks stacked in the order of ``lines``; no rows for k < 0 or no
-    lines.
+def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None) -> np.ndarray:
+    """Coefficients of each degree-k monomial restricted to each line
+    s*p + t*q, in the basis s^k, s^{k-1} t, ..., t^k: a (k+1)-row block per
+    line, with one column per monomial in lex order, the blocks stacked in
+    the order of ``lines``; no rows for k < 0 or no lines.
 
     Built degree by degree from x^e|_L = (p_i s + q_i t) * (x^e / x_i)|_L, with
     i the first variable with e_i > 0: one step gathers the degree-(d-1)
@@ -110,7 +87,7 @@ def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None,
     p, q = np.array(p, dtype).reshape(-1, 1, 4), np.array(q, dtype).reshape(-1, 1, 4)
     block = np.ones((len(lines), 1, 1), dtype)
     for d in range(1, k + 1):
-        cols, var = _degree_step(d, on_quadric)
+        cols, var = _degree_step(d)
         tails = block.take(cols, axis=2)
         block = np.zeros((len(lines), d + 1, len(cols)), dtype)
         block[:, :-1] = tails * p.take(var, axis=2)
@@ -120,10 +97,27 @@ def _restriction_block(lines: tuple[Line, ...], k: int, modulus: int | None,
     return block.reshape(-1, block.shape[2])
 
 
+def _ruling_block(line: Line, k: int, modulus: int | None) -> np.ndarray:
+    """The monomials of bidegree (k, k) restricted to a line of S, as int64
+    residues mod ``modulus`` or exact Python ints.  On the first ruling,
+    u = (a, b) and v = (s, t), the monomial of degrees (j, i) in (v1, u1)
+    is a^(k-i) b^i s^(k-j) t^j: row t^j holds the powers of u in run j.  On
+    the second, row t^i holds the powers of v at place i of every run."""
+    (u, v), (u2, _) = quadric_coordinates(line.p), quadric_coordinates(line.q)
+    first = u[0] * u2[1] == u[1] * u2[0]
+    a, b = u if first else v
+    powers = [a ** (k - i) * b ** i for i in range(k + 1)]
+    dtype = object if modulus is None else np.int64
+    if modulus is not None:
+        powers = [x % modulus for x in powers]
+    eye, powers = np.eye(k + 1, dtype=dtype), np.array([powers], dtype)
+    return np.kron(eye, powers) if first else np.kron(powers, eye)
+
+
 @lru_cache(maxsize=4096)
 def line_restriction_block(line: Line, k: int) -> np.ndarray:
-    """The (k+1)^2 quadric columns of a line on S, reduced mod PRIME, as a
-    read-only int64 array.
+    """The (k+1)^2 columns of H^0(O_S(k, k)) restricted to a line of S,
+    reduced mod PRIME, as a read-only int64 array.
 
     Reduction mod PRIME is a ring map, so this is the exact block reduced
     cell by cell.  Only lines on S are asked for: their narrow blocks recur
@@ -131,18 +125,21 @@ def line_restriction_block(line: Line, k: int) -> np.ndarray:
     workload asks for about 130 distinct (line, k) of them and hits the rest
     of its calls, so the bound does not evict within a run.
     """
-    block = _restriction_block((line,), k, PRIME, on_quadric=True)
+    block = _ruling_block(line, k, PRIME)
     block.flags.writeable = False
     return block
 
 
-def exact_restriction_rows(lines: tuple[Line, ...], k: int,
-                           on_quadric: bool = False) -> list[tuple[int, ...]]:
-    """The rows of ``_restriction_block`` over the integers, in the monomials
-    of P^3 or, ``on_quadric``, in the (k+1)^2 quadric columns of
-    ``line_restriction_block`` before reduction; for the exact fallback
-    only, not cached."""
-    return [tuple(row) for row in _restriction_block(lines, k, None, on_quadric).tolist()]
+def exact_ruling_rows(lines: tuple[Line, ...], k: int) -> list[tuple[int, ...]]:
+    """The rows of ``line_restriction_block`` over the integers, line by
+    line; for the exact fallback only, not cached."""
+    return [tuple(row) for line in lines for row in _ruling_block(line, k, None).tolist()]
+
+
+def exact_restriction_rows(lines: tuple[Line, ...], k: int) -> list[tuple[int, ...]]:
+    """The rows of ``_restriction_block`` over the integers; for the exact
+    fallback only, not cached."""
+    return [tuple(row) for row in _restriction_block(lines, k, None).tolist()]
 
 
 def restriction_matrix(lines: tuple[Line, ...], k: int) -> tuple[list[np.ndarray], ExactRows]:

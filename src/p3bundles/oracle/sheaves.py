@@ -30,9 +30,10 @@ full row rank mod p, so over Q, h^1(I_M(k-2)) = 0 and
 
     h^0(I_Y(k)) = C(k+1, 3) - rows(A) + h^0(I_{Y cap S, S}(k)).
 
-The last term is the nullity of piece B in the (k+1)^2 quadric columns (see
-``linalg``): the cached ``line_restriction_block`` rows of the lines of L,
-then one evaluation row at each trace point.  B is certified against the
+The last term is the nullity of piece B in the (k+1)^2 monomials of
+bidegree (k, k) in S's coordinates (u, v) (see ``linalg``): the cached
+``line_restriction_block`` rows of the lines of L, then each trace point's
+values at them, read at its (u, v).  B is certified against the
 chi bound minus h^0(I_M(k-2)).  With M empty, A has no rows and h^0 is
 C(k+1, 3) plus the nullity of B.  Where A is not surjective mod p, or an
 end of M leaves S, the whole restriction matrix in the C(k+3, 3) monomials
@@ -74,6 +75,7 @@ from p3bundles.oracle.configs import (
     line_inside_quadric,
     lines_pairwise_disjoint,
     point_on_line,
+    quadric_coordinates,
     quadric_value,
 )
 from p3bundles.oracle.linalg import (
@@ -81,9 +83,7 @@ from p3bundles.oracle.linalg import (
     evaluation_matrix,
     full_row_rank,
     line_restriction_block,
-    monomial_exponents,
     nullity_certified,
-    quadric_exponents,
     restriction_matrix,
 )
 from p3bundles.tables import (
@@ -116,7 +116,7 @@ def chi_ideal(cfg: GeometryConfig, k: int) -> int:
     return chi_p3_line_bundle(k) - structure_cohomology(cfg, k).chi()
 
 
-def _ends_on_quadric(line: Line) -> bool:
+def _ends_on_s(line: Line) -> bool:
     return quadric_value(line.p) == 0 and quadric_value(line.q) == 0
 
 
@@ -125,12 +125,13 @@ def _trace_nullity(on: tuple[Line, ...], points: list[Point4], k: int, lower: in
     ``on`` of S and at the ``points`` of S, certified against ``lower``.  The
     rows of the lines come from their cached blocks by power of t, so each
     run of k+1 columns reaches the elimination together; one evaluation row
-    per point follows."""
+    per point follows, its (u, v) read as (v, u) to match the column order."""
     blocks = [line_restriction_block(line, k) for line in on]
-    values, exact_values = evaluation_matrix(points, quadric_exponents(k))
+    values, exact_values = evaluation_matrix(
+        [(*v, *u) for u, v in map(quadric_coordinates, points)], bidegree_exponents(k, k))
     rows = [b[j] for j in range(k + 1) for b in blocks] + values
     return nullity_certified(rows, (k + 1) ** 2, lower,
-                             lambda: linalg.exact_restriction_rows(on, k, True) + exact_values())
+                             lambda: linalg.exact_ruling_rows(on, k) + exact_values())
 
 
 def _count(lines: tuple[Line, ...], k: int, lower: int) -> int:
@@ -142,12 +143,12 @@ def _count(lines: tuple[Line, ...], k: int, lower: int) -> int:
         return 0 if lines else 1
     on = tuple(filter(line_inside_quadric, lines))
     off = tuple(line for line in lines if not line_inside_quadric(line))
-    if all(map(_ends_on_quadric, off)) and lines_pairwise_disjoint(off):
+    if all(map(_ends_on_s, off)) and lines_pairwise_disjoint(off):
         residual, _ = restriction_matrix(off, k - 2)
         if not residual or (len(residual) <= len(residual[0])
                             and linalg.rank_mod_p(residual) == len(residual)):
             # the split's two facts: (I_Y : Q) = I_M, and M meets S at its ends
-            assert not any(map(line_inside_quadric, off)) and all(map(_ends_on_quadric, off))
+            assert not any(map(line_inside_quadric, off)) and all(map(_ends_on_s, off))
             trace = [x for line in off for x in (line.p, line.q)
                      if not any(point_on_line(x, l) for l in on)]
             h0_residual = comb(k + 1, 3) - len(residual)
@@ -228,19 +229,6 @@ def serre_cohomology(cfg: GeometryConfig, l: int) -> CohomologyVector:
     return CohomologyVector(h0, h1, h2, h3)
 
 
-def _evaluation_surjective(points: list[tuple[int, ...]], exponents) -> bool:
-    """Do the values of the monomials of ``exponents`` at the points, one row
-    per point, have full row rank?"""
-    return full_row_rank(*evaluation_matrix(points, exponents))
-
-
-def restriction_onto_points_surjective(points: list[Point4], k: int) -> bool:
-    """Is H0(O_P3(k)) -> functions on the given points surjective?"""
-    if k < 0:
-        return len(points) == 0
-    return _evaluation_surjective(points, monomial_exponents(k))
-
-
 @lru_cache(maxsize=None)
 def quadric_restriction_onto_points_surjective(points: tuple[MarkedPoint, ...],
                                                p: int, q: int) -> bool:
@@ -248,7 +236,8 @@ def quadric_restriction_onto_points_surjective(points: tuple[MarkedPoint, ...],
     Memoised: later runs of a pass ask the same points and bidegree again."""
     if p < 0 or q < 0:
         return len(points) == 0
-    return _evaluation_surjective([(*mp.u, *mp.v) for mp in points], bidegree_exponents(p, q))
+    return full_row_rank(*evaluation_matrix([(*mp.u, *mp.v) for mp in points],
+                                            bidegree_exponents(p, q)))
 
 
 def restriction_onto_lines_surjective(cfg: GeometryConfig, k: int) -> bool:
@@ -269,4 +258,7 @@ def restriction_onto_lines_surjective(cfg: GeometryConfig, k: int) -> bool:
 
 
 def marked_point_evaluation_surjective(cfg: GeometryConfig, k: int) -> bool:
-    return restriction_onto_points_surjective([mp.point for mp in cfg.marked], k)
+    """Is H0(O_P3(k)) -> functions on the marked points surjective?  S is
+    projectively normal, so H0(O_P3(k)) -> H0(O_S(k, k)) is onto, and the
+    points of S answer in S's coordinates."""
+    return quadric_restriction_onto_points_surjective(cfg.marked, k, k)

@@ -33,18 +33,23 @@ def test_a_result_line_short_of_a_declared_metric_or_not_finite_is_an_error(
     lines = []
 
     def fake_subprocess_run(cmd, **kwargs):
-        # the benchmark prints its result line with json.dumps, NaN and all
-        line = json.dumps({"correct": True, "attempted": 10, "failed": 0,
-                           "metrics": {n: {"value": v} for n, v in lines.pop(0).items()}})
+        # the benchmark prints its result line with json.dumps, NaN and all;
+        # a string is printed as the last line as it is
+        line = lines.pop(0)
+        if isinstance(line, dict):
+            line = json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                               "metrics": {n: {"value": v} for n, v in line.items()}})
         return subprocess.CompletedProcess(cmd, 0, f"workload=w\n{line}\n", "")
 
     monkeypatch.setattr(bench_snapshot.subprocess, "run", fake_subprocess_run)
     lines[:] = [{"runs_per_s": 5.0, "peak_rss_mb": 90.0},
                 {"runs_per_s": 5.0},
                 {"runs_per_s": float("nan"), "peak_rss_mb": float("inf")},
-                {"oracle.linalg.block_s": 0.5}]
-    ok, short, nan, traced = (bench_snapshot.bench_run(tmp_path, "w", 0, trace)
-                              for trace in (0, 0, 0, 1))
+                {"oracle.linalg.block_s": 0.5},
+                "  runs_per_s 3 1/s",
+                '{"correct": true}']
+    ok, short, nan, traced, human, keyless = (bench_snapshot.bench_run(tmp_path, "w", 0, trace)
+                                              for trace in (0, 0, 0, 1, 0, 0))
     assert ok == {"correct": True, "attempted": 10, "failed": 0,
                   "metrics": {"runs_per_s": 5.0, "peak_rss_mb": 90.0}}
     assert short == {"correct": True, "attempted": 10, "failed": 0,
@@ -52,6 +57,9 @@ def test_a_result_line_short_of_a_declared_metric_or_not_finite_is_an_error(
     assert nan["error"] == "malformed result line: not finite: runs_per_s, peak_rss_mb"
     assert traced["error"] == ("malformed result line: "
                                "missing oracle.linalg.block_cache_hit_ratio")
+    assert human == {"error": "malformed result line: JSONDecodeError: "
+                              "Expecting value: line 1 column 3 (char 2)"}
+    assert keyless == {"error": "malformed result line: KeyError: 'attempted'"}
     assert "metrics" not in short and "metrics" not in nan
     summary = bench_snapshot.summarize([ok, short, nan])
     assert summary["median"] == {"peak_rss_mb": 90.0, "runs_per_s": 5.0}

@@ -141,6 +141,17 @@ SIGMA0_24 = ("--series", "sigma0", "--m", "19", "--eps", "0", "--a", "24")
                  "param m\nconfig Y ruling m={m}\nnode I ideal geom=ideal-ruling:Y\n", 2,
                  "prop1:3: geometry binding 'ideal-ruling:Y': config 'Y' is not a conic",
                  id="ruling-view-of-ruling-config"),
+    # an epi out of O(t) onto the two marked points of a secant: onto from t = 1
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\nconfig Z modification d={m}\nnode O line 0\n"
+                 "node P points {2*m} geom=points:Z\nnode K sheaf\ntriple T K O P\n"
+                 "twist T 1\nfact ORACLE epi T 1\n", 0, "", id="epi-out-of-a-line-node"),
+    pytest.param(("verify", "prop1", "--m", "1", "--script-file", "{tmp}/variant.les"),
+                 "param m\nconfig Z modification d={m}\nnode O line 0\n"
+                 "node P points {2*m} geom=points:Z\nnode K sheaf\ntriple T K O P\n"
+                 "twist T 0\nfact ORACLE epi T 0\n", 1,
+                 "OracleFactMismatch: prop1:8: fact epi T@0: restriction not surjective",
+                 id="epi-out-of-a-line-node-not-onto"),
     pytest.param(("series", "density", "--r", "17", "--out", "{tmp}/missing/x.json"),
                  None, 2, "cannot write --out", id="unwritable-out"),
     pytest.param(("oracle", "ideal", "--kind", "ruling", "--m", "-1", "--twist", "0"),

@@ -43,6 +43,8 @@ from p3bundles.oracle.configs import (
     lines_disjoint,
     line_inside_quadric,
     point_on_line,
+    quadric_coordinates,
+    quadric_point,
     quadric_value,
     ruling_line,
 )
@@ -51,11 +53,10 @@ from p3bundles.oracle.linalg import (
     bidegree_exponents,
     evaluation_matrix,
     exact_restriction_rows,
+    exact_ruling_rows,
     full_row_rank,
     line_restriction_block,
-    monomial_exponents,
     nullity_certified,
-    quadric_exponents,
     rank_exact,
     rank_mod_p,
     restriction_matrix,
@@ -249,7 +250,7 @@ small_points = st.lists(st.tuples(*[st.integers(min_value=-9, max_value=9)] * 4)
 @given(small_points, st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=3))
 @settings(max_examples=40, deadline=None)
 def test_evaluation_residues_are_the_exact_rows_reduced(coords, p, q):
-    for exponents in (monomial_exponents(p), bidegree_exponents(p, q)):
+    for exponents in (list(linalg._monomials(p)), bidegree_exponents(p, q)):
         residues, build = evaluation_matrix(coords, exponents)
         exact = build()
         assert exact == [tuple(prod(x ** n for x, n in zip(point, e)) for e in exponents)
@@ -263,6 +264,22 @@ def test_marked_point_evaluation():
     cfg = sample_modification(2, 0)
     assert marked_point_evaluation_surjective(cfg, 2)
     assert not marked_point_evaluation_surjective(cfg, 0)
+
+
+MARKED = ([sample_modification(d, seed) for d in (1, 2, 4) for seed in (0, 1)]
+          + [sample_conics(m, seed) for m in (0, 2, 5) for seed in (0, 1)])
+
+
+@pytest.mark.parametrize("cfg", MARKED,
+                         ids=lambda cfg: f"{cfg.curve}-{len(cfg.marked)}-{config_hash(cfg)[:6]}")
+def test_marked_points_answer_in_the_quadric_as_in_p3(cfg):
+    # S is projectively normal, so evaluation at points of S is onto from
+    # H^0(O_P3(d)) iff it is from H^0(O_S(d, d))
+    points = [mp.point for mp in cfg.marked]
+    for d in range(-1, 7):
+        in_p3 = (full_row_rank(*evaluation_matrix(points, list(linalg._monomials(d))))
+                 if d >= 0 else not points)
+        assert marked_point_evaluation_surjective(cfg, d) == in_p3, d
 
 
 coords = st.integers(min_value=-2 ** 40, max_value=2 ** 40)
@@ -283,7 +300,7 @@ def _assert_columns_restrict(exact, p, q, k, exponents):
 
 
 @given(points, points, st.integers(min_value=0, max_value=25))
-@example((3, 0, -2, 0), (0, 3, 0, -2), 6)  # a ruling line: (k+1)^2 columns too
+@example((3, 0, -2, 0), (0, 3, 0, -2), 6)  # a ruling line
 @settings(max_examples=30, deadline=None)
 def test_restriction_block_mod_p_is_the_exact_block_reduced(p, q, k):
     line = Line(p, q)
@@ -291,64 +308,46 @@ def test_restriction_block_mod_p_is_the_exact_block_reduced(p, q, k):
     residues, build = restriction_matrix((line,), k)
     assert all(row.dtype == np.int64 for row in residues) and build() == exact
     assert [row.tolist() for row in residues] == [[x % PRIME for x in row] for row in exact]
-    _assert_columns_restrict(exact, p, q, k, monomial_exponents(k))
-    if line_inside_quadric(line):  # the cached block keeps the quadric columns
-        exact = exact_restriction_rows((line,), k, True)
-        block = line_restriction_block(line, k)
-        assert block.dtype == np.int64 and block.shape == (k + 1, (k + 1) ** 2)
-        assert block.tolist() == [[x % PRIME for x in row] for row in exact]
-        _assert_columns_restrict(exact, p, q, k, quadric_exponents(k))
+    _assert_columns_restrict(exact, p, q, k, list(linalg._monomials(k)))
 
 
-@pytest.mark.parametrize("k", range(8))
-def test_the_quadric_columns_are_the_monomials_off_x0_x3(k):
-    # by degree in (x1, x3), then in (x2, x3): one monomial per pair of degrees
-    exponents = quadric_exponents(k)
-    assert all(sum(e) == k and not (e[0] and e[3]) for e in exponents)
-    assert [(e[1] + e[3], e[2] + e[3]) for e in exponents] == [
-        (a, b) for a in range(k + 1) for b in range(k + 1)]
+pool_coords = st.integers(min_value=-9, max_value=9)
+nonzero_pairs = st.tuples(pool_coords, pool_coords).filter(any)
 
 
-def _quadric_multiples(k):
-    """Per monomial m of degree k-2, lex order: the positions of x0*x3*m and
-    x1*x2*m among the degree-k monomials, so Q*m is the first minus the
-    second."""
-    index = {e: i for i, e in enumerate(monomial_exponents(k))}
-    return ([index[(a + 1, b, c, d + 1)] for a, b, c, d in monomial_exponents(k - 2)],
-            [index[(a, b + 1, c + 1, d)] for a, b, c, d in monomial_exponents(k - 2)],
-            [index[e] for e in quadric_exponents(k)])
+@given(nonzero_pairs, st.booleans(), st.integers(min_value=0, max_value=12))
+@settings(max_examples=40, deadline=None)
+def test_ruling_rows_restrict_the_forms_of_bidegree_k_k(w, first, k):
+    # the ruling through w: u = w along v = (s, t), or v = w along u = (s, t)
+    def on_ruling(s, t):
+        return quadric_point(w, (s, t)) if first else quadric_point((s, t), w)
+
+    line = Line(on_ruling(1, 0), on_ruling(0, 1))
+    assert line_inside_quadric(line)
+    exact = exact_ruling_rows((line,), k)
+    block = line_restriction_block(line, k)
+    assert block.dtype == np.int64 and block.shape == (k + 1, (k + 1) ** 2)
+    assert block.tolist() == [[x % PRIME for x in row] for row in exact]
+    # row r holds the coefficient of t^r of each monomial along the ruling,
+    # the monomials of bidegree (k, k) read in (v, u); k+1 values of t fix it
+    columns = np.array(exact, dtype=object).T
+    for t in range(-(k // 2), k + 1 - k // 2):
+        powers = np.array([t ** r for r in range(k + 1)], dtype=object)
+        u, v = (w, (1, t)) if first else ((1, t), w)
+        assert columns.dot(powers).tolist() == [
+            prod(a ** n for a, n in zip((*v, *u), e)) for e in bidegree_exponents(k, k)]
 
 
-@pytest.mark.parametrize("k", range(6))
-def test_the_quadric_basis_is_unimodular(k):
-    # the multiples Q*m and the quadric columns, in monomial coordinates, one
-    # column each, span the degree-k forms over Z: so the quadric columns
-    # restrict to a basis of H^0(O_S(k)), the columns of piece B
-    plus, minus, free = _quadric_multiples(k)
-    change = np.zeros((comb(k + 3, 3), comb(k + 3, 3)), dtype=np.int64)
-    for j, (a, b) in enumerate(zip(plus, minus)):
-        change[a, j], change[b, j] = 1, -1
-    for j, row in enumerate(free, start=len(plus)):
-        change[row, j] = 1
-    assert abs(Matrix(change.tolist()).det()) == 1
-
-
-@given(charges, seeds, st.integers(min_value=0, max_value=12))
-@settings(max_examples=15, deadline=None)
-def test_the_q_columns_vanish_on_ruling_lines(m, seed, k):
-    # Q*m vanishes on a line of S, so with every line on S the whole matrix
-    # has the rank of the cached blocks, and h^0 is C(k+1, 3) plus B's nullity
-    plus, minus, free = _quadric_multiples(k)
-    conics = sample_conics(m, seed)
-    for lines in (sample_ruling(m, seed).lines, ruling_part(conics).lines):
-        full = np.array(exact_restriction_rows(lines, k), dtype=object)
-        assert not (full[:, plus] - full[:, minus]).any()
-        quadric_rows = exact_restriction_rows(lines, k, True)
-        assert full[:, free].tolist() == [list(row) for row in quadric_rows]
-    if k >= 2:  # a partner line leaves S, and Q*m does not vanish on it
-        for line in partner_part(conics).lines:
-            full = np.array(exact_restriction_rows((line,), k), dtype=object)
-            assert (full[:, plus] - full[:, minus]).any()
+@given(nonzero_pairs, nonzero_pairs)
+@settings(max_examples=60)
+def test_quadric_coordinates_invert_quadric_point_up_to_scale(u, v):
+    x = quadric_point(u, v)
+    assert quadric_value(x) == 0
+    u2, v2 = quadric_coordinates(x)
+    assert u[0] * u2[1] == u[1] * u2[0] and any(u2)
+    assert v[0] * v2[1] == v[1] * v2[0] and any(v2)
+    y = quadric_point(u2, v2)
+    assert any(y) and all(a * d == b * c for (a, b), (c, d) in combinations(zip(x, y), 2))
 
 
 small = st.integers(min_value=-3, max_value=3)
@@ -484,7 +483,8 @@ def test_a_violated_identity_raises_on_every_call_and_is_never_memoised(monkeypa
 
 
 def test_block_cache_has_a_fixed_bound():
-    # one conic-sweep repetition asks for at most 1,689 distinct (line, k)
+    # a seed-0 repetition of pair-, conic- and spectrum-sweep asks for 165,
+    # 102 and 174 distinct (line, k)
     assert line_restriction_block.cache_info().maxsize == 4096
 
 
@@ -624,7 +624,21 @@ def _split_grid():
                  join_configs(ruling, sample_modification(m + 1, seed + 100, avoid=ruling)))))
 
 
-@pytest.mark.parametrize("m, cfg", [*_split_grid(), pytest.param(4, MIXED, id="mixed")])
+# lines of S that no sampler draws: of the second ruling, v constant, and of
+# the first given by two points other than v = (1, 0) and (0, 1)
+SECOND_RULING = GeometryConfig("lines", 4, tuple(
+    Line(quadric_point((1, 0), (v, 1)), quadric_point((0, 1), (v, 1))) for v in (-2, 0, 3, 5)))
+FIRST_RULING_OFF_CANON = GeometryConfig("lines", 4, tuple(
+    Line(quadric_point((u, 1), (1, 2)), quadric_point((u, 1), (3, -1))) for u in (-4, -1, 2, 7)))
+UNSAMPLED_RULINGS = [
+    pytest.param(3, cfg, id=cfg_id) for name, ruling in (
+        ("second-ruling", SECOND_RULING), ("first-ruling-off-canon", FIRST_RULING_OFF_CANON))
+    for cfg_id, cfg in ((name, ruling), (f"{name}+modification", join_configs(
+        ruling, sample_modification(2, 0, avoid=ruling))))]
+
+
+@pytest.mark.parametrize("m, cfg", [*_split_grid(), *UNSAMPLED_RULINGS,
+                                    pytest.param(4, MIXED, id="mixed")])
 def test_the_residual_split_is_the_whole_matrix(m, cfg, monkeypatch):
     splits = []
 
@@ -768,8 +782,8 @@ def test_stacked_rows_are_the_per_line_blocks(cfg):
                    for row, ref in zip(residues, reference))
         assert build() == [row for line in cfg.lines for row in exact_restriction_rows((line,), k)]
         on = tuple(filter(line_inside_quadric, cfg.lines))
-        assert [row.tobytes() for row in linalg._restriction_block(on, k, PRIME, True)] == [
-            row.tobytes() for line in on for row in line_restriction_block(line, k)]
+        assert [[x % PRIME for x in row] for row in exact_ruling_rows(on, k)] == [
+            row.tolist() for line in on for row in line_restriction_block(line, k)]
 
 
 @pytest.mark.parametrize("cfg", [sample_conics(3, 0), sample_modification(3, 0), STACKED[3]],

@@ -11,7 +11,8 @@ min(``--runs``, 3) of those, and reads the JSON object on the last line of each
 invocation's standard output.  A result line that lacks a metric the
 tree's ``BENCHMARK.json`` declares for its mode (``end_to_end`` untraced,
 ``per_layer`` traced), or holds a value that is not a finite number, is
-recorded as an error, as a malformed run.  The run length is the
+recorded as an error, as a malformed run; so is a last line that is not
+such an object, or lacks one of its keys.  The run length is the
 benchmark's own default.  With two trees the runs come in pairs, one run
 of each tree (and one traced run of each, where the pair has them), and
 the tree that runs first alternates from pair to pair, so neither slow
@@ -86,10 +87,14 @@ def bench_run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    result = last_json_line(proc.stdout)
-    out = {"correct": result["correct"], "attempted": result["attempted"],
-           "failed": result["failed"]}
-    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    try:
+        result = last_json_line(proc.stdout)
+        out = {"correct": result["correct"], "attempted": result["attempted"],
+               "failed": result["failed"]}
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # not a result object: a human line, or one short of its keys
+        return {"error": f"malformed result line: {type(exc).__name__}: {exc}"}
     spec = json.loads((tree / "BENCHMARK.json").read_text("utf-8"))
     problem = malformed(metrics, [m["name"] for m in spec["per_layer" if trace else "end_to_end"]])
     if problem:
